@@ -1,16 +1,20 @@
-"""Stamp the ``BENCH_*.json`` perf records and merge them into the trajectory.
+"""Merge the ``BENCH_*.json`` perf records into the trajectory.
 
 Every benchmark that runs under ``BENCH_RECORD=1`` leaves one
 ``BENCH_<name>.json`` at the repo root (scan, watch, valuation, campaign,
-scenario).  This script — the CI benchmark job's ``bench-trajectory`` step —
+scenario, ...), stamped by ``conftest.write_bench_record`` with the commit
+it measured (:func:`measured_commit`).  This script — the CI benchmark
+job's ``bench-trajectory`` step —
 
-1. stamps each record with the commit SHA (``GITHUB_SHA`` or ``git
-   rev-parse HEAD``) and the commit date,
-2. merges the stamped records into ``BENCH_trajectory.json``: a list with
+1. merges each record measured at the current commit into
+   ``BENCH_trajectory.json`` under that commit and its date: a list with
    one entry per ``(benchmark, commit)``, extending whatever trajectory
    already exists — the committed seed on a fresh checkout, or the
    accumulated history the CI job restores from its ``actions/cache``
    entry — so the perf history keeps growing across commits,
+2. refuses every other record — measured at another commit, on a tree
+   with uncommitted source changes, or never stamped — names it on stderr
+   and exits 1, instead of re-labelling an old number with a new commit,
 3. prints the trajectory as a table.
 
 Usage::
@@ -27,10 +31,14 @@ import argparse
 import json
 import os
 import subprocess
+import sys
 from datetime import datetime
 from pathlib import Path
 
 TRAJECTORY_NAME = "BENCH_trajectory.json"
+
+#: Trees whose uncommitted changes make a measurement not "at" its commit.
+SOURCE_DIRS = ("src", "benchmarks")
 
 
 def repo_root() -> Path:
@@ -41,15 +49,29 @@ def git_output(root: Path, *args: str) -> str:
     return subprocess.check_output(["git", *args], cwd=root, text=True).strip()
 
 
-def commit_stamp(root: Path) -> tuple[str, str]:
-    """``(sha, iso_date)`` of the commit being measured."""
-    sha = os.environ.get("GITHUB_SHA") or git_output(root, "rev-parse", "HEAD")
+def measured_commit(root: Path) -> dict:
+    """The record stamp: the commit being measured, and whether the tree differs.
+
+    ``{"commit": sha, "dirty": bool}``, where ``sha`` is ``GITHUB_SHA`` or
+    ``git rev-parse HEAD`` and ``dirty`` says tracked files under
+    :data:`SOURCE_DIRS` have uncommitted changes; ``commit`` is ``None``
+    outside a git checkout.
+    """
     try:
-        date = git_output(root, "show", "-s", "--format=%cI", sha)
+        sha = os.environ.get("GITHUB_SHA") or git_output(root, "rev-parse", "HEAD")
+        changes = git_output(root, "status", "--porcelain", "--untracked-files=no", "--", *SOURCE_DIRS)
+    except (OSError, subprocess.CalledProcessError):
+        return {"commit": None, "dirty": False}
+    return {"commit": sha, "dirty": bool(changes)}
+
+
+def commit_date(root: Path, sha: str) -> str:
+    """ISO date of ``sha``, or of HEAD when ``sha`` is not present locally."""
+    try:
+        return git_output(root, "show", "-s", "--format=%cI", sha)
     except subprocess.CalledProcessError:
         # A GITHUB_SHA not present locally (e.g. a merge ref): fall back to HEAD.
-        date = git_output(root, "show", "-s", "--format=%cI", "HEAD")
-    return sha, date
+        return git_output(root, "show", "-s", "--format=%cI", "HEAD")
 
 
 def load_records(root: Path) -> dict[str, dict]:
@@ -64,16 +86,34 @@ def load_records(root: Path) -> dict[str, dict]:
     return records
 
 
-def merge_trajectory(root: Path) -> list[dict]:
-    sha, date = commit_stamp(root)
+def refusal(record: dict, commit: str) -> str | None:
+    """Why ``record`` may not enter the trajectory at ``commit`` (``None``: it may)."""
+    measured = record.get("commit")
+    if measured is None:
+        return "carries no commit stamp"
+    if measured != commit:
+        return f"was measured at {measured[:10]}, not at {commit[:10]}"
+    if record.get("dirty"):
+        return f"was measured on uncommitted changes to {commit[:10]}"
+    return None
+
+
+def merge_trajectory(root: Path, commit: str, date: str) -> tuple[list[dict], dict[str, str]]:
+    """Merge the records measured at ``commit``; returns ``(entries, refused)``.
+
+    ``refused`` maps each record left out to the reason (see :func:`refusal`).
+    """
     trajectory_path = root / TRAJECTORY_NAME
     entries: list[dict] = []
     if trajectory_path.exists():
         entries = json.loads(trajectory_path.read_text())
-    fresh = [
-        {"benchmark": name, "commit": sha, "date": date, "record": record}
-        for name, record in load_records(root).items()
-    ]
+    fresh, refused = [], {}
+    for name, record in load_records(root).items():
+        reason = refusal(record, commit)
+        if reason is None:
+            fresh.append({"benchmark": name, "commit": record["commit"], "date": date, "record": record})
+        else:
+            refused[name] = reason
     replaced = {(entry["benchmark"], entry["commit"]) for entry in fresh}
     entries = [
         entry for entry in entries if (entry["benchmark"], entry["commit"]) not in replaced
@@ -83,7 +123,7 @@ def merge_trajectory(root: Path) -> list[dict]:
     # timezone offsets do not sort correctly as text.
     entries.sort(key=lambda entry: (datetime.fromisoformat(entry["date"]), entry["benchmark"]))
     trajectory_path.write_text(json.dumps(entries, indent=2) + "\n")
-    return entries
+    return entries, refused
 
 
 def headline(record: dict) -> str:
@@ -103,7 +143,11 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--root", type=Path, default=repo_root(), help="repo root to scan")
     args = parser.parse_args()
-    entries = merge_trajectory(args.root)
+    commit = measured_commit(args.root)["commit"]
+    if commit is None:
+        print(f"error: {args.root} is not a git checkout; no commit to merge under", file=sys.stderr)
+        return 2
+    entries, refused = merge_trajectory(args.root, commit, commit_date(args.root, commit))
     width = max((len(entry["benchmark"]) for entry in entries), default=9)
     print(f"{'benchmark':<{width}}  {'commit':<10}  {'date':<25}  headline")
     for entry in entries:
@@ -111,7 +155,9 @@ def main() -> int:
             f"{entry['benchmark']:<{width}}  {entry['commit'][:10]:<10}  "
             f"{entry['date']:<25}  {headline(entry['record'])}"
         )
-    return 0
+    for name, reason in refused.items():
+        print(f"REFUSED {name}: the record {reason}; re-run its benchmark here", file=sys.stderr)
+    return 1 if refused else 0
 
 
 if __name__ == "__main__":

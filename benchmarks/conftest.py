@@ -10,9 +10,11 @@ Use ``scenarios.get("paper-full")`` instead of ``paper-medium`` for a
 full-scale run (slower, larger agent population).
 
 Every throughput/overhead benchmark that records a ``BENCH_*.json`` writes
-it through :func:`write_bench_record`, which stamps the host context (CPU
-count, platform, a hostname hash) so trajectory entries from different
-machines are tellable apart without leaking the actual hostname.
+it through :func:`write_bench_record`, which stamps the commit measured
+(``bench_trajectory.py`` merges a record only under that commit) and the
+host context (CPU count, platform, a hostname hash) so trajectory entries
+from different machines are tellable apart without leaking the actual
+hostname.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ import socket
 from pathlib import Path
 
 import pytest
+from bench_trajectory import measured_commit
 
 from repro import scenarios
 from repro.analytics.records import extract_liquidations
@@ -42,8 +45,8 @@ def host_context() -> dict:
 
 
 def write_bench_record(path: Path | str, record: dict) -> None:
-    """Write one ``BENCH_*.json`` record, stamped with the host context."""
-    stamped = {**record, "host": host_context()}
+    """Write one ``BENCH_*.json`` record, stamped with its commit and host."""
+    stamped = {**record, **measured_commit(Path(__file__).resolve().parents[1]), "host": host_context()}
     Path(path).write_text(json.dumps(stamped, indent=2) + "\n")
 
 

@@ -1,21 +1,20 @@
-"""Benchmark — campaign throughput across execution backends and worker counts.
+"""Benchmark — campaign throughput across worker counts.
 
 Not a paper artefact: this measures the campaign fan-out layer the "millions
 of runs" north star rests on.  Eight independent seeds of the truncated
 ``small`` window are swept once serially (the ground truth) and then through
-the persistent backend at workers ∈ {1, 2, 4} — each count measured twice,
-cold (fresh workers, first dispatch pays interpreter start-up and scenario
-import) and warm (same workers, stores cleared, template caches primed) —
+the persistent backend at workers ∈ {1, 2, 4}, each on a fresh backend the
+way ``repro sweep --workers N`` runs it — worker start-up included —
 yielding the scaling curve.
 
-The speedup floors are **host-aware** (the previous fixed floor was recorded
+The speedup floors are **host-aware** (a fixed floor was recorded
 unsatisfiable on a ``cpu_count: 1`` runner):
 
-* ``cpu_count >= 4``: the warm 4-worker sweep must reach ≥ 2.5× serial;
-* ``cpu_count >= 2``: the warm 2-worker sweep must beat serial (≥ 1.2×);
+* ``cpu_count >= 4``: the 4-worker sweep must reach ≥ 2.5× serial;
+* ``cpu_count >= 2``: the 2-worker sweep must beat serial (≥ 1.2×);
 * single-core hosts: parallelism cannot win, so the check inverts into a
-  bounded-overhead assertion — the warm 4-worker sweep may cost at most
-  1.3× serial.
+  bounded-overhead assertion — the 4-worker sweep may cost at most 1.3×
+  serial.
 
 Floors are asserted only under ``BENCH_ENFORCE=1`` (the CI benchmark job);
 an un-flagged local run just prints the curve.  With ``BENCH_RECORD=1`` the
@@ -27,7 +26,6 @@ from __future__ import annotations
 
 import os
 import platform
-import shutil
 import tempfile
 import time
 from pathlib import Path
@@ -67,29 +65,19 @@ def test_campaign_throughput_scaling_curve():
         curve = []
         for workers in CURVE_WORKERS:
             with PersistentBackend(workers=workers) as backend:
-                cold = _sweep(f"{tmp}/cold-{workers}", backend)
-                # Same workers, fresh store: interpreter start-up and warm
-                # caches are already paid, leaving pure dispatch + compute.
-                shutil.rmtree(f"{tmp}/cold-{workers}", ignore_errors=True)
-                warm = _sweep(f"{tmp}/warm-{workers}", backend)
+                seconds = _sweep(f"{tmp}/persistent-{workers}", backend)
             curve.append(
                 {
                     "workers": workers,
-                    "cold_seconds": round(cold, 3),
-                    "warm_seconds": round(warm, 3),
-                    "cold_speedup": round(serial_seconds / cold, 3),
-                    "warm_speedup": round(serial_seconds / warm, 3),
+                    "seconds": round(seconds, 3),
+                    "speedup": round(serial_seconds / seconds, 3),
                 }
             )
 
     by_workers = {point["workers"]: point for point in curve}
     print(f"\ncampaign sweep, {SPEC['seeds']} seeds, serial {serial_seconds:.2f}s (cpu_count {cpu_count})")
     for point in curve:
-        print(
-            f"  persistent x{point['workers']}: cold {point['cold_seconds']:.2f}s "
-            f"({point['cold_speedup']:.2f}x), warm {point['warm_seconds']:.2f}s "
-            f"({point['warm_speedup']:.2f}x)"
-        )
+        print(f"  persistent x{point['workers']}: {point['seconds']:.2f}s ({point['speedup']:.2f}x)")
 
     if os.environ.get("BENCH_RECORD"):
         record = {
@@ -98,31 +86,30 @@ def test_campaign_throughput_scaling_curve():
             "seeds": SPEC["seeds"],
             "serial_seconds": round(serial_seconds, 3),
             "curve": curve,
-            # Compatibility fields for the cross-commit trajectory: the
-            # headline remains the 4-worker warm speedup.
+            # The trajectory headline: the 4-worker speedup.
             "workers": 4,
-            "parallel_seconds": by_workers[4]["warm_seconds"],
-            "speedup": by_workers[4]["warm_speedup"],
+            "parallel_seconds": by_workers[4]["seconds"],
+            "speedup": by_workers[4]["speedup"],
             "python": platform.python_version(),
         }
         write_bench_record(BENCH_PATH, record)
 
     if os.environ.get("BENCH_ENFORCE"):
         if cpu_count >= 4:
-            assert by_workers[4]["warm_speedup"] >= 2.5, (
-                f"4-worker warm sweep reached only {by_workers[4]['warm_speedup']:.2f}x "
+            assert by_workers[4]["speedup"] >= 2.5, (
+                f"4-worker sweep reached only {by_workers[4]['speedup']:.2f}x "
                 f"on a {cpu_count}-core host (floor: 2.5x)"
             )
         if cpu_count >= 2:
-            assert by_workers[2]["warm_speedup"] >= 1.2, (
-                f"2-worker warm sweep reached only {by_workers[2]['warm_speedup']:.2f}x "
+            assert by_workers[2]["speedup"] >= 1.2, (
+                f"2-worker sweep reached only {by_workers[2]['speedup']:.2f}x "
                 f"on a {cpu_count}-core host (floor: 1.2x)"
             )
         else:
             # Single core: parallelism cannot win; it must at least not hurt
             # by more than dispatch overhead.
-            overhead = by_workers[4]["warm_seconds"] / serial_seconds
+            overhead = by_workers[4]["seconds"] / serial_seconds
             assert overhead <= 1.3, (
-                f"4-worker warm sweep cost {overhead:.2f}x serial on a single-core "
+                f"4-worker sweep cost {overhead:.2f}x serial on a single-core "
                 "host (bounded-overhead ceiling: 1.3x)"
             )

@@ -7,10 +7,10 @@ statistically meaningful collections of runs:
   named scenario (or a grid of builder overrides) crossed with a
   ``SeedSequence``-derived seed range, expanding to picklable
   :class:`RunSpec` triples;
-* :mod:`repro.campaigns.backends` — the pluggable :class:`ExecutionBackend`
-  protocol and its implementations (``serial`` / ``spawn`` /
-  ``persistent``), plus :class:`WorkerConfig`, the one worker-configuration
-  surface shared by the executor, ``repro sweep`` and ``repro serve``;
+* :mod:`repro.campaigns.backends` — the :class:`ExecutionBackend`
+  protocol and its two implementations (``serial`` / ``persistent``),
+  plus :class:`WorkerConfig`, the one worker-configuration surface shared
+  by the executor, ``repro sweep`` and ``repro serve``;
 * :mod:`repro.campaigns.executor` — :class:`CampaignExecutor`, the driver
   that expands a spec, resumes completed runs from the store, and fans the
   rest out over an execution backend;
@@ -36,7 +36,7 @@ or, from the shell::
     repro compare
 
 ``--workers 4`` auto-selects the persistent backend; pin one explicitly
-with ``--backend serial|spawn|persistent``.  All backends produce
+with ``--backend serial|persistent``.  Both backends produce
 byte-identical store files, so the choice is purely about throughput.
 """
 
@@ -49,24 +49,12 @@ from .aggregate import (
     render_comparison,
     scalar_fields,
 )
-from .backends import (
-    BACKEND_NAMES,
-    ExecutionBackend,
-    PersistentBackend,
-    SerialBackend,
-    SpawnBackend,
-    TaskBatch,
-    WorkerConfig,
-    backend_names,
-    create_backend,
-    register_backend,
-)
-from .executor import CampaignExecutor, CampaignResult, RunJob, WarmRunContext, execute_job
+from .backends import ExecutionBackend, PersistentBackend, SerialBackend, WorkerConfig
+from .executor import CampaignExecutor, CampaignResult, RunJob, execute_job
 from .spec import OVERRIDE_KEYS, CampaignSpec, RunSpec, apply_overrides, spawn_seeds
 from .store import RunStore
 
 __all__ = [
-    "BACKEND_NAMES",
     "CampaignAggregate",
     "CampaignExecutor",
     "CampaignResult",
@@ -80,17 +68,11 @@ __all__ = [
     "RunSpec",
     "RunStore",
     "SerialBackend",
-    "SpawnBackend",
-    "TaskBatch",
     "VariantAggregate",
-    "WarmRunContext",
     "WorkerConfig",
     "aggregate_campaign",
     "apply_overrides",
-    "backend_names",
-    "create_backend",
     "execute_job",
-    "register_backend",
     "render_comparison",
     "scalar_fields",
     "spawn_seeds",

@@ -1,39 +1,30 @@
-"""Pluggable campaign execution backends.
+"""Campaign execution backends.
 
 The :class:`ExecutionBackend` protocol is the seam between *what* a
 campaign runs (:class:`~repro.campaigns.executor.RunJob`) and *how* it
-runs.  Three implementations ship, registered under the names the CLI
-(``repro sweep --backend`` / ``repro serve --backend``) exposes:
+runs.  Two implementations ship, selected by :class:`WorkerConfig`:
 
 ``serial``
-    In-process, one run after another — the ground truth every parallel
+    In-process, one run after another — the ground truth the persistent
     backend is byte-compared against.
-``spawn``
-    The legacy per-campaign ``multiprocessing`` spawn pool: fresh worker
-    processes per ``execute()``, torn down when the campaign ends.
 ``persistent``
-    Long-lived worker processes started once and reused across campaigns.
-    Tasks travel as compact :class:`TaskBatch` messages grouped by
-    :attr:`~repro.campaigns.spec.RunSpec.warm_key`, so grid points sharing
-    a scenario/seed land on the same worker and reuse its
-    :class:`~repro.campaigns.executor.WarmRunContext` (warm scenario
-    template: the price feed today).  Outcomes come back over one shared
-    result queue; a collector thread routes them to the dispatching
-    caller, which makes :meth:`PersistentBackend.run` safe to call from
-    several threads at once (the service supervisor does).
+    Long-lived worker processes started once and reused across campaigns
+    and service jobs.  Jobs go to the least-loaded worker; outcomes (and
+    the JSONL lines of streaming jobs) come back over one shared result
+    queue, where a collector thread routes them to the dispatching caller.
+    That makes :meth:`PersistentBackend.run` safe to call from several
+    threads at once (the service supervisor does).
 
-All three produce byte-identical :class:`~repro.campaigns.store.RunStore`
-files: every run is independently seeded, ``reset_run_state()`` rewinds
-global counters per run, and only immutable seed-determined ingredients
-are ever reused warm.
+Both produce byte-identical :class:`~repro.campaigns.store.RunStore`
+files: every run is independently seeded and ``reset_run_state()``
+rewinds global counters per run, so a warm worker carries nothing from
+one run into the next.
 
-:class:`WorkerConfig` is the one worker-configuration surface shared by
-the executor kwargs, ``repro sweep`` flags and ``repro serve`` flags; it
-round-trips through run manifests (the ``"execution"`` block) so a
-resumed sweep records which backend produced each run.
-
-Register additional backends with :func:`register_backend`; see
-CONTRIBUTING "Adding an execution backend".
+The protocol exists so tests can substitute fakes; :class:`WorkerConfig`
+is the one worker-configuration surface shared by the executor kwargs,
+``repro sweep`` flags and ``repro serve`` flags.  It round-trips through
+run manifests (the ``"execution"`` block) so a resumed sweep records
+which backend produced each run.
 """
 
 from __future__ import annotations
@@ -42,27 +33,28 @@ import multiprocessing
 import os
 import queue
 import threading
-from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Iterator, Mapping, Protocol, Sequence, runtime_checkable
+from typing import Any, Iterator, Mapping, Protocol, Sequence, runtime_checkable
 
-from .executor import _WORKER_STATE, RunJob, RunOutcome, WarmRunContext, execute_job
+from .executor import _WORKER_STATE, LineSink, RunJob, RunOutcome, execute_job
 
 __all__ = [
-    "BACKEND_NAMES",
     "ExecutionBackend",
     "PersistentBackend",
     "SerialBackend",
-    "SpawnBackend",
-    "TaskBatch",
     "WorkerConfig",
-    "backend_names",
-    "create_backend",
-    "register_backend",
 ]
 
-#: Warm-key affinity entries the persistent backend remembers across calls.
-_AFFINITY_CAPACITY = 128
+#: The backend names :class:`WorkerConfig` accepts.
+_BACKENDS = ("serial", "persistent")
+
+#: Identifies one in-flight run across campaigns and stores.
+RunKey = tuple[str, str, str]
+
+
+def _run_key(job: RunJob) -> RunKey:
+    """``(store_root, campaign, run_id)``: run ids repeat across campaigns."""
+    return (job.store_root, job.campaign, job.run.run_id)
 
 
 @dataclass(frozen=True)
@@ -70,7 +62,7 @@ class WorkerConfig:
     """The unified worker configuration: which backend, how many workers.
 
     One dataclass behind ``CampaignExecutor(backend=...)``,
-    ``repro sweep --backend/--workers`` and ``repro serve --backend/--workers``.
+    ``repro sweep --backend/--workers`` and ``repro serve --workers``.
     :meth:`describe` / :meth:`from_payload` round-trip it through the run
     manifest's ``"execution"`` block.
     """
@@ -89,27 +81,18 @@ class WorkerConfig:
         """Resolve CLI-style inputs: ``auto`` picks serial or persistent.
 
         ``backend=None``/``"auto"`` maps to serial when ``workers`` is unset
-        or 1, persistent otherwise.  A parallel backend with no worker count
-        gets a host-derived default (2–4, capped by CPU count).
+        or 1, persistent otherwise.  A persistent backend with no worker
+        count gets a host-derived default (2–4, capped by CPU count).
         """
         name = backend or "auto"
         if name == "auto":
             name = "serial" if not workers or int(workers) <= 1 else "persistent"
         if name == "serial":
             return cls()
+        _check_backend(name)
         if workers is None:
             workers = min(4, max(2, os.cpu_count() or 1))
         return cls(backend=name, workers=max(int(workers), 1))
-
-    @classmethod
-    def from_workers(cls, workers: int) -> "WorkerConfig":
-        """The deprecated ``CampaignExecutor(workers=N)`` mapping.
-
-        ``N > 1`` used to mean a per-campaign spawn pool, so the shim
-        preserves exactly that; ``N <= 1`` is serial.
-        """
-        workers = max(int(workers), 1)
-        return cls(backend="spawn", workers=workers) if workers > 1 else cls()
 
     @classmethod
     def from_payload(cls, payload: Mapping[str, Any]) -> "WorkerConfig":
@@ -121,8 +104,18 @@ class WorkerConfig:
         return {"backend": self.backend, "workers": self.workers}
 
     def create(self) -> "ExecutionBackend":
-        """Instantiate the configured backend from the registry."""
-        return create_backend(self)
+        """Instantiate the configured backend."""
+        _check_backend(self.backend)
+        if self.backend == "serial":
+            return SerialBackend()
+        return PersistentBackend(self.workers)
+
+
+def _check_backend(name: str) -> None:
+    # Checked on use, not on construction: a test fake's name (and a
+    # manifest from an older store) may be any string.
+    if name not in _BACKENDS:
+        raise ValueError(f"unknown execution backend {name!r}; known: {', '.join(_BACKENDS)}")
 
 
 @runtime_checkable
@@ -132,18 +125,16 @@ class ExecutionBackend(Protocol):
     Implementations must keep the store byte-identity contract: a job's
     persisted files may not depend on which backend (or worker) ran it.
     ``run`` yields outcomes as runs finish (unordered on parallel
-    backends); ``execute_one`` is the thread-safe single-run entry the
-    service supervisor uses.  ``close`` releases resources gracefully,
-    ``terminate`` forcefully (in-flight runs surface as failed outcomes —
-    resumable, since interrupted runs never write a manifest).
+    backends); ``execute_one`` is the thread-safe single-run entry.
+    ``close`` releases resources gracefully, ``terminate`` forcefully
+    (in-flight runs surface as failed outcomes — resumable, since
+    interrupted runs never write a manifest).
     """
 
     name: str
     workers: int
 
-    def run(
-        self, jobs: Sequence[RunJob], *, extra_probes: tuple = ()
-    ) -> Iterator[RunOutcome]: ...
+    def run(self, jobs: Sequence[RunJob]) -> Iterator[RunOutcome]: ...
 
     def execute_one(self, job: RunJob) -> RunOutcome: ...
 
@@ -153,144 +144,66 @@ class ExecutionBackend(Protocol):
 
 
 class SerialBackend:
-    """In-process execution, one run after another (the ground truth).
-
-    ``warm=True`` opts into the same :class:`WarmRunContext` reuse the
-    persistent workers apply — off by default so the serial store remains
-    the cold-path reference that byte-identity tests compare against.
-    """
+    """In-process execution, one run after another (the ground truth)."""
 
     name = "serial"
     workers = 1
 
-    def __init__(self, *, warm: bool = False) -> None:
-        self._warm = WarmRunContext() if warm else None
+    def __init__(self) -> None:
         # execute_job mutates process-global state (telemetry install,
         # runtime_state resets): one lock keeps concurrent callers — the
         # service's worker slots — from interleaving runs.
         self._lock = threading.Lock()
 
-    def run(self, jobs: Sequence[RunJob], *, extra_probes: tuple = ()) -> Iterator[RunOutcome]:
+    def run(self, jobs: Sequence[RunJob]) -> Iterator[RunOutcome]:
         with self._lock:
-            # Parallel backends give every campaign fresh workers; give the
-            # serial path the same contract, or task indices and idle gaps
-            # would span earlier campaigns run in this process.
+            # Persistent workers are fresh per backend; give the serial path
+            # the same contract, or task indices and idle gaps would span
+            # earlier campaigns run in this process.
             _WORKER_STATE.clear()
             for job in jobs:
-                yield execute_job(job, extra_probes=extra_probes, warm=self._warm)
+                yield execute_job(job)
 
     def execute_one(self, job: RunJob) -> RunOutcome:
         with self._lock:
-            return execute_job(job, warm=self._warm)
+            return execute_job(job)
 
     def close(self) -> None:
         pass
 
     def terminate(self) -> None:
         pass
-
-
-class SpawnBackend:
-    """The per-campaign ``multiprocessing`` spawn pool (the legacy fan-out).
-
-    Each :meth:`run` call builds a fresh pool sized to the batch and tears
-    it down afterwards — workers pay interpreter start-up plus the scenario
-    registry import per campaign, which is why the persistent backend
-    exists.  :meth:`execute_one` keeps one long-lived pool instead, so the
-    service path is not charged a spawn per run.
-    """
-
-    name = "spawn"
-
-    def __init__(self, workers: int = 2) -> None:
-        self.workers = max(int(workers), 1)
-        self._context = multiprocessing.get_context("spawn")
-        self._pool = None  # lazy: only the execute_one path needs it
-        self._lock = threading.Lock()
-
-    def run(self, jobs: Sequence[RunJob], *, extra_probes: tuple = ()) -> Iterator[RunOutcome]:
-        jobs = list(jobs)
-        if self.workers <= 1 or len(jobs) < 2:
-            # Nothing to fan out: run in-process (and keep probe support).
-            _WORKER_STATE.clear()
-            for job in jobs:
-                yield execute_job(job, extra_probes=extra_probes)
-            return
-        if extra_probes:
-            raise ValueError(
-                "extra_probes cannot cross the process boundary; use the serial backend"
-            )
-        # Spawn (not fork) so workers start from a clean interpreter on
-        # every platform; each one re-imports the scenario registry.
-        with self._context.Pool(processes=min(self.workers, len(jobs))) as pool:
-            yield from pool.imap_unordered(execute_job, jobs)
-
-    def execute_one(self, job: RunJob) -> RunOutcome:
-        with self._lock:
-            if self._pool is None:
-                self._pool = self._context.Pool(processes=self.workers)
-            pool = self._pool
-        return pool.apply(execute_job, (job,))
-
-    def close(self) -> None:
-        with self._lock:
-            pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.close()
-            pool.join()
-
-    def terminate(self) -> None:
-        with self._lock:
-            pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.terminate()
-            pool.join()
-
-
-@dataclass(frozen=True)
-class TaskBatch:
-    """Compact dispatch message: runs sharing one warm worker, in order.
-
-    Only :class:`RunJob` tuples cross the process boundary (PKL003);
-    outcomes come back as individual :class:`RunOutcome` messages so the
-    parent folds progress per run, not per batch.
-    """
-
-    jobs: tuple[RunJob, ...]
 
 
 def persistent_worker_main(task_queue, result_queue) -> None:
-    """One long-lived worker process: pull batches, execute, report.
+    """One long-lived worker process: pull jobs, execute, report.
 
-    Runs until the ``None`` sentinel arrives.  The worker's
-    :class:`~repro.campaigns.executor.WarmRunContext` lives for the whole
-    process, so every batch (and every campaign dispatched to a long-lived
-    backend) benefits from previously warmed ingredients.
+    Runs until the ``None`` sentinel arrives.  Every message on the result
+    queue is ``(run key, payload)``: a streaming job's JSONL chunks (``str``)
+    first, then its :class:`RunOutcome`.  One producer per worker keeps them
+    in that order.
     """
     _WORKER_STATE.clear()
-    warm = WarmRunContext()
     while True:
-        batch = task_queue.get()
-        if batch is None:
+        job = task_queue.get()
+        if job is None:
             return
-        for job in batch.jobs:
-            # execute_job captures run failures as outcome.error, so one
-            # pathological run cannot take the worker down with it.
-            result_queue.put(execute_job(job, warm=warm))
+        key = _run_key(job)
+        # execute_job captures run failures as outcome.error, so one
+        # pathological run cannot take the worker down with it.
+        outcome = execute_job(job, lambda text: result_queue.put((key, text)))
+        result_queue.put((key, outcome))
 
 
 class PersistentBackend:
     """Long-lived worker processes shared across campaigns.
 
     ``N`` spawn processes are started once (lazily, on the first
-    :meth:`run`) and fed :class:`TaskBatch` messages over per-worker task
-    queues; a shared result queue carries outcomes back.  Batches are
-    grouped by :attr:`~repro.campaigns.spec.RunSpec.warm_key` with sticky
-    affinity — a key dispatched twice lands on the same worker, so its
-    warm cache keeps paying across campaigns — and balanced by outstanding
-    load otherwise.
+    :meth:`run`) and fed :class:`RunJob` messages over per-worker task
+    queues, each job to the worker with the fewest outstanding runs; a
+    shared result queue carries outcomes back.
 
-    A daemon collector thread routes each outcome to the queue of the
+    A daemon collector thread routes each message to the queue of the
     :meth:`run` call that dispatched it, which makes dispatch thread-safe
     (the service supervisor calls :meth:`execute_one` from several slots
     concurrently).  The collector also watches for worker death: a worker
@@ -304,12 +217,8 @@ class PersistentBackend:
 
     name = "persistent"
 
-    def __init__(self, workers: int = 2, *, batch_size: int | None = None) -> None:
+    def __init__(self, workers: int = 2) -> None:
         self.workers = max(int(workers), 1)
-        #: Maximum runs per dispatch message (``None``: one batch per
-        #: warm-key group).  Smaller batches interleave progress better;
-        #: larger ones amortise queue overhead.
-        self.batch_size = batch_size
         self._context = multiprocessing.get_context("spawn")
         self._lock = threading.Lock()
         self._procs: list = [None] * self.workers
@@ -318,11 +227,9 @@ class PersistentBackend:
         self._collector: threading.Thread | None = None
         self._started = False
         self._closed = False
-        #: run_id -> (worker slot, the dispatching caller's outcome queue).
-        self._pending: dict[str, tuple[int, "queue.Queue[RunOutcome]"]] = {}
+        #: run key -> (worker slot, the dispatching caller's message queue).
+        self._pending: dict[RunKey, tuple[int, queue.Queue]] = {}
         self._outstanding: list[int] = [0] * self.workers
-        #: warm_key -> worker slot (sticky affinity across run() calls).
-        self._affinity: "OrderedDict[tuple, int]" = OrderedDict()
 
     # -------------------------------------------------------------- #
     # Lifecycle
@@ -398,7 +305,7 @@ class PersistentBackend:
             if proc is not None and proc.is_alive():  # pragma: no cover - stuck worker
                 proc.terminate()
                 proc.join(timeout=5.0)
-        # The workers have exited, so their queued outcomes are all in the
+        # The workers have exited, so their queued messages are all in the
         # pipe ahead of this sentinel: the collector drains them, then stops.
         self._result_queue.put(None)
         if self._collector is not None:
@@ -415,109 +322,96 @@ class PersistentBackend:
             victims = list(self._pending.items())
             self._pending.clear()
             self._outstanding = [0] * self.workers
-        for run_id, (_slot, sink) in victims:
-            sink.put(RunOutcome(run_id=run_id, elapsed_seconds=0.0, error=reason))
+        for key, (_slot, sink) in victims:
+            sink.put((key, RunOutcome(run_id=key[2], elapsed_seconds=0.0, error=reason)))
 
     # -------------------------------------------------------------- #
     # Dispatch
     # -------------------------------------------------------------- #
-    def run(self, jobs: Sequence[RunJob], *, extra_probes: tuple = ()) -> Iterator[RunOutcome]:
-        if extra_probes:
-            raise ValueError(
-                "extra_probes cannot cross the process boundary; use the serial backend"
-            )
+    def run(self, jobs: Sequence[RunJob]) -> Iterator[RunOutcome]:
         jobs = list(jobs)
         if not jobs:
             return
+        yield from self._receive(self._dispatch(jobs), len(jobs), None)
+
+    def execute_one(self, job: RunJob, on_lines: LineSink | None = None) -> RunOutcome:
+        """Execute one run; a streaming job's JSONL chunks go to ``on_lines`` first."""
+        for outcome in self._receive(self._dispatch([job]), 1, on_lines):
+            return outcome
+        raise RuntimeError("backend produced no outcome")  # pragma: no cover
+
+    def _dispatch(self, jobs: list[RunJob]) -> queue.Queue:
+        """Queue ``jobs`` on the least-loaded workers; returns their message queue."""
         self.start()
-        sink: "queue.Queue[RunOutcome]" = queue.Queue()
+        sink: queue.Queue = queue.Queue()
+        keys = [_run_key(job) for job in jobs]
         with self._lock:
             if self._closed:
                 raise RuntimeError("persistent backend is closed")
-            duplicates = [job.run.run_id for job in jobs if job.run.run_id in self._pending]
+            duplicates = sorted("/".join(key[1:]) for key in keys if key in self._pending)
             if duplicates:
-                raise ValueError(f"run(s) already in flight: {', '.join(sorted(duplicates))}")
-            for slot, slot_jobs in self._assign_locked(jobs).items():
+                raise ValueError(f"run(s) already in flight: {', '.join(duplicates)}")
+            for key, job in zip(keys, jobs):
+                slot = self._outstanding.index(min(self._outstanding))
                 proc = self._procs[slot]
                 if proc is None or not proc.is_alive():
                     # An idle worker died quietly: replace it before dispatch.
                     self._spawn_locked(slot)
-                for job in slot_jobs:
-                    self._pending[job.run.run_id] = (slot, sink)
-                self._outstanding[slot] += len(slot_jobs)
-                for chunk in _chunks(slot_jobs, self.batch_size or len(slot_jobs)):
-                    self._task_queues[slot].put(TaskBatch(jobs=tuple(chunk)))
-        for _ in range(len(jobs)):
-            yield sink.get()
+                self._pending[key] = (slot, sink)
+                self._outstanding[slot] += 1
+                self._task_queues[slot].put(job)
+        return sink
 
-    def execute_one(self, job: RunJob) -> RunOutcome:
-        for outcome in self.run([job]):
-            return outcome
-        raise RuntimeError("backend produced no outcome")  # pragma: no cover
-
-    def _assign_locked(self, jobs: Iterable[RunJob]) -> dict[int, list[RunJob]]:
-        """Group jobs by warm key; assign groups to workers.
-
-        Sticky affinity first (a previously-seen key returns to its
-        worker), then greedy least-loaded placement, largest groups first —
-        deterministic given the same jobs and dispatch history.
-        """
-        groups: dict[tuple, list[RunJob]] = {}
-        for job in jobs:
-            groups.setdefault(job.run.warm_key, []).append(job)
-        planned = [0] * self.workers
-        assignments: dict[int, list[RunJob]] = {}
-        ordered = sorted(groups.items(), key=lambda item: (-len(item[1]), repr(item[0])))
-        for key, group in ordered:
-            slot = self._affinity.get(key)
-            if slot is None:
-                load = [self._outstanding[s] + planned[s] for s in range(self.workers)]
-                slot = load.index(min(load))
-            else:
-                self._affinity.move_to_end(key)
-            self._affinity[key] = slot
-            while len(self._affinity) > _AFFINITY_CAPACITY:
-                self._affinity.popitem(last=False)
-            planned[slot] += len(group)
-            assignments.setdefault(slot, []).extend(group)
-        return assignments
+    @staticmethod
+    def _receive(sink: queue.Queue, count: int, on_lines: LineSink | None) -> Iterator[RunOutcome]:
+        """Yield ``count`` outcomes off ``sink``, handing line chunks to ``on_lines``."""
+        while count:
+            _key, message = sink.get()
+            if isinstance(message, str):
+                if on_lines is not None:
+                    on_lines(message)
+                continue
+            count -= 1
+            yield message
 
     # -------------------------------------------------------------- #
     # Collection
     # -------------------------------------------------------------- #
     def _collect(self) -> None:
-        """Route outcomes to their dispatching callers; watch for deaths."""
+        """Route messages to their dispatching callers; watch for deaths."""
         while True:
             try:
-                outcome = self._result_queue.get(timeout=0.2)
+                item = self._result_queue.get(timeout=0.2)
             except queue.Empty:
                 self._reap_dead_workers()
                 continue
             except (EOFError, OSError):  # pragma: no cover - queue torn down
                 return
-            if outcome is None:
+            if item is None:
                 return
-            self._deliver(outcome)
+            self._deliver(*item)
 
-    def _deliver(self, outcome: RunOutcome) -> None:
+    def _deliver(self, key: RunKey, message: RunOutcome | str) -> None:
         with self._lock:
-            entry = self._pending.pop(outcome.run_id, None)
+            entry = self._pending.get(key)
             if entry is None:
                 return  # already synthesized as a worker-death failure
             slot, sink = entry
-            self._outstanding[slot] -= 1
-        sink.put(outcome)
+            if isinstance(message, RunOutcome):
+                del self._pending[key]
+                self._outstanding[slot] -= 1
+        sink.put((key, message))
 
     def _reap_dead_workers(self) -> None:
         """Fail (and respawn) workers that died with tasks outstanding.
 
-        The dead worker's queued-but-unstarted batches are *not* re-run on
+        The dead worker's queued-but-unstarted jobs are *not* re-run on
         another worker — re-dispatching could race a half-finished store
         write from the moment of death.  Its pending runs fail loudly
         instead; interrupted runs never wrote a manifest, so re-executing
         the campaign resumes exactly the lost runs.
         """
-        victims: list[tuple[str, "queue.Queue[RunOutcome]", int, int | None]] = []
+        victims: list[tuple[RunKey, queue.Queue, int, int | None]] = []
         with self._lock:
             if self._closed:
                 return
@@ -525,79 +419,22 @@ class PersistentBackend:
                 if proc is None or proc.is_alive() or self._outstanding[slot] == 0:
                     continue
                 exitcode = proc.exitcode
-                lost = [run_id for run_id, (s, _) in self._pending.items() if s == slot]
-                for run_id in lost:
-                    victims.append((run_id, self._pending.pop(run_id)[1], slot, exitcode))
+                lost = [key for key, (s, _) in self._pending.items() if s == slot]
+                for key in lost:
+                    victims.append((key, self._pending.pop(key)[1], slot, exitcode))
                 self._outstanding[slot] = 0
                 self._spawn_locked(slot)
-        for run_id, sink, slot, exitcode in victims:
+        for key, sink, slot, exitcode in victims:
             sink.put(
-                RunOutcome(
-                    run_id=run_id,
-                    elapsed_seconds=0.0,
-                    error=(
-                        f"persistent worker {slot} exited (code {exitcode}) before "
-                        "completing the run; re-execute the campaign to resume it"
+                (
+                    key,
+                    RunOutcome(
+                        run_id=key[2],
+                        elapsed_seconds=0.0,
+                        error=(
+                            f"persistent worker {slot} exited (code {exitcode}) before "
+                            "completing the run; re-execute the campaign to resume it"
+                        ),
                     ),
                 )
             )
-
-
-def _chunks(items: list, size: int) -> Iterator[list]:
-    size = max(int(size), 1)
-    for index in range(0, len(items), size):
-        yield items[index : index + size]
-
-
-# --------------------------------------------------------------------- #
-# Registry
-# --------------------------------------------------------------------- #
-BackendFactory = Callable[[WorkerConfig], ExecutionBackend]
-
-_BACKEND_FACTORIES: dict[str, BackendFactory] = {}
-
-
-def register_backend(name: str, factory: BackendFactory) -> None:
-    """Register (or replace) a named backend factory.
-
-    ``factory`` receives the resolved :class:`WorkerConfig` and returns an
-    :class:`ExecutionBackend`.  Registered names become valid for
-    ``CampaignExecutor(backend=...)`` and ``WorkerConfig(backend=...)``.
-    """
-    _BACKEND_FACTORIES[name] = factory
-
-
-def backend_names() -> tuple[str, ...]:
-    """The registered backend names, sorted."""
-    return tuple(sorted(_BACKEND_FACTORIES))
-
-
-def create_backend(config: WorkerConfig) -> ExecutionBackend:
-    """Instantiate the backend a :class:`WorkerConfig` names."""
-    factory = _BACKEND_FACTORIES.get(config.backend)
-    if factory is None:
-        raise KeyError(
-            f"unknown execution backend {config.backend!r}; "
-            f"registered: {', '.join(backend_names())}"
-        )
-    return factory(config)
-
-
-def _make_serial(config: WorkerConfig) -> ExecutionBackend:
-    return SerialBackend()
-
-
-def _make_spawn(config: WorkerConfig) -> ExecutionBackend:
-    return SpawnBackend(config.workers)
-
-
-def _make_persistent(config: WorkerConfig) -> ExecutionBackend:
-    return PersistentBackend(config.workers)
-
-
-register_backend("serial", _make_serial)
-register_backend("spawn", _make_spawn)
-register_backend("persistent", _make_persistent)
-
-#: The built-in backend names (CLI choices).
-BACKEND_NAMES: tuple[str, ...] = ("serial", "spawn", "persistent")

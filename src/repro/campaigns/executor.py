@@ -2,36 +2,33 @@
 
 :class:`CampaignExecutor` expands a :class:`~repro.campaigns.spec.CampaignSpec`
 into runs, skips the ones the store already holds (resume), and hands the
-rest to an :class:`~repro.campaigns.backends.ExecutionBackend` — serial,
-a per-campaign spawn pool, or the persistent worker runtime (see
-:mod:`repro.campaigns.backends`).
+rest to an :class:`~repro.campaigns.backends.ExecutionBackend` — serial or
+the persistent worker runtime (see :mod:`repro.campaigns.backends`).
 
 Only :class:`RunJob` (plain strings/ints/tuples) crosses the process
 boundary; each worker rebuilds its world from ``(scenario, overrides, seed)``
 via the scenario registry, runs it, and writes the experiment JSON straight
 into the store.  Because every run is independently seeded and the store
 serialises deterministically, serial and parallel execution produce
-byte-identical per-run files.  Persistent workers additionally keep a
-:class:`WarmRunContext` — a cache of immutable, seed-determined ingredients
-(the price feed) reused across the grid points assigned to them — without
-touching that contract: everything mutable is rebuilt per run and
-``reset_run_state()`` still rewinds the global counters.
+byte-identical per-run files.
+
+A job with a ``sample_below`` threshold also *streams*: the run's typed
+events and its below-threshold health-factor samples leave the worker as
+JSONL chunks (the service's live view of a run), without touching the
+store contract — the streaming probes are passive.
 """
 
 from __future__ import annotations
 
 import multiprocessing
-import pickle
-import warnings
-from collections import OrderedDict
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable
 
 from ..experiments.runner import run_json
 from ..observers.probes import LiquidationRecorder, MetricsAccumulator
+from ..observers.sinks import JsonlSink
 from ..runtime_state import reset_run_state
-from ..scenarios.builder import ScenarioBuilder, default_price_feed
 from ..serialize import to_jsonable
 from ..telemetry import runtime as telemetry_runtime
 from ..telemetry.clock import perf_seconds
@@ -40,19 +37,25 @@ from .spec import CampaignSpec, RunSpec
 from .store import RunStore
 
 if TYPE_CHECKING:
-    from ..oracle.feed import PriceFeed
     from .backends import ExecutionBackend, WorkerConfig
 
 __all__ = [
     "CampaignExecutor",
     "CampaignResult",
     "RunJob",
-    "WarmRunContext",
     "execute_job",
 ]
 
 #: Progress callback: ``(done, total, run_id, status, elapsed_seconds)``.
 ProgressCallback = Callable[[int, int, str, str, float], None]
+
+#: Receives a streaming run's JSONL output, several whole lines at a time.
+LineSink = Callable[[str], None]
+
+#: A streaming run hands its lines on this many at a time (and the rest when
+#: the run completes): one message per chunk, not per event, crosses the
+#: process boundary.
+STREAM_CHUNK_LINES = 256
 
 
 def _status_of(outcome: RunOutcome) -> str:
@@ -70,9 +73,13 @@ class RunJob:
     collect_telemetry: bool = True
     #: The worker configuration that dispatched this job, recorded into the
     #: run manifest (``"execution"``) so a resumed sweep can tell which
-    #: backend produced each run.  ``None`` (direct ``execute_job`` calls,
-    #: the service's streaming path) writes no execution block.
+    #: backend produced each run.  ``None`` (direct ``execute_job`` calls)
+    #: writes no execution block.
     worker_config: "WorkerConfig | None" = None
+    #: Health-factor threshold of a streaming run (a service job): positions
+    #: below it are sampled on every rescan and streamed next to the typed
+    #: events.  ``None`` streams nothing.
+    sample_below: float | None = None
 
 
 @dataclass(frozen=True)
@@ -152,88 +159,61 @@ def _valuation_cache_stats(snapshot: dict[str, float]) -> dict:
     }
 
 
-class WarmRunContext:
-    """A worker's cache of deterministic run ingredients reused across tasks.
+class _LineChunks:
+    """A write-only text handle passing the lines written to it on in chunks.
 
-    Persistent workers receive *batches* of runs grouped by
-    :attr:`~repro.campaigns.spec.RunSpec.warm_key` — same scenario, same
-    feed-relevant overrides, same seed — so the scenario template they warm
-    up for the first run of a group is valid for the rest.  Only immutable,
-    seed-determined values are cached: today that is the
-    :class:`~repro.oracle.feed.PriceFeed` (never mutated after
-    construction, built purely from ``(scenario, overrides, seed)`` without
-    consuming the builder RNG).  Everything mutable — chain, protocols,
-    agents, probes — is rebuilt per run, and ``reset_run_state()`` still
-    rewinds the global counters, so warm execution stays byte-identical
-    with cold execution.
-
-    Scenarios installing a *custom* feed factory are never cached: a custom
-    factory may read the build context (including ``ctx.rng``), so skipping
-    it could change the world.
+    The streaming probes write one whole line per call.
     """
 
-    def __init__(self, capacity: int = 8) -> None:
-        self.capacity = max(int(capacity), 1)
-        self.feed_hits = 0
-        self.feed_builds = 0
-        self._feeds: "OrderedDict[tuple, PriceFeed]" = OrderedDict()
+    def __init__(self, on_lines: LineSink) -> None:
+        self._on_lines = on_lines
+        self._lines: list[str] = []
 
-    def builder_for(self, run: RunSpec) -> ScenarioBuilder:
-        """A fresh builder for ``run``, with cached ingredients injected."""
-        builder = run.builder()
-        if builder.feed_factory is not default_price_feed:
-            return builder
-        key = run.warm_key
-        feed = self._feeds.get(key)
-        if feed is None:
-            feed = builder.build_feed()
-            self.feed_builds += 1
-            self._feeds[key] = feed
-            while len(self._feeds) > self.capacity:
-                self._feeds.popitem(last=False)
-        else:
-            self.feed_hits += 1
-            self._feeds.move_to_end(key)
-        builder.with_price_feed(feed)
-        return builder
+    def write(self, text: str) -> int:
+        self._lines.append(text)
+        if len(self._lines) >= STREAM_CHUNK_LINES:
+            self.flush()
+        return len(text)
 
-    def stats(self) -> dict:
-        """Cache effectiveness counters (persisted into telemetry digests)."""
-        return {
-            "feed_hits": self.feed_hits,
-            "feed_builds": self.feed_builds,
-            "feeds_cached": len(self._feeds),
-        }
+    def flush(self) -> None:
+        if self._lines:
+            self._on_lines("".join(self._lines))
+            self._lines = []
 
 
-def execute_job(
-    job: RunJob,
-    extra_probes: tuple = (),
-    warm: WarmRunContext | None = None,
-) -> RunOutcome:
+def _stream_probes(sample_below: float, handle) -> tuple:
+    """The probe factories of a streaming run, both writing to ``handle``.
+
+    A :class:`~repro.observers.sinks.JsonlSink` carries every typed event;
+    a :class:`~repro.service.probes.HealthSampleProbe` interleaves an
+    ``hf_sample`` line per position below ``sample_below`` on each rescan.
+    """
+    from ..service.probes import HealthSampleProbe  # the service imports this module
+
+    return (
+        lambda engine: JsonlSink(handle),
+        lambda engine: HealthSampleProbe(handle, engine.protocols, sample_below=sample_below),
+    )
+
+
+def execute_job(job: RunJob, on_lines: LineSink | None = None) -> RunOutcome:
     """Execute one run end-to-end and persist it (runs inside workers).
 
     Failures are captured and reported back as the outcome's ``error``
     instead of raised, so one pathological run cannot abort a campaign (the
     other workers' completed runs are already durable in the store).
 
-    ``extra_probes`` are additional ``engine -> probe`` factories attached
-    after the standard recorder/metrics pair — the service worker streams
-    its event sink and health sampler through here.  They never cross a
-    process boundary (parallel backends refuse them), so the
-    :class:`RunJob` payload stays plainly picklable.
-
-    ``warm`` is the executing worker's :class:`WarmRunContext`; when given,
-    cached immutable ingredients (the price feed) are injected into the
-    run's builder instead of being rebuilt.
+    When ``job.sample_below`` is set and ``on_lines`` is given, the run
+    also streams (see :func:`_stream_probes`): its JSONL lines reach
+    ``on_lines`` in chunks, the last of them once the simulation completes.
 
     When ``job.collect_telemetry`` is set, the worker installs a
     :class:`~repro.telemetry.runtime.Telemetry` for the duration of the run
     and persists a digest into the manifest: per-phase span timings
-    (build / run / reports / persist), result-pickle cost, valuation-cache
-    hit rate, and how long this worker sat idle before picking the task up.
-    Telemetry never touches the simulated world, so the experiment files
-    remain byte-identical with telemetry on or off.
+    (build / run / reports / persist), valuation-cache hit rate, and how
+    long this worker sat idle before picking the task up.  Telemetry never
+    touches the simulated world, so the experiment files remain
+    byte-identical with telemetry on or off.
     """
     worker_name, task_index, idle_seconds = _worker_begin()
     started = perf_seconds()
@@ -244,9 +224,10 @@ def execute_job(
     reset_run_state()
     telemetry = Telemetry(name=job.run.run_id) if job.collect_telemetry else None
     scope = telemetry_runtime.enabled(telemetry) if telemetry else nullcontext()
+    stream = _LineChunks(on_lines) if on_lines is not None and job.sample_below is not None else None
     try:
         with scope:
-            builder = warm.builder_for(job.run) if warm is not None else job.run.builder()
+            builder = job.run.builder()
             # Stream the liquidation records and the per-step aggregates while
             # the world advances instead of re-crawling the finished chain:
             # run_json reads result.records straight off the recorder probe and
@@ -254,21 +235,18 @@ def execute_job(
             builder.with_probes(
                 lambda engine: LiquidationRecorder(),
                 lambda engine: MetricsAccumulator(),
-                *extra_probes,
+                *(_stream_probes(job.sample_below, stream) if stream is not None else ()),
             )
             with span("job.build"):
                 engine = builder.build()
             with span("job.run"):
+                # The probes flush the stream when the run completes.
                 result = engine.run()
             with span("job.reports"):
                 outputs = run_json(result, job.experiments)
             store = RunStore(job.store_root)
             with span("job.persist"):
                 store.write_experiments(job.campaign, job.run, outputs)
-            with span("job.pickle"):
-                # What imap_unordered would pay to ship the run's outputs
-                # across the process boundary (the 0.73× suspect).
-                pickle_bytes = len(pickle.dumps(outputs, protocol=pickle.HIGHEST_PROTOCOL))
         elapsed = perf_seconds() - started
         digest = _telemetry_digest(
             telemetry,
@@ -276,8 +254,6 @@ def execute_job(
             task_index=task_index,
             idle_seconds=idle_seconds,
             elapsed_seconds=elapsed,
-            pickle_bytes=pickle_bytes,
-            warm=warm,
         )
         store.write_manifest(
             job.campaign,
@@ -307,8 +283,6 @@ def _telemetry_digest(
     task_index: int,
     idle_seconds: float,
     elapsed_seconds: float,
-    pickle_bytes: int,
-    warm: WarmRunContext | None = None,
 ) -> dict | None:
     """Flatten a run's telemetry into the JSON block the manifest stores."""
     if telemetry is None:
@@ -319,7 +293,7 @@ def _telemetry_digest(
     def seconds(name: str) -> float:
         return round(spans.get(name, {}).get("total_seconds", 0.0), 4)
 
-    digest = {
+    return {
         "worker": worker,
         "task_index": task_index,
         "idle_seconds": round(idle_seconds, 4),
@@ -328,8 +302,6 @@ def _telemetry_digest(
         "run_seconds": seconds("job.run"),
         "reports_seconds": seconds("job.reports"),
         "persist_seconds": seconds("job.persist"),
-        "pickle_seconds": seconds("job.pickle"),
-        "pickle_bytes": pickle_bytes,
         "valuation_cache": _valuation_cache_stats(summary["metrics"]),
         "spans": {
             name: {
@@ -340,10 +312,6 @@ def _telemetry_digest(
             for name, stats in spans.items()
         },
     }
-    if warm is not None:
-        # Warm-ingredient reuse across the tasks this worker executed so far.
-        digest["warm_feed"] = warm.stats()
-    return digest
 
 
 class CampaignExecutor:
@@ -355,36 +323,23 @@ class CampaignExecutor:
         store: RunStore | None = None,
         *,
         backend: "ExecutionBackend | WorkerConfig | str | None" = None,
-        workers: int | None = None,
         progress: ProgressCallback | None = None,
         telemetry: bool = True,
     ) -> None:
         """``backend`` selects how runs execute (see :mod:`.backends`):
 
         * ``None`` — serial (the default);
-        * a backend name (``"serial"`` / ``"spawn"`` / ``"persistent"``) —
-          resolved with a host-derived worker count;
+        * a backend name (``"serial"`` / ``"persistent"``) — resolved with
+          a host-derived worker count;
         * a :class:`~repro.campaigns.backends.WorkerConfig` — fully explicit;
         * a live :class:`~repro.campaigns.backends.ExecutionBackend`
           instance — caller-owned: the executor uses it but never closes
           it, so one persistent runtime can span many campaigns.
-
-        ``workers=N`` is the deprecated pre-backend spelling; it maps to the
-        spawn pool it used to mean (``N > 1``) or serial (``N <= 1``).
         """
         from .backends import WorkerConfig
 
         self.spec = spec
         self.store = store or RunStore()
-        if workers is not None:
-            warnings.warn(
-                "CampaignExecutor(workers=N) is deprecated; pass backend=WorkerConfig(...) "
-                "or a backend name ('serial'/'spawn'/'persistent') instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            if backend is None:
-                backend = WorkerConfig.from_workers(workers)
         self._backend_instance: "ExecutionBackend | None" = None
         if backend is None:
             self.backend_config = WorkerConfig()
@@ -397,11 +352,6 @@ class CampaignExecutor:
             self.backend_config = WorkerConfig(backend=backend.name, workers=backend.workers)
         self.progress = progress
         self.telemetry = telemetry
-
-    @property
-    def workers(self) -> int:
-        """The configured worker count (compat view of the backend config)."""
-        return self.backend_config.workers
 
     def _report(self, done: int, total: int, run_id: str, status: str, elapsed: float) -> None:
         if self.progress is not None:

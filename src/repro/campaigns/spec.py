@@ -42,7 +42,6 @@ from ..scenarios.builder import ScenarioBuilder
 from ..scenarios.incidents import PriceCrash
 
 __all__ = [
-    "FEED_NEUTRAL_OVERRIDE_KEYS",
     "OVERRIDE_KEYS",
     "CampaignSpec",
     "RunSpec",
@@ -58,12 +57,6 @@ OVERRIDE_KEYS: tuple[str, ...] = (
     "end_block",
     "blocks_per_step",
 )
-
-#: Override keys that cannot influence the price feed: ``apply_overrides``
-#: applies them to the protocols *after* construction, so runs differing
-#: only in these share a byte-identical feed — the grouping fact behind
-#: :attr:`RunSpec.warm_key` and the persistent backend's warm-feed cache.
-FEED_NEUTRAL_OVERRIDE_KEYS = frozenset({"close_factor", "liquidation_incentive"})
 
 #: Override keys carrying integral values (the rest are floats).
 _INT_KEYS = frozenset({"end_block", "blocks_per_step"})
@@ -151,23 +144,6 @@ class RunSpec:
             sort_keys=True,
         )
         return hashlib.sha256(payload.encode()).hexdigest()[:16]
-
-    @property
-    def warm_key(self) -> tuple:
-        """Grouping key for warm-worker reuse.
-
-        Runs sharing a ``warm_key`` produce the same price feed (same
-        scenario, same feed-relevant overrides, same seed), so a persistent
-        worker that keeps one run's feed can reuse it for the others —
-        exactly the grid points sweeping ``close_factor`` /
-        ``liquidation_incentive`` around a fixed seed.
-        """
-        feed_overrides = tuple(
-            (key, value)
-            for key, value in sorted(self.overrides)
-            if key not in FEED_NEUTRAL_OVERRIDE_KEYS
-        )
-        return (self.scenario, feed_overrides, self.seed)
 
     def builder(self) -> ScenarioBuilder:
         """Rebuild the scenario builder for this run (registry + overrides + seed)."""

@@ -23,7 +23,7 @@ the on-disk store (``runs/`` by default) so re-running the same sweep
 resumes instead of re-simulating; ``compare`` renders cross-seed statistics
 (mean / stddev / 95 % CI per scalar field) from the store.  ``serve`` turns
 the same machinery into a long-running service: an asyncio supervisor
-executing submitted run/sweep jobs in worker subprocesses, with job
+executing submitted run/sweep jobs on persistent workers, with job
 submission and dashboards over HTTP (``POST /jobs``, ``GET /jobs``,
 ``/alerts``, ``/metrics``) and graceful drain on SIGINT/SIGTERM — see
 :mod:`repro.service`.  Progress lines
@@ -134,7 +134,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep_parser.add_argument(
         "--backend",
         default="auto",
-        choices=("auto", "serial", "spawn", "persistent"),
+        choices=("auto", "serial", "persistent"),
         help="execution backend (default: auto — serial when --workers 1, persistent otherwise)",
     )
     sweep_parser.add_argument("--store", default="runs", metavar="DIR", help="run store root (default: runs/)")
@@ -175,16 +175,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     serve_parser.add_argument("--store", default="runs", metavar="DIR", help="run store root (default: runs/)")
     serve_parser.add_argument(
-        "--workers", type=int, default=4, metavar="W", help="concurrent worker subprocesses (default: 4)"
-    )
-    serve_parser.add_argument(
-        "--backend",
-        default="stream",
-        choices=("stream", "serial", "spawn", "persistent"),
-        help=(
-            "how sweep jobs execute (default: stream — one streaming subprocess "
-            "per run); campaign backends reuse warm workers but do not stream events"
-        ),
+        "--workers", type=int, default=4, metavar="W", help="persistent worker processes (default: 4)"
     )
     serve_parser.add_argument(
         "--run",
@@ -581,7 +572,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         ServiceConfig(
             store_root=args.store,
             workers=args.workers,
-            backend=args.backend,
             policy=policy,
             drain_timeout=args.drain_timeout,
             resume=not args.no_resume,
@@ -619,8 +609,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         return 2
 
     _status(
-        f"service: store {args.store}, {args.workers} worker(s), "
-        f"{args.backend} sweep backend, "
+        f"service: store {args.store}, {args.workers} persistent worker(s), "
         f"alerts warn<{policy.warning_hf} crit<{policy.critical_hf} "
         f"cooldown {policy.cooldown_blocks} blocks"
     )

@@ -23,7 +23,7 @@ __all__ = ["PicklableCampaignPayloads"]
 #: Pool submission APIs whose callable/iterable arguments cross the
 #: process boundary and must therefore be module-level and picklable.
 #: ``put`` / ``put_nowait`` cover the persistent backend's task queues —
-#: its ``TaskBatch`` dispatch messages pickle exactly like pool arguments.
+#: its ``RunJob`` dispatch messages pickle exactly like pool arguments.
 _POOL_METHODS = frozenset(
     {
         "map",
@@ -40,9 +40,9 @@ _POOL_METHODS = frozenset(
 )
 
 #: Spec constructors whose field values are persisted / shipped to workers
-#: (``TaskBatch`` and ``WorkerConfig`` ride inside persistent-worker task
-#: payloads and run manifests respectively).
-_SPEC_CONSTRUCTORS = frozenset({"RunJob", "RunSpec", "CampaignSpec", "TaskBatch", "WorkerConfig"})
+#: (``WorkerConfig`` rides inside persistent-worker task payloads and run
+#: manifests).
+_SPEC_CONSTRUCTORS = frozenset({"RunJob", "RunSpec", "CampaignSpec", "WorkerConfig"})
 
 
 def _module_level_counters(tree: ast.Module, aliases: dict[str, str]) -> Iterator[ast.Assign]:
@@ -75,7 +75,7 @@ class PicklableCampaignPayloads(Rule):
     title = "campaign payloads stay picklable; global counters reset per run"
     rationale = """\
 Everything handed to a worker pool, queued to a persistent worker
-(``TaskBatch`` messages) or stored on a campaign spec must be a
+(``RunJob`` messages) or stored on a campaign spec must be a
 module-level, picklable value — lambdas, closures and local classes fail to
 pickle under the spawn start method (and do so only on the parallel path).
 Separately, any module-global mutable counter (``itertools.count`` at

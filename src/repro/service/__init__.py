@@ -1,20 +1,19 @@
 """The simulation service: a long-running supervisor around the engine.
 
 ``repro serve`` promotes the one-shot ``repro watch`` loop into a
-production-style service (the ROADMAP's "long-running monitoring service"
-item): an asyncio supervisor accepts jobs — single scenario runs and
-campaign sweeps — executes them concurrently in worker subprocesses, and
-streams each run's typed :class:`~repro.observers.events.SimEvent` s back to
-the parent over a line-delimited JSONL pipe (the JsonlSink-to-parent
-transport).  On top of the stream sit per-job progress probes, a tiered
+production-style service: an asyncio supervisor accepts jobs — single
+scenario runs and campaign sweeps — executes them concurrently on the
+campaigns' persistent workers, and streams each run's typed
+:class:`~repro.observers.events.SimEvent` s back to the parent as
+line-delimited JSONL (the JsonlSink-to-parent transport).  On top of the stream sit per-job progress probes, a tiered
 health-factor alert engine with cooldowns and rapid-deterioration
 detection, and an HTTP surface (``/jobs``, ``/alerts``, ``/health``,
 ``/metrics``) extending the telemetry :class:`~repro.telemetry.http.MetricsServer`.
 
 Durability comes from the campaign :class:`~repro.campaigns.store.RunStore`:
 every run is persisted experiment-files-first / manifest-last, so a drain
-(SIGINT/SIGTERM) simply stops dispatching, finishes or terminates in-flight
-workers, and exits 0 — a restarted service resumes the incomplete jobs from
+(SIGINT/SIGTERM) simply stops dispatching, lets in-flight runs finish or
+terminates the workers, and exits 0 — a restarted service resumes the incomplete jobs from
 the store's manifests and its own journal.
 """
 

@@ -2,7 +2,7 @@
 
 A *job* is what clients submit — a single scenario run or a campaign sweep —
 and it expands into one or more :class:`~repro.campaigns.spec.RunSpec` s,
-the unit a worker subprocess executes.  Sweeps reuse
+the unit a persistent worker executes.  Sweeps reuse
 :class:`~repro.campaigns.spec.CampaignSpec` wholesale, so the service's grid
 and seed semantics are exactly ``repro sweep``'s.
 

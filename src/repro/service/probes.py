@@ -1,6 +1,6 @@
-"""Worker-side probes feeding the service's pipe transport.
+"""Worker-side probes feeding the service's JSONL transport.
 
-These run *inside* the worker subprocess, attached to the engine's observer
+These run *inside* the persistent worker, attached to the engine's observer
 bus next to the standard recorder/metrics probes.  Like every probe they are
 passive — they read cached valuations but never mutate the world — so a
 service-executed run stays bit-identical to a standalone one (the store
@@ -32,7 +32,11 @@ from .transport import encode_message
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..protocols.base import LendingProtocol
 
-__all__ = ["HealthSampleProbe"]
+__all__ = ["DEFAULT_SAMPLE_BELOW", "HealthSampleProbe"]
+
+#: Default sampling threshold: a margin above the default warning tier so
+#: the alert engine sees positions approaching the tiers, not only in them.
+DEFAULT_SAMPLE_BELOW = 1.1
 
 
 class HealthSampleProbe:
@@ -67,7 +71,7 @@ class HealthSampleProbe:
         self,
         handle: IO[str],
         protocols: Iterable["LendingProtocol"],
-        sample_below: float = 1.1,
+        sample_below: float = DEFAULT_SAMPLE_BELOW,
     ) -> None:
         self.handle = handle
         self.protocols = list(protocols)
@@ -114,5 +118,5 @@ class HealthSampleProbe:
                 self.samples_written += 1
 
     def finalize(self) -> None:
-        """Flush so the last strides' samples reach the parent before exit."""
+        """Flush so the last strides' samples reach the parent before the outcome."""
         self.handle.flush()

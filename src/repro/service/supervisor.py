@@ -3,17 +3,15 @@
 One process, three planes:
 
 * **execution** — an :mod:`asyncio` loop with ``workers`` consumer tasks,
-  each popping a queued run and executing it in a worker subprocess
-  (``python -m repro.service.worker``) whose stdout is the JSONL pipe
-  transport.  The parent decodes the stream live: typed events fold into
-  per-run progress (:class:`RunProgress`) and the aggregate dashboard
-  metrics; ``hf_sample`` lines feed the tiered
-  :class:`~repro.service.alerts.AlertEngine`.  With
-  ``ServiceConfig(backend=...)`` set to a campaign backend name, *sweep*
-  runs route through the shared
-  :class:`~repro.campaigns.backends.ExecutionBackend` interface instead —
-  the persistent runtime's warm workers serve HTTP-submitted sweeps —
-  while single runs keep the streaming path.
+  each popping a queued run and executing it as a streaming
+  :class:`~repro.campaigns.executor.RunJob` on the shared
+  :class:`~repro.campaigns.backends.PersistentBackend` (started on the
+  first dispatched run).  Warm workers forward each run's JSONL lines
+  ahead of its outcome, and the parent decodes them live: typed events
+  fold into per-run progress (:class:`RunProgress`) and the aggregate
+  dashboard metrics; ``hf_sample`` lines feed the tiered
+  :class:`~repro.service.alerts.AlertEngine`.  Single runs and sweep runs
+  take the same path.
 * **control** — job submission via :meth:`ServiceSupervisor.submit`
   (thread-safe; the HTTP ``POST /jobs`` route calls it from a server
   thread) and the journal + run-store resume contract on restart.
@@ -22,27 +20,23 @@ One process, three planes:
   ``GET /alerts``, ``GET /health``, ``GET /metrics``.
 
 Graceful drain: SIGINT/SIGTERM stops dispatching (queued runs stay
-``queued`` in the journal), lets in-flight subprocesses finish for up to
-``drain_timeout`` seconds, then terminates the stragglers — the workers
-convert SIGTERM into a clean interrupted exit and the manifest-last store
-contract keeps every interrupted run resumable.  The service then exits 0.
+``queued`` in the journal), lets in-flight runs finish for up to
+``drain_timeout`` seconds, then terminates the workers — the runs still in
+flight are recorded ``interrupted``, and the manifest-last store contract
+keeps them resumable.  The service then exits 0.
 """
 
 from __future__ import annotations
 
 import asyncio
-import json
-import os
-import sys
+import functools
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Any
 
-from concurrent.futures import ThreadPoolExecutor
-
-from ..campaigns.backends import ExecutionBackend, WorkerConfig
-from ..campaigns.executor import RunJob
+from ..campaigns.backends import PersistentBackend, WorkerConfig
+from ..campaigns.executor import RunJob, RunOutcome
 from ..campaigns.store import RunStore
 from ..observers.events import (
     AuctionDealt,
@@ -61,9 +55,9 @@ from ..telemetry.http import MetricsServer
 from ..telemetry.metrics import MetricsRegistry
 from .alerts import AlertEngine, AlertPolicy, TIERS
 from .jobs import JobRecord, RunState, ServiceJournal, SubmissionError, expand_job
+from .probes import DEFAULT_SAMPLE_BELOW
 from .signals import TERMINATION_SIGNALS
 from .transport import EventStreamDecoder
-from .worker import DEFAULT_SAMPLE_BELOW, job_payload
 
 __all__ = ["ServiceConfig", "ServiceSupervisor", "ServiceSummary"]
 
@@ -76,21 +70,14 @@ class ServiceConfig:
     """Everything ``repro serve`` needs to run a supervisor."""
 
     store_root: str = "runs"
+    #: Persistent worker processes, and runs executing at once.
     workers: int = 4
-    #: How *sweep* jobs execute: ``"stream"`` (the default) runs every run in
-    #: its own streaming worker subprocess — live events, health samples and
-    #: alerts; any campaign backend name (``serial`` / ``spawn`` /
-    #: ``persistent``) routes sweep runs through the shared
-    #: :class:`~repro.campaigns.backends.ExecutionBackend` interface instead,
-    #: trading live event streams for warm-worker throughput.  Single-run
-    #: (``kind == "run"``) jobs always stream.
-    backend: str = "stream"
     policy: AlertPolicy = field(default_factory=AlertPolicy)
     #: Worker-side sampling threshold; defaults to a margin above the
     #: warning tier so deterioration is visible before a tier is crossed.
     sample_below: float | None = None
-    #: Seconds in-flight subprocesses get to finish after a drain begins
-    #: before being terminated (0 terminates immediately).
+    #: Seconds in-flight runs get to finish after a drain begins before the
+    #: workers are terminated (0 terminates immediately).
     drain_timeout: float = 30.0
     telemetry: bool = True
     #: Re-enqueue incomplete journalled jobs on startup.
@@ -102,19 +89,12 @@ class ServiceConfig:
             return self.sample_below
         return max(self.policy.warning_hf + 0.05, DEFAULT_SAMPLE_BELOW)
 
-    @property
-    def worker_config(self) -> WorkerConfig:
-        """The campaign :class:`WorkerConfig` for non-stream sweep execution."""
-        if self.backend == "stream":
-            raise ValueError("the stream backend has no campaign WorkerConfig")
-        return WorkerConfig.resolve(backend=self.backend, workers=self.workers)
-
 
 class RunProgress:
     """Parent-side probe folding one run's decoded events into its state.
 
     Shaped like a bus probe (``on_event`` / ``finalize``) although it is fed
-    by the pipe decoder rather than an in-process bus — the same taxonomy
+    by the stream decoder rather than an in-process bus — the same taxonomy
     discipline (EVT004) applies: every event kind is either folded into the
     run's progress or deliberately listed as ignored.
     """
@@ -182,13 +162,12 @@ class ServiceSupervisor:
         self._queue: asyncio.Queue | None = None
         self._loop: asyncio.AbstractEventLoop | None = None
         self._draining = False
-        self._active_procs: set[asyncio.subprocess.Process] = set()
-        # Non-stream sweep execution: the shared campaign backend plus the
-        # thread pool its blocking execute_one calls run on.  Both lazy — a
-        # stream-only service never pays for them.
-        self._backend: ExecutionBackend | None = None
+        # The persistent backend plus the thread pool its blocking
+        # execute_one calls run on.  Both lazy: a service that only resumes
+        # runs from the store never starts a worker.
+        self._backend: PersistentBackend | None = None
         self._backend_pool: ThreadPoolExecutor | None = None
-        self._backend_active = 0
+        self._active = 0
         self._dir_locks: dict[tuple[str, str], asyncio.Lock] = {}
         #: The live HTTP surface while serving with a port (tests read the
         #: bound ephemeral port off it).
@@ -219,10 +198,10 @@ class ServiceSupervisor:
         for tier in TIERS:  # zero-fill so scrapes always see both tiers
             self._m_alerts.labels(tier=tier)
         self._m_active = registry.gauge(
-            "repro_service_active_runs", "Worker subprocesses currently executing"
+            "repro_service_active_runs", "Runs currently executing on workers"
         )
         self._m_peak = registry.gauge(
-            "repro_service_peak_active_runs", "Maximum concurrent worker subprocesses"
+            "repro_service_peak_active_runs", "Maximum runs executing at once"
         )
         self._m_queue = registry.gauge(
             "repro_service_queue_depth", "Runs waiting for a worker"
@@ -356,16 +335,10 @@ class ServiceSupervisor:
                 self._loop.call_later(self.config.drain_timeout, self._terminate_active)
 
     def _terminate_active(self) -> None:
-        for proc in list(self._active_procs):
-            if proc.returncode is None:
-                try:
-                    proc.terminate()
-                except ProcessLookupError:  # pragma: no cover - exit race
-                    pass
         backend = self._backend
-        if backend is not None and self._backend_active:
-            # Kill the campaign workers too: their in-flight runs come back
-            # as failed outcomes and are recorded interrupted (resumable).
+        if backend is not None and self._active:
+            # In-flight runs come back as failed outcomes and are recorded
+            # interrupted (resumable).
             backend.terminate()
 
     # ------------------------------------------------------------------ #
@@ -465,7 +438,7 @@ class ServiceSupervisor:
                     record.state in ("completed", "failed", "interrupted")
                     for record in self._jobs.values()
                 )
-            if jobs_exist and all_done and self._queue.empty() and not self._active_procs:
+            if jobs_exist and all_done and self._queue.empty() and not self._active:
                 self.begin_drain()
                 return
 
@@ -497,20 +470,16 @@ class ServiceSupervisor:
             run_state.status = "running"
             self._save_journal()
             self._refresh_gauges()
-            if record.kind == "sweep" and self.config.backend != "stream":
-                await self._run_via_backend(record, run_state, emit)
-            else:
-                await self._run_subprocess(record, run_state, emit)
+            await self._run(record, run_state, emit)
 
     def _refresh_gauges(self) -> None:
         with self._lock:
             self._refresh_job_gauge()
 
-    def _campaign_backend(self) -> tuple[ExecutionBackend, ThreadPoolExecutor]:
-        """The shared campaign backend (and its dispatch pool), created lazily."""
+    def _runtime(self) -> tuple[PersistentBackend, ThreadPoolExecutor]:
+        """The persistent backend (and its dispatch pool), created lazily."""
         if self._backend is None:
-            config = self.config.worker_config
-            self._backend = config.create()
+            self._backend = PersistentBackend(self.config.workers)
             self._backend_pool = ThreadPoolExecutor(
                 max_workers=self.config.workers, thread_name_prefix="svc-backend"
             )
@@ -518,41 +487,61 @@ class ServiceSupervisor:
         return self._backend, self._backend_pool
 
     def _set_active(self, delta: int) -> None:
-        self._backend_active += delta
-        active = len(self._active_procs) + self._backend_active
-        self.peak_active_runs = max(self.peak_active_runs, active)
-        self._m_active.set(active)
+        self._active += delta
+        self.peak_active_runs = max(self.peak_active_runs, self._active)
+        self._m_active.set(self._active)
         self._m_peak.set(self.peak_active_runs)
 
-    async def _run_via_backend(self, record: JobRecord, run_state: RunState, emit) -> None:
-        """Execute one sweep run through the shared campaign backend.
+    async def _run(self, record: JobRecord, run_state: RunState, emit) -> None:
+        """Execute one run on a persistent worker, folding its stream live.
 
-        The same :class:`~repro.campaigns.backends.ExecutionBackend` interface
-        ``repro sweep`` uses — so a persistent backend's warm workers serve
-        HTTP-submitted sweeps too.  ``execute_one`` is blocking, so it runs on
-        the service's backend thread pool; the asyncio worker task just awaits
-        the outcome.  No event stream exists on this path: progress is folded
-        from the outcome, not per block.
+        ``execute_one`` blocks, so it runs on the dispatch pool; the line
+        chunks it receives hop onto the loop, where they are decoded in
+        order ahead of the outcome.
         """
         spec = run_state.spec
-        backend, pool = self._campaign_backend()
+        backend, pool = self._runtime()
         job = RunJob(
             store_root=str(self.store.root),
             campaign=record.campaign,
             run=spec,
             experiments=record.experiments,
             collect_telemetry=self.config.telemetry,
-            worker_config=self.config.worker_config,
+            worker_config=WorkerConfig(backend=backend.name, workers=backend.workers),
+            sample_below=self.config.effective_sample_below,
         )
+        decoder = EventStreamDecoder()
+        progress = RunProgress(run_state)
+
+        def feed(text: str) -> None:
+            for message in decoder.feed(text):
+                self._dispatch(record, run_state, progress, message)
+
+        assert self._loop is not None
+        loop = self._loop
         self._set_active(+1)
         try:
-            assert self._loop is not None
-            outcome = await self._loop.run_in_executor(pool, backend.execute_one, job)
+            outcome = await loop.run_in_executor(
+                pool,
+                functools.partial(
+                    backend.execute_one, job, lambda text: loop.call_soon_threadsafe(feed, text)
+                ),
+            )
+        except RuntimeError as error:
+            if not self._draining:
+                raise
+            # The drain closed the backend before this run reached a worker.
+            outcome = RunOutcome(run_id=spec.run_id, elapsed_seconds=0.0, error=str(error))
         finally:
             self._set_active(-1)
+        for message in decoder.flush():
+            self._dispatch(record, run_state, progress, message)
+        if decoder.lines_dropped:
+            self._m_dropped.inc(decoder.lines_dropped)
+
         if outcome.error is not None:
             if self._draining:
-                # A drain terminated the backend mid-run: the store holds no
+                # A drain terminated the workers mid-run: the store holds no
                 # completed manifest, so the run resumes on restart.
                 self._finish_run(record, run_state, "interrupted")
                 emit(f"[service] {record.job_id}: interrupted {spec.run_id} (resumable)")
@@ -560,92 +549,12 @@ class ServiceSupervisor:
                 self._finish_run(record, run_state, "failed", outcome.error)
                 emit(f"[service] {record.job_id}: failed {spec.run_id}: {outcome.error}")
             return
-        manifest = self.store.read_manifest(record.campaign, spec.run_id) or {}
-        metrics = manifest.get("metrics") or {}
-        liquidations = metrics.get("liquidations") or {}
-        run_state.steps = int(metrics.get("steps", 0))
-        run_state.blocks = int(metrics.get("blocks", 0))
-        run_state.last_block = int(metrics.get("final_block") or 0)
-        run_state.incidents = int(metrics.get("incidents_fired", 0))
-        run_state.liquidations = int(liquidations.get("count", 0))
-        self._m_liquidations.inc(run_state.liquidations)
         self._finish_run(record, run_state, "completed")
         emit(
-            f"[service] {record.job_id}: completed {spec.run_id} via {backend.name} backend "
-            f"({outcome.elapsed_seconds:.1f}s, {run_state.liquidations} liquidations)"
+            f"[service] {record.job_id}: completed {spec.run_id} "
+            f"({run_state.blocks} blocks, {run_state.liquidations} liquidations, "
+            f"{run_state.alerts} alerts)"
         )
-
-    async def _run_subprocess(self, record: JobRecord, run_state: RunState, emit) -> None:
-        spec = run_state.spec
-        job = RunJob(
-            store_root=str(self.store.root),
-            campaign=record.campaign,
-            run=spec,
-            experiments=record.experiments,
-            collect_telemetry=self.config.telemetry,
-        )
-        payload = job_payload(job, sample_below=self.config.effective_sample_below)
-        env = dict(os.environ)
-        src_dir = str(Path(__file__).resolve().parents[2])
-        env["PYTHONPATH"] = (
-            f"{src_dir}{os.pathsep}{env['PYTHONPATH']}" if env.get("PYTHONPATH") else src_dir
-        )
-        proc = await asyncio.create_subprocess_exec(
-            sys.executable,
-            "-m",
-            "repro.service.worker",
-            json.dumps(payload),
-            stdout=asyncio.subprocess.PIPE,
-            stderr=asyncio.subprocess.PIPE,
-            env=env,
-            limit=1 << 20,
-        )
-        self._active_procs.add(proc)
-        self._set_active(0)
-
-        decoder = EventStreamDecoder()
-        progress = RunProgress(run_state)
-        result: dict[str, Any] = {}
-        assert proc.stdout is not None and proc.stderr is not None
-        stderr_task = asyncio.ensure_future(proc.stderr.read())
-        try:
-            while True:
-                line = await proc.stdout.readline()
-                if not line:
-                    break
-                for message in decoder.feed(line.decode("utf-8", "replace")):
-                    self._dispatch(record, run_state, progress, message, result)
-            for message in decoder.flush():
-                self._dispatch(record, run_state, progress, message, result)
-            stderr_text = (await stderr_task).decode("utf-8", "replace")
-            returncode = await proc.wait()
-        finally:
-            self._active_procs.discard(proc)
-            self._set_active(0)
-        if decoder.lines_dropped:
-            self._m_dropped.inc(decoder.lines_dropped)
-
-        if result.get("interrupted"):
-            self._finish_run(record, run_state, "interrupted")
-            emit(f"[service] {record.job_id}: interrupted {spec.run_id} (resumable)")
-        elif result.get("error"):
-            self._finish_run(record, run_state, "failed", str(result["error"]))
-            emit(f"[service] {record.job_id}: failed {spec.run_id}: {result['error']}")
-        elif returncode != 0:
-            tail = stderr_text.strip().splitlines()[-1] if stderr_text.strip() else ""
-            status = "interrupted" if self._draining else "failed"
-            self._finish_run(
-                record, run_state, status,
-                None if status == "interrupted" else f"worker exited {returncode}: {tail}",
-            )
-            emit(f"[service] {record.job_id}: worker for {spec.run_id} exited {returncode}")
-        else:
-            self._finish_run(record, run_state, "completed")
-            emit(
-                f"[service] {record.job_id}: completed {spec.run_id} "
-                f"({run_state.blocks} blocks, {run_state.liquidations} liquidations, "
-                f"{run_state.alerts} alerts)"
-            )
 
     def _dispatch(
         self,
@@ -653,7 +562,6 @@ class ServiceSupervisor:
         run_state: RunState,
         progress: RunProgress,
         message,
-        result: dict[str, Any],
     ) -> None:
         if isinstance(message, SimEvent):
             self._m_events.labels(kind=message.kind).inc()
@@ -677,8 +585,6 @@ class ServiceSupervisor:
             run_state.alerts += len(raised)
             for alert in raised:
                 self._m_alerts.labels(tier=alert.tier).inc()
-        elif kind == "job_result":
-            result.update(message)
 
     def _finish_run(
         self, record: JobRecord, run_state: RunState, status: str, error: str | None = None

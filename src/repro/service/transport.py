@@ -1,9 +1,10 @@
-"""The JSONL pipe transport: typed events across a process boundary.
+"""The JSONL transport: typed events across a process boundary.
 
-The service worker serialises every :class:`~repro.observers.events.SimEvent`
-as one JSON line (the :class:`~repro.observers.sinks.JsonlSink` contract) on
-its stdout pipe; the supervisor parses the stream back into typed events on
-the parent side.  This module owns both directions of that contract:
+A streaming run serialises every :class:`~repro.observers.events.SimEvent`
+as one JSON line (the :class:`~repro.observers.sinks.JsonlSink` contract);
+its persistent worker forwards the lines in chunks over the backend's
+result queue, and the supervisor parses them back into typed events on the
+parent side.  This module owns both directions of that contract:
 
 * :func:`event_from_payload` — the exact inverse of
   :meth:`SimEvent.payload`, rebuilding the typed event (including the
@@ -15,12 +16,13 @@ the parent side.  This module owns both directions of that contract:
   (dropped and counted, never fatal).
 
 Lines that are JSON objects but not events (no ``"event"`` key) are service
-messages — health-factor samples, job results — and are passed through as
-plain dicts for the supervisor to dispatch on their ``"service"`` key.
+messages — health-factor samples — and are passed through as plain dicts
+for the supervisor to dispatch on their ``"service"`` key.
 
-Back-pressure is inherited from the OS pipe: a slow consumer fills the pipe
-buffer and the producer's blocking ``write`` stalls until the reader drains
-it, so events are throttled, never dropped (pinned by test).
+The decoder works on any text stream: over an OS pipe, a slow consumer
+fills the pipe buffer and the producer's blocking ``write`` stalls until
+the reader drains it, so events are throttled, never dropped (pinned by
+test).
 """
 
 from __future__ import annotations

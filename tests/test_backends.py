@@ -1,10 +1,10 @@
-"""Tests for the execution-backend API: WorkerConfig, the registry, and the
-serial / spawn / persistent backends.
+"""Tests for the execution-backend API: WorkerConfig and the serial /
+persistent backends.
 
 The load-bearing contract is byte-identity: whichever backend (and however
 many workers) executes a campaign, the store files must match the serial
-ground truth exactly — including under the persistent backend's warm-worker
-reuse.  The expensive checks run on drastically truncated windows (a few
+ground truth exactly — including when one warm worker executes run after
+run.  The expensive checks run on drastically truncated windows (a few
 engine strides per run) so the full scenario registry stays affordable.
 """
 
@@ -24,11 +24,8 @@ from repro.campaigns import (
     RunStore,
     SerialBackend,
     WorkerConfig,
-    backend_names,
-    create_backend,
-    register_backend,
 )
-from repro.campaigns.executor import RunJob, WarmRunContext, execute_job
+from repro.campaigns.executor import RunJob, execute_job
 from repro.chain.types import make_address
 from repro.cli import main
 from repro.runtime_state import reset_run_state
@@ -94,10 +91,6 @@ class TestWorkerConfig:
         assert resolved.backend == "persistent"
         assert resolved.workers >= 2
 
-    def test_from_workers_preserves_legacy_spawn_semantics(self):
-        assert WorkerConfig.from_workers(1) == WorkerConfig(backend="serial", workers=1)
-        assert WorkerConfig.from_workers(4) == WorkerConfig(backend="spawn", workers=4)
-
     def test_describe_round_trips_through_manifest_payload(self):
         config = WorkerConfig(backend="persistent", workers=3)
         assert WorkerConfig.from_payload(config.describe()) == config
@@ -109,36 +102,10 @@ class TestWorkerConfig:
             WorkerConfig(backend="", workers=1)
 
     def test_unknown_backend_name_lists_registered(self):
-        with pytest.raises(KeyError, match="serial"):
-            create_backend(WorkerConfig(backend="no-such-backend", workers=1))
-
-    def test_register_backend_extends_the_registry(self, tmp_path):
-        register_backend("test-custom", lambda config: SerialBackend())
-        try:
-            assert "test-custom" in backend_names()
-            store = RunStore(tmp_path)
-            result = CampaignExecutor(
-                tiny_spec(), store, backend=WorkerConfig(backend="test-custom", workers=1)
-            ).execute()
-            assert result.backend == "test-custom"
-            assert not result.failed
-        finally:
-            from repro.campaigns import backends
-
-            backends._BACKEND_FACTORIES.pop("test-custom", None)
-
-
-class TestDeprecatedWorkersAlias:
-    def test_workers_kwarg_warns_and_maps_to_spawn(self, tmp_path):
-        with pytest.warns(DeprecationWarning, match="workers=N"):
-            executor = CampaignExecutor(tiny_spec(), RunStore(tmp_path), workers=3)
-        assert executor.backend_config == WorkerConfig(backend="spawn", workers=3)
-        assert executor.workers == 3
-
-    def test_workers_one_maps_to_serial(self, tmp_path):
-        with pytest.warns(DeprecationWarning):
-            executor = CampaignExecutor(tiny_spec(), RunStore(tmp_path), workers=1)
-        assert executor.backend_config == WorkerConfig()
+        with pytest.raises(ValueError, match="serial, persistent"):
+            WorkerConfig(backend="spawn", workers=2).create()
+        with pytest.raises(ValueError, match="serial, persistent"):
+            WorkerConfig.resolve(backend="spawn", workers=2)
 
 
 # --------------------------------------------------------------------- #
@@ -147,8 +114,8 @@ class TestDeprecatedWorkersAlias:
 
 
 def test_all_backends_byte_identical_for_every_registered_scenario(tmp_path):
-    """Serial, spawn, and persistent execution must write identical
-    experiment files for every registered scenario.
+    """Serial and persistent execution must write identical experiment
+    files for every registered scenario.
 
     One persistent backend instance is shared across all the campaigns —
     exactly its production shape — so this also proves warm-worker reuse
@@ -156,7 +123,6 @@ def test_all_backends_byte_identical_for_every_registered_scenario(tmp_path):
     """
     names = scenarios.names()
     serial_store = RunStore(tmp_path / "serial")
-    spawn_store = RunStore(tmp_path / "spawn")
     persistent_store = RunStore(tmp_path / "persistent")
 
     for name in names:
@@ -169,46 +135,17 @@ def test_all_backends_byte_identical_for_every_registered_scenario(tmp_path):
             assert not result.failed, result.failed
             assert result.backend == "persistent"
 
-    spawn_config = WorkerConfig(backend="spawn", workers=2)
-    for name in names:
-        result = CampaignExecutor(tiny_spec(name, seeds=2), spawn_store, backend=spawn_config).execute()
-        assert not result.failed, result.failed
-
     for name in names:
         serial = store_bytes(serial_store, name)
         assert serial, f"no store files for {name}"
         assert store_bytes(persistent_store, name) == serial
-        # The spawn sweep ran an extra seed; compare the shared subset.
-        spawn = store_bytes(spawn_store, name)
-        assert {k: spawn[k] for k in serial} == serial
-
-
-def test_warm_feed_reuse_is_byte_identical_and_leaks_no_state(tmp_path):
-    """A grid sweep sharing one warm worker must match cold serial execution
-    byte for byte, and the warm cache must actually get hits."""
-    spec_kwargs = dict(grid={"close_factor": (0.3, 0.5, 0.7)}, seeds=1)
-    cold_store = RunStore(tmp_path / "cold")
-    warm_store = RunStore(tmp_path / "warm")
-    cold = CampaignExecutor(tiny_spec(**spec_kwargs), cold_store).execute()
-    assert not cold.failed
-
-    warm_backend = SerialBackend(warm=True)
-    warm = CampaignExecutor(tiny_spec(**spec_kwargs), warm_store, backend=warm_backend).execute()
-    assert not warm.failed
-    assert store_bytes(warm_store, "small") == store_bytes(cold_store, "small")
-
-    # The three grid points share one warm_key (close_factor is
-    # feed-neutral), so the feed was built once and reused twice.
-    assert warm_backend._warm.stats() == {"feed_hits": 2, "feed_builds": 1, "feeds_cached": 1}
-    last = max(warm_store.run_ids("small"))
-    digest = warm_store.read_manifest("small", last)["telemetry"]["warm_feed"]
-    assert digest["feed_hits"] == 2
 
 
 def test_warm_execution_leaves_id_counters_exactly_reset(tmp_path):
-    """After a warm run, ``reset_run_state`` must restore the global id
-    counters to the same point as after a cold run — the same-worker
-    task-to-task isolation the persistent runtime depends on."""
+    """After a run re-executed in the same process — a warm worker's shape —
+    ``reset_run_state`` must restore the global id counters to the same
+    point as after a single run: the task-to-task isolation the persistent
+    runtime depends on."""
     spec = tiny_spec()
     run = spec.runs()[0]
     job = RunJob(
@@ -222,44 +159,16 @@ def test_warm_execution_leaves_id_counters_exactly_reset(tmp_path):
     reset_run_state()
     cold_probe = make_address("probe")
 
-    warm = WarmRunContext()
     job2 = RunJob(
         store_root=str(tmp_path / "b"),
         campaign=spec.campaign,
         run=run,
         experiments=spec.experiments,
     )
-    assert execute_job(job2, warm=warm).error is None  # builds the feed
-    assert execute_job(job2, warm=warm).error is None  # warm hit
-    assert warm.feed_hits == 1
+    assert execute_job(job2).error is None
+    assert execute_job(job2).error is None
     reset_run_state()
     assert make_address("probe") == cold_probe
-
-
-def test_custom_feed_factories_are_never_warm_cached(tmp_path):
-    """A scenario with a custom price-feed factory bypasses the warm cache
-    (the factory may consume the build context)."""
-    spec = tiny_spec()
-    run = spec.runs()[0]
-    warm = WarmRunContext()
-    builder = run.builder()
-    builder.with_price_feed(builder.build_feed())  # now a custom factory
-    cached = warm.builder_for(run)  # default factory: cached
-    assert warm.feed_builds == 1
-
-    class _FixedFactorySpec:
-        scenario = run.scenario
-        overrides = run.overrides
-        seed = run.seed
-        warm_key = run.warm_key
-
-        @staticmethod
-        def builder():
-            return builder
-
-    out = warm.builder_for(_FixedFactorySpec)
-    assert out is builder
-    assert warm.feed_builds == 1 and warm.feed_hits == 0  # untouched
 
 
 # --------------------------------------------------------------------- #
@@ -304,20 +213,47 @@ def test_persistent_worker_death_fails_pending_runs_and_respawns(tmp_path):
         backend.close()
 
 
-def test_persistent_rejects_probes_and_reuse_after_close(tmp_path):
-    spec = tiny_spec()
-    job = RunJob(
-        store_root=str(tmp_path),
-        campaign=spec.campaign,
-        run=spec.runs()[0],
-        experiments=spec.experiments,
-    )
+def test_persistent_rejects_reuse_after_close():
     backend = PersistentBackend(workers=1)
-    with pytest.raises(ValueError, match="extra_probes"):
-        next(iter(backend.run([job], extra_probes=(lambda engine: None,))))
     backend.close()
     with pytest.raises(RuntimeError, match="closed"):
         backend.start()
+
+
+def test_persistent_places_one_job_on_each_idle_worker(tmp_path):
+    """Dispatch goes to the least-loaded worker, so N jobs sent to N idle
+    workers land one per worker (what readiness pings rely on)."""
+    spec = tiny_spec(seeds=2)
+    jobs = [
+        RunJob(store_root=str(tmp_path), campaign=spec.campaign, run=run, experiments=spec.experiments)
+        for run in spec.runs()
+    ]
+    with PersistentBackend(workers=2) as backend:
+        outcomes = list(backend.run(jobs))
+    assert all(outcome.error is None for outcome in outcomes)
+    assert sorted(outcome.worker for outcome in outcomes) == ["persistent-0", "persistent-1"]
+
+
+def test_persistent_keys_in_flight_runs_by_campaign(tmp_path):
+    """Every first run of a sweep is ``base-seed000``: two campaigns' runs in
+    flight at once (one per service slot) must not collide on the run id."""
+    supervisor = ServiceSupervisor(ServiceConfig(store_root=str(tmp_path), workers=2))
+    for campaign in ("a", "b"):
+        supervisor.submit(
+            {
+                "kind": "sweep",
+                "scenario": "small",
+                "seeds": 1,
+                "overrides": {"end_block": truncated_end_block("small")},
+                "experiments": ["table1"],
+                "campaign": campaign,
+            }
+        )
+    summary = asyncio.run(supervisor.serve(exit_when_idle=True, install_signals=False))
+    assert (summary.completed_runs, summary.failed_runs) == (2, 0)
+    assert supervisor.peak_active_runs == 2
+    store = RunStore(tmp_path)
+    assert store_bytes(store, "a") == store_bytes(store, "b") != {}
 
 
 def test_manifest_execution_block_survives_resume(tmp_path):
@@ -375,12 +311,10 @@ def test_sweep_cli_rejects_unknown_backend(tmp_path):
 
 
 def test_service_sweep_jobs_run_through_the_campaign_backend(tmp_path):
-    """`repro serve --backend persistent` routes sweep runs through the
-    shared ExecutionBackend interface: warm campaign workers, no streaming
-    subprocess, manifests stamped with the producing backend."""
-    supervisor = ServiceSupervisor(
-        ServiceConfig(store_root=str(tmp_path), workers=2, backend="persistent")
-    )
+    """`repro serve` runs sweep runs on persistent campaign workers — and
+    they stream: live events and health samples reach the supervisor, and
+    manifests are stamped with the producing backend."""
+    supervisor = ServiceSupervisor(ServiceConfig(store_root=str(tmp_path), workers=2))
     supervisor.submit(
         {
             "kind": "sweep",
@@ -395,10 +329,13 @@ def test_service_sweep_jobs_run_through_the_campaign_backend(tmp_path):
     summary = asyncio.run(supervisor.serve(exit_when_idle=True, install_signals=False))
     assert summary.completed_runs == 2 and summary.failed_runs == 0
 
+    status, detail = supervisor.jobs_route("job-0001")
+    assert all(run["events"] > 0 and run["blocks"] == STRIDES + 1 for run in detail["run_states"])
+    assert supervisor.alerts.samples_seen > 0
+
     store = RunStore(tmp_path)
     for run_id in store.run_ids("svc-backend"):
         manifest = store.read_manifest("svc-backend", run_id)
         assert manifest["status"] == "completed"
         assert manifest["execution"] == {"backend": "persistent", "workers": 2}
-        # Executed by a persistent campaign worker, not a streaming subprocess.
         assert manifest["telemetry"]["worker"].startswith("persistent-")

@@ -162,7 +162,7 @@ class TestExecutorAndStore:
         parallel_store = RunStore(tmp_path / "parallel")
         serial = CampaignExecutor(tiny_spec(), serial_store).execute()
         parallel = CampaignExecutor(
-            tiny_spec(), parallel_store, backend=WorkerConfig(backend="spawn", workers=4)
+            tiny_spec(), parallel_store, backend=WorkerConfig(backend="persistent", workers=2)
         ).execute()
         assert sorted(serial.executed) == sorted(parallel.executed)
         assert not serial.resumed and not parallel.resumed

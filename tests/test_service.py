@@ -10,8 +10,9 @@ Four layers of coverage, cheapest first:
 * **alerts** — tier thresholds, per-position cooldowns, escalation, and
   rapid-deterioration detection, all keyed on simulated blocks (no sleeping);
 * **store equivalence** — the acceptance bar: for every registered scenario,
-  a worker-subprocess execution produces bit-identical store artifacts to a
-  plain in-process :func:`~repro.campaigns.executor.execute_job`;
+  a streaming run on a persistent worker produces bit-identical store
+  artifacts to a plain in-process :func:`~repro.campaigns.executor.execute_job`,
+  and forwards exactly the lines its probes write in-process;
 * **supervision** — the asyncio supervisor end to end: concurrent jobs,
   the HTTP surface, journal resume, and ``repro serve`` / ``repro watch``
   under SIGTERM as real subprocesses.
@@ -20,6 +21,7 @@ Four layers of coverage, cheapest first:
 from __future__ import annotations
 
 import asyncio
+import io
 import json
 import os
 import signal
@@ -35,6 +37,7 @@ import pytest
 
 from repro import scenarios
 from repro.analytics.records import LiquidationRecord
+from repro.campaigns.backends import PersistentBackend, WorkerConfig
 from repro.campaigns.executor import RunJob, execute_job
 from repro.campaigns.spec import RunSpec
 from repro.campaigns.store import RunStore
@@ -52,6 +55,7 @@ from repro.observers.events import (
     StepStarted,
 )
 from repro.observers.sinks import JsonlSink
+from repro.runtime_state import reset_run_state
 from repro.service import (
     AlertEngine,
     AlertPolicy,
@@ -63,8 +67,8 @@ from repro.service import (
     expand_job,
 )
 from repro.service.jobs import SubmissionError
+from repro.service.probes import HealthSampleProbe
 from repro.service.transport import EVENT_TYPES
-from repro.service.worker import job_from_payload, job_payload
 from repro.telemetry.http import MetricsServer
 
 SRC_DIR = str(Path(__file__).resolve().parents[1] / "src")
@@ -245,18 +249,6 @@ def test_pipe_backpressure_throttles_producer_without_losing_events():
     assert decoder.lines_dropped == 0
 
 
-def test_worker_payload_roundtrip():
-    job = RunJob(
-        store_root="/tmp/store",
-        campaign="camp",
-        run=RunSpec(scenario="small", overrides=(("end_block", 9_716_000),), seed=13, seed_index=2, variant="cf0.5"),
-        experiments=("table1", "fig4"),
-        collect_telemetry=False,
-    )
-    rebuilt = job_from_payload(json.loads(json.dumps(job_payload(job))))
-    assert rebuilt == job
-
-
 # --------------------------------------------------------------------- #
 # Alert engine
 # --------------------------------------------------------------------- #
@@ -400,7 +392,7 @@ def test_expand_job_rejects_malformed_payloads(payload, match):
 
 
 # --------------------------------------------------------------------- #
-# Store equivalence: service worker vs in-process executor
+# Store equivalence: streaming persistent worker vs in-process executor
 # --------------------------------------------------------------------- #
 
 
@@ -412,11 +404,20 @@ def canonical_manifest(manifest: dict) -> dict:
     return cleaned
 
 
+@pytest.fixture(scope="module")
+def service_backend():
+    """One warm worker for every scenario, as the service shares it."""
+    with PersistentBackend(workers=1) as backend:
+        yield backend
+
+
 @pytest.mark.parametrize("name", scenarios.names())
-def test_service_worker_store_artifacts_are_bit_identical(name, tmp_path):
-    """The acceptance bar: for every registered scenario, a run executed by
-    the service worker subprocess leaves byte-identical experiment files and
-    an equal manifest (modulo timings) to a plain in-process execution."""
+def test_service_worker_store_artifacts_are_bit_identical(name, tmp_path, service_backend):
+    """The acceptance bar: for every registered scenario, a run executed the
+    way the service executes it — a streaming job on a persistent worker —
+    leaves byte-identical experiment files and an equal manifest (modulo
+    timings) to a plain in-process execution, and forwards exactly the
+    lines its two streaming probes write in-process."""
     spec = RunSpec(
         scenario=name,
         overrides=(("end_block", truncated_end_block(name)),),
@@ -425,33 +426,49 @@ def test_service_worker_store_artifacts_are_bit_identical(name, tmp_path):
         variant="base",
     )
     experiments = ("table1",)
+    sample_below = ServiceConfig().effective_sample_below
+    execution = WorkerConfig(backend="persistent", workers=1)
 
     direct = execute_job(
-        RunJob(store_root=str(tmp_path / "direct"), campaign=name, run=spec, experiments=experiments)
+        RunJob(
+            store_root=str(tmp_path / "direct"),
+            campaign=name,
+            run=spec,
+            experiments=experiments,
+            worker_config=execution,
+        )
     )
     assert direct.error is None
 
+    chunks: list[str] = []
     service_job = RunJob(
-        store_root=str(tmp_path / "service"), campaign=name, run=spec, experiments=experiments
+        store_root=str(tmp_path / "service"),
+        campaign=name,
+        run=spec,
+        experiments=experiments,
+        worker_config=execution,
+        sample_below=sample_below,
     )
-    completed = subprocess.run(
-        [sys.executable, "-m", "repro.service.worker", json.dumps(job_payload(service_job))],
-        env=subprocess_env(),
-        capture_output=True,
-        text=True,
-        timeout=300,
-    )
-    assert completed.returncode == 0, completed.stderr
+    outcome = service_backend.execute_one(service_job, chunks.append)
+    assert outcome.error is None, outcome.error
+    assert outcome.worker == "persistent-0"
 
-    # The stream itself must be clean: typed events plus service messages,
-    # nothing dropped, and a successful job_result as the final message.
+    # The forwarded stream must be clean: typed events plus health samples,
+    # nothing dropped...
+    forwarded = "".join(chunks)
     decoder = EventStreamDecoder()
-    messages = list(decoder.feed(completed.stdout)) + list(decoder.flush())
+    messages = list(decoder.feed(forwarded)) + list(decoder.flush())
     assert decoder.lines_dropped == 0
     assert decoder.events_decoded > 0
-    result = messages[-1]
-    assert isinstance(result, dict) and result["service"] == "job_result"
-    assert result["error"] is None and not result["interrupted"]
+    assert len(messages) == forwarded.count("\n")
+    # ...and exactly what the same two probes write in-process.
+    in_process = io.StringIO()
+    reset_run_state()
+    spec.builder().with_probes(
+        lambda engine: JsonlSink(in_process),
+        lambda engine: HealthSampleProbe(in_process, engine.protocols, sample_below=sample_below),
+    ).build().run()
+    assert forwarded.splitlines() == in_process.getvalue().splitlines()
 
     direct_store, service_store = RunStore(tmp_path / "direct"), RunStore(tmp_path / "service")
     for experiment_id in experiments:

@@ -397,8 +397,6 @@ class TestCampaignTelemetry:
             "run_seconds",
             "reports_seconds",
             "persist_seconds",
-            "pickle_seconds",
-            "pickle_bytes",
             "valuation_cache",
             "spans",
         ):
