@@ -1,7 +1,7 @@
 """Simulation agents: borrowers, lenders, liquidation bots, keepers, arbitrageurs."""
 
 from .arbitrageur import ArbitrageurAgent
-from .base import Agent, spawn_rngs
+from .base import Agent, spawn_rng, spawn_rngs
 from .borrower import BorrowerAgent, BorrowerProfile
 from .keeper import AuctionKeeperAgent, KeeperProfile
 from .lender import LenderAgent
@@ -17,5 +17,6 @@ __all__ = [
     "LenderAgent",
     "LiquidatorAgent",
     "LiquidatorProfile",
+    "spawn_rng",
     "spawn_rngs",
 ]

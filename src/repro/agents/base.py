@@ -11,7 +11,8 @@ context.
 from __future__ import annotations
 
 import abc
-from typing import TYPE_CHECKING
+from itertools import count
+from typing import TYPE_CHECKING, Iterator
 
 import numpy as np
 
@@ -37,7 +38,20 @@ class Agent(abc.ABC):
         return f"<{type(self).__name__} {self.label}>"
 
 
-def spawn_rngs(seed: int, count: int) -> list[np.random.Generator]:
-    """Create ``count`` independent generators derived from ``seed``."""
-    children = np.random.SeedSequence(seed).spawn(count)
-    return [np.random.default_rng(child) for child in children]
+def spawn_rng(seed: int, index: int) -> np.random.Generator:
+    """The ``index``-th independent generator derived from ``seed``.
+
+    Equal to ``default_rng(SeedSequence(seed).spawn(index + 1)[index])``:
+    a spawned child is the root's entropy with ``spawn_key=(index,)``.
+    """
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(index,)))
+
+
+def spawn_rngs(seed: int) -> Iterator[np.random.Generator]:
+    """Independent generators derived from ``seed``, built on demand.
+
+    Yields the same streams, in the same order, as
+    ``SeedSequence(seed).spawn(n)`` for any ``n`` — without building the
+    children a caller never draws.
+    """
+    return (spawn_rng(seed, index) for index in count())

@@ -22,6 +22,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from .. import sanitize
+from ..core.position import Position
 from ..protocols.base import LendingProtocol, ProtocolError
 from .base import Agent
 
@@ -116,6 +118,12 @@ class BorrowerAgent(Agent):
     def _manage_position(self, engine: "SimulationEngine") -> None:
         """Top up collateral when the health factor nears the liquidation point."""
         position = self.protocol.position_of(self.address)
+        # The prefilter skips exactly the positions the scalar check below
+        # would return on (HF ≥ trigger), before any side effect.
+        if self.protocol.clears_health_floor(position, self.profile.topup_trigger):
+            if engine.sanitize_step:
+                self._cross_check_skip(engine, position)
+            return
         if not position.has_debt:
             return
         prices = self.protocol.prices()
@@ -144,6 +152,18 @@ class BorrowerAgent(Agent):
             self.protocol.deposit(self.address, main_symbol, amount)
         except ProtocolError:
             pass
+
+    def _cross_check_skip(self, engine: "SimulationEngine", position: Position) -> None:
+        """Sanitizer: a position the prefilter skipped must really have a
+        scalar health factor at or above the top-up trigger."""
+        health = position.health_factor(self.protocol.prices(), self.protocol.liquidation_thresholds())
+        if health < self.profile.topup_trigger:
+            raise sanitize.SanitizerError(
+                f"borrower prefilter of {self.protocol.name} skipped {self.label} at "
+                f"step {engine.step_index} (block {engine.chain.current_block}) with "
+                f"scalar health factor {health!r} below its top-up trigger "
+                f"{self.profile.topup_trigger!r}; the health column is stale or its margin too loose"
+            )
 
     # ------------------------------------------------------------------ #
     # Helpers

@@ -71,7 +71,8 @@ class GasMarket:
         price = self._level_gwei
         if self._congested_blocks_remaining > 0:
             price *= self.config.congestion_multiplier
-        return float(np.clip(price, self.config.min_gwei, self.config.max_gwei))
+        # Plain clamps in these properties: bots read them on every bid.
+        return float(min(max(price, self.config.min_gwei), self.config.max_gwei))
 
     @property
     def base_gas_price_wei(self) -> int:
@@ -91,7 +92,7 @@ class GasMarket:
         this level during congestion episodes — which is why their bids fail
         to land (Section 4.3.1's March 2020 incident).
         """
-        return float(np.clip(self._level_gwei, self.config.min_gwei, self.config.max_gwei))
+        return float(min(max(self._level_gwei, self.config.min_gwei), self.config.max_gwei))
 
     @property
     def min_inclusion_gas_price_wei(self) -> int:

@@ -403,6 +403,8 @@ class PositionBook:
         self._debt = np.zeros((0, 0))
         self._dirty: set[int] = set()
         self._revision = 0
+        #: Per row, the revision of its last attach or mutation.
+        self._touched: list[int] = []
 
     # ------------------------------------------------------------------ #
     # Introspection
@@ -431,6 +433,12 @@ class PositionBook:
     def position_at(self, row: int) -> "Position":
         """The position stored at ``row``."""
         return self._positions[row]
+
+    def touched_at(self, row: int) -> int:
+        """The :attr:`revision` at which ``row`` was last attached or
+        mutated: a value computed at revision ``r`` still holds for the
+        row when this is ``≤ r``."""
+        return self._touched[row]
 
     # ------------------------------------------------------------------ #
     # Structure
@@ -462,12 +470,14 @@ class PositionBook:
         position._row = row
         self._dirty.add(row)
         self._revision += 1
+        self._touched.append(self._revision)
         return row
 
     def mark_dirty(self, row: int) -> None:
         """Schedule ``row`` for re-materialization at the next sync."""
         self._dirty.add(row)
         self._revision += 1
+        self._touched[row] = self._revision
 
     def _grow(self, rows: int, cols: int) -> None:
         cap_rows, cap_cols = self._collateral.shape

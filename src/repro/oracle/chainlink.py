@@ -54,6 +54,9 @@ class PriceOracle:
         self.config = config or OracleConfig()
         self.address = address or make_address(self.config.name)
         self._history: dict[str, list[tuple[int, float]]] = {}
+        #: Per symbol, the blocks of ``_history`` in the same order, so an
+        #: archive lookup bisects without rebuilding the list.
+        self._blocks: dict[str, list[int]] = {}
         self._overrides: dict[str, float] = {}
         self._last_update_block: dict[str, int] = {}
         #: The ``(symbol, posted_price)`` pairs of the most recent
@@ -75,8 +78,8 @@ class PriceOracle:
         """Record a posted price for ``symbol`` at ``block_number``."""
         key = symbol.upper()
         block = self.chain.current_block if block_number is None else block_number
-        history = self._history.setdefault(key, [])
-        history.append((block, float(price)))
+        self._history.setdefault(key, []).append((block, float(price)))
+        self._blocks.setdefault(key, []).append(block)
         self._last_update_block[key] = block
         self.version += 1
         self.chain.emit_event(
@@ -96,12 +99,10 @@ class PriceOracle:
         block = self.chain.current_block if block_number is None else block_number
         updated: list[str] = []
         updates: list[tuple[str, float]] = []
-        for symbol in self.feed.symbols():
-            market_price = self.feed.price(symbol, block)
-            if symbol in self._overrides:
-                posted = self._overrides[symbol]
-            else:
-                posted = market_price
+        # One feed row per call: the block maps to a step once, not per symbol.
+        market = self.feed.prices_at(block) if self.feed.series else {}
+        for symbol, market_price in sorted(market.items()):
+            posted = self._overrides.get(symbol, market_price)
             current = self._latest_posted(symbol)
             needs_update = current is None
             if not needs_update:
@@ -163,14 +164,12 @@ class PriceOracle:
     def price_at(self, symbol: str, block_number: int) -> float:
         """Posted price of ``symbol`` as of ``block_number`` (archive lookup)."""
         key = symbol.upper()
-        history = self._history.get(key)
-        if not history:
-            return self.feed.price(symbol, block_number)
-        blocks = [entry[0] for entry in history]
-        index = bisect.bisect_right(blocks, block_number) - 1
-        if index < 0:
-            return self.feed.price(symbol, block_number)
-        return history[index][1]
+        blocks = self._blocks.get(key)
+        if blocks:
+            index = bisect.bisect_right(blocks, block_number) - 1
+            if index >= 0:
+                return self._history[key][index][1]
+        return self.feed.price(symbol, block_number)
 
     def value_usd(self, symbol: str, amount: float) -> float:
         """USD value of ``amount`` units of ``symbol`` at the latest price."""

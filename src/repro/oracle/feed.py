@@ -65,10 +65,13 @@ class PriceFeed:
 
     def step_for_block(self, block_number: int) -> int:
         """Map a block number onto the nearest covered step (clamped)."""
-        if self.n_steps == 0:
+        last = self.n_steps - 1
+        if last < 0:
             raise ValueError("empty price feed")
         step = (block_number - self.start_block) // self.blocks_per_step
-        return int(np.clip(step, 0, self.n_steps - 1))
+        # A plain clamp: every price lookup lands here, and a scalar
+        # ``np.clip`` costs more than the rest of the lookup.
+        return int(min(max(step, 0), last))
 
     def block_for_step(self, step: int) -> int:
         """Block number corresponding to ``step``."""

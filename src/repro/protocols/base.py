@@ -21,7 +21,7 @@ from .. import sanitize
 from ..chain.chain import Blockchain
 from ..chain.types import Address, make_address
 from ..core.position import DUST, Position
-from ..core.position_book import BookScan, BookValuation, PositionBook
+from ..core.position_book import SCAN_MARGIN, BookScan, BookValuation, PositionBook
 from ..core.terminology import LiquidationParams
 from ..oracle.chainlink import PriceOracle
 from ..telemetry import runtime as telemetry
@@ -89,8 +89,16 @@ class LendingProtocol(abc.ABC):
         #: bit-identical outputs (``tests/test_valuation_equivalence.py``).
         self.aggregate_backend: str = "vectorized"
         self._valuation_cache: BookValuation | None = None
-        self._valuation_key: tuple[int, int, int] | None = None
+        self._valuation_key: tuple | None = None
         self._valuation_hits = 0
+        self._prices: dict[str, float] = {}
+        self._prices_key: tuple | None = None
+        self._thresholds: dict[str, float] | None = None
+        #: ``(price key, book revision, capacity per row, debt per row)`` of
+        #: the current price key; see :meth:`clears_health_floor`.
+        self._health_column: tuple[tuple, int, list[float], list[float]] | None = None
+        #: How many times that column has been built.
+        self.health_column_builds = 0
         self.inception_block = chain.current_block if inception_block is None else inception_block
         self._total_borrowed_usd_estimate = 0.0
         self._last_accrual_block = self.chain.current_block
@@ -102,6 +110,8 @@ class LendingProtocol(abc.ABC):
     def add_market(self, market: MarketConfig) -> MarketConfig:
         """Register a market (idempotent per symbol)."""
         self.markets[market.symbol.upper()] = market
+        self._prices_key = None
+        self._thresholds = None
         # Pre-register the asset column so the book's matrices do not need
         # to grow mid-run when the first deposit of the asset arrives.
         self.book.ensure_asset(market.symbol)
@@ -115,8 +125,14 @@ class LendingProtocol(abc.ABC):
             raise ProtocolError(f"{self.name} has no {symbol} market") from exc
 
     def liquidation_thresholds(self) -> dict[str, float]:
-        """Per-asset LT mapping used by health-factor computations."""
-        return {symbol: market.liquidation_threshold for symbol, market in self.markets.items()}
+        """Per-asset LT mapping used by health-factor computations.
+
+        Built once per market set (:meth:`add_market` rebuilds it); each
+        call returns a fresh dict.
+        """
+        if self._thresholds is None:
+            self._thresholds = {symbol: market.liquidation_threshold for symbol, market in self.markets.items()}
+        return dict(self._thresholds)
 
     def params_for(self, collateral_symbol: str) -> LiquidationParams:
         """Liquidation parameters applicable when seizing ``collateral_symbol``."""
@@ -130,9 +146,23 @@ class LendingProtocol(abc.ABC):
     # ------------------------------------------------------------------ #
     # Prices
     # ------------------------------------------------------------------ #
+    def _price_key(self) -> tuple:
+        """What :meth:`prices` depends on: the block, the oracle and its post
+        version (see :attr:`PriceOracle.version`)."""
+        oracle = self.oracle
+        return (self.chain.current_block, getattr(oracle, "version", 0), oracle)
+
     def prices(self) -> dict[str, float]:
-        """Latest oracle prices for every configured market."""
-        return {symbol: self.oracle.price(symbol) for symbol in self.markets}
+        """Latest oracle prices for every configured market.
+
+        Built once per :meth:`_price_key`, the key :meth:`valuation` also
+        trusts; each call returns a fresh dict.
+        """
+        key = self._price_key()
+        if key != self._prices_key:
+            self._prices = {symbol: self.oracle.price(symbol) for symbol in self.markets}
+            self._prices_key = key
+        return dict(self._prices)
 
     # ------------------------------------------------------------------ #
     # Positions
@@ -185,21 +215,17 @@ class LendingProtocol(abc.ABC):
     def valuation(self) -> BookValuation:
         """The :class:`BookValuation` of every position at current prices.
 
-        Cached per ``(block, oracle price version, book revision)``: within
-        one block, the snapshot providers, the analytics sweeps and the
+        Cached per :meth:`_price_key` (block, oracle, oracle price version)
+        and book revision: within one block, the snapshot providers, the analytics sweeps and the
         health-factor watcher all share a single sync + vectorized pass
         instead of refetching prices and revaluing the book each time.
         Any position mutation (book revision), posted price (oracle
-        version) or block advance invalidates the cache, so a hit is
+        version), replaced oracle or block advance invalidates the cache, so a hit is
         exactly as fresh as a recomputation.  Market parameters
         (liquidation thresholds) are fixed at construction time — nothing
         in the simulation mutates them mid-run.
         """
-        key = (
-            self.chain.current_block,
-            getattr(self.oracle, "version", 0),
-            self.book.revision,
-        )
+        key = (*self._price_key(), self.book.revision)
         active = telemetry.active()
         cached = self._valuation_cache
         if cached is not None and self._valuation_key == key:
@@ -222,7 +248,7 @@ class LendingProtocol(abc.ABC):
             valuation = self.book.valuation(self.prices(), self.liquidation_thresholds())
         # Re-read the revision: the sync inside ``valuation`` may have
         # registered new asset columns, which bumps it.
-        self._valuation_key = (key[0], key[1], self.book.revision)
+        self._valuation_key = (*key[:-1], self.book.revision)
         self._valuation_cache = valuation
         return valuation
 
@@ -261,6 +287,40 @@ class LendingProtocol(abc.ABC):
                     "fresh rebuild at the same cache key: an input the key "
                     "does not cover has changed (prices, thresholds or book rows)"
                 )
+
+    def clears_health_floor(self, position: Position, floor: float) -> bool:
+        """Whether the vectorized health column proves ``position``'s scalar
+        health factor is at least ``floor``, without computing it.
+
+        The column is every row's borrowing capacity and debt from one
+        book valuation, rebuilt when the price key moves.  A row clears
+        when ``BC ≥ debt × floor × (1 + SCAN_MARGIN)``.  Its terms are the
+        scalar formulas' own products summed in another order, a rounding
+        difference far inside the margin, so a cleared row's scalar health
+        factor is ≥ ``floor``.  A row attached or mutated since the column
+        was built never clears: the caller takes the scalar path for it.
+
+        The column bypasses :meth:`valuation`'s cache and telemetry: it is
+        rebuilt on nearly every step, where a span and a counter per build
+        would double a traced run's span overhead.
+        :attr:`health_column_builds` counts the builds instead.
+        """
+        key = self._price_key()
+        column = self._health_column
+        if column is None or column[0] != key:
+            valuation = self.book.valuation(self.prices(), self.liquidation_thresholds())
+            self.health_column_builds += 1
+            column = self._health_column = (
+                key,
+                valuation._built_at_revision,
+                valuation.borrowing_capacity_usd.tolist(),
+                valuation.debt_usd.tolist(),
+            )
+        _, revision, capacity, debt = column
+        row = position._row
+        if row >= len(capacity) or self.book.touched_at(row) > revision:
+            return False
+        return capacity[row] >= debt[row] * floor * (1.0 + SCAN_MARGIN)
 
     def liquidatable_candidates(self, require_collateral: bool = False) -> list[Position]:
         """Positions with HF < 1, found by the columnar scan.

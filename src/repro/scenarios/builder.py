@@ -359,7 +359,7 @@ def default_population(ctx: BuildContext, engine: SimulationEngine) -> None:
     config = ctx.config
     rng = ctx.rng
     population = config.population
-    agent_rngs = iter(spawn_rngs(config.seed + 1, 50_000))
+    agent_rngs = spawn_rngs(config.seed + 1)
 
     # Lenders seed pool liquidity so borrowers have something to borrow.
     for protocol in engine.fixed_spread_protocols():

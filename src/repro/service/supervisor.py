@@ -372,6 +372,18 @@ class ServiceSupervisor:
         self._pending.clear()
         self._m_queue.set(self._queue.qsize())
 
+        # Before the port is announced: a client may send SIGTERM as soon as
+        # it reads the listening line, and without the handler that kills
+        # the process instead of draining it.
+        installed: list = []
+        if install_signals:
+            for signum in TERMINATION_SIGNALS:
+                try:
+                    loop.add_signal_handler(signum, self.begin_drain)
+                    installed.append(signum)
+                except (NotImplementedError, RuntimeError):  # pragma: no cover
+                    pass
+
         server = None
         if http_port is not None:
             server = self.http_server = MetricsServer(
@@ -381,15 +393,6 @@ class ServiceSupervisor:
                 post_routes={"/jobs": self.submit_route},
             ).start()
             emit(f"[service] listening on http://127.0.0.1:{server.port} (/jobs /alerts /health /metrics)")
-
-        installed: list = []
-        if install_signals:
-            for signum in TERMINATION_SIGNALS:
-                try:
-                    loop.add_signal_handler(signum, self.begin_drain)
-                    installed.append(signum)
-                except (NotImplementedError, RuntimeError):  # pragma: no cover
-                    pass
 
         workers = [
             asyncio.ensure_future(self._worker_loop(index, emit))

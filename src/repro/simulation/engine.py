@@ -211,6 +211,9 @@ class SimulationEngine:
         #: with none attached every emission site is skipped entirely.
         self.bus = ObserverBus()
         self.step_index = 0
+        #: Whether this step runs the sanitizer's per-stride cross-checks
+        #: that agents make (read once per step, not once per agent).
+        self.sanitize_step = False
         self.rng = np.random.default_rng(config.seed + 104729)
         #: Streaming cursor into the chain's append-only event store: chain
         #: logs past this offset have not yet been translated into typed
@@ -468,6 +471,7 @@ class SimulationEngine:
             with span("engine.traffic"):
                 self._submit_background_traffic()
             with span("engine.agents"):
+                self.sanitize_step = sanitize.enabled() and self.step_index % sanitize.stride() == 0
                 for agent in self.agents:
                     agent.act(self)
             with span("engine.mine"):

@@ -68,3 +68,12 @@ def oracle(chain, flat_feed):
     oracle = PriceOracle(chain, flat_feed, OracleConfig(name="test-oracle"))
     oracle.update_from_feed()
     return oracle
+
+
+def pytest_addoption(parser):
+    parser.addoption(
+        "--update-golden",
+        action="store_true",
+        default=False,
+        help="rewrite tests/golden/fingerprints.json from the current code instead of checking it",
+    )

@@ -10,8 +10,8 @@ Two obligations, both load-bearing:
 * **Sensitivity** — every check must actually fire on the corruption it
   claims to catch, proven here by injecting each corruption directly:
   non-finite amounts into the position book, a desynchronised book row
-  behind the vectorized scan, broken mempool bookkeeping, and a poisoned
-  valuation cache.
+  behind the vectorized scan, a loosened borrower prefilter margin, broken
+  mempool bookkeeping, and a poisoned valuation cache.
 """
 
 import json
@@ -20,6 +20,7 @@ import numpy as np
 import pytest
 
 from repro import sanitize, scenarios
+from repro.agents import BorrowerAgent
 from repro.chain.mempool import Mempool
 from repro.chain.transaction import Transaction
 from repro.chain.types import make_address, reset_id_counters
@@ -195,6 +196,48 @@ class TestScanCrossCheck:
         with sanitize.scoped(True, check_stride=1):
             candidates = engine._liquidatable_candidates(protocol)
             assert candidates == engine._scalar_candidates(protocol, False)
+
+
+class TestBorrowerPrefilterCrossCheck:
+    def exposed_borrower(self, engine):
+        """An attentive borrower whose collateral and debt share no symbol."""
+        for agent in engine.agents:
+            if not isinstance(agent, BorrowerAgent) or not (agent.opened and agent.profile.attentive):
+                continue
+            position = agent.protocol.position_of(agent.address)
+            if position.has_debt and not set(position.collateral) & set(position.debt):
+                return agent, position
+        raise AssertionError("short 'small' run opens attentive borrowers")
+
+    def halve_collateral(self, borrower, position):
+        """Pin the borrower's collateral prices at half: from the next oracle
+        update its health factor is below any top-up trigger."""
+        oracle = borrower.protocol.oracle
+        for symbol in position.collateral:
+            oracle.set_override(symbol, oracle.price(symbol) * 0.5)
+
+    def test_sabotaged_margin_detected(self, monkeypatch):
+        engine = run_small()
+        borrower, position = self.exposed_borrower(engine)
+        self.halve_collateral(borrower, position)
+        # Loosen the prefilter so it clears rows down to a tenth of the floor.
+        monkeypatch.setattr("repro.protocols.base.SCAN_MARGIN", -0.9)
+        with sanitize.scoped(True, check_stride=1):
+            with pytest.raises(sanitize.SanitizerError, match="borrower prefilter"):
+                engine.step()
+
+    def test_honest_margin_takes_the_scalar_path(self):
+        engine = run_small()
+        borrower, position = self.exposed_borrower(engine)
+        self.halve_collateral(borrower, position)
+        with sanitize.scoped(True, check_stride=1):
+            block = engine.step()
+        top_ups = [
+            event
+            for event in engine.chain.events.by_name("Deposit")
+            if event.block_number == block.number and event.data["user"] == borrower.address.value
+        ]
+        assert top_ups, "the unhealthy borrower must reach the scalar path and top up"
 
 
 class TestMempoolInvariants:

@@ -736,6 +736,22 @@ def serve_command(store: Path) -> list[str]:
     ]
 
 
+def test_drain_handler_is_installed_before_the_port_is_announced(tmp_path):
+    """A client may send SIGTERM as soon as it reads the listening line; the
+    drain handler must already be in place, or the signal kills the service."""
+    supervisor = ServiceSupervisor(ServiceConfig(store_root=str(tmp_path), workers=1))
+    handlers = []
+
+    def announce(line: str) -> None:
+        if "listening" in line:
+            handlers.append(signal.getsignal(signal.SIGTERM))
+            supervisor.begin_drain()
+
+    summary = asyncio.run(supervisor.serve(http_port=0, announce=announce))
+    assert summary.drained
+    assert handlers and handlers[0] not in (signal.SIG_DFL, signal.SIG_IGN, None)
+
+
 def test_repro_serve_sigterm_drains_and_restart_resumes(tmp_path):
     """SIGTERM mid-sweep: exit 0, store resumable; a restart finishes the job
     without re-simulating the runs that already completed."""
