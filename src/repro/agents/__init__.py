@@ -2,7 +2,7 @@
 
 from .arbitrageur import ArbitrageurAgent
 from .base import Agent, spawn_rng, spawn_rngs
-from .borrower import BorrowerAgent, BorrowerProfile
+from .borrower import BorrowerAgent, BorrowerCohort, BorrowerProfile
 from .keeper import AuctionKeeperAgent, KeeperProfile
 from .lender import LenderAgent
 from .liquidator import LiquidatorAgent, LiquidatorProfile
@@ -12,6 +12,7 @@ __all__ = [
     "ArbitrageurAgent",
     "AuctionKeeperAgent",
     "BorrowerAgent",
+    "BorrowerCohort",
     "BorrowerProfile",
     "KeeperProfile",
     "LenderAgent",

@@ -13,17 +13,21 @@ headline phenomena:
 * *dust positions* — a population of very small positions whose excess
   collateral cannot cover a closing transaction fee, producing Table 2's
   Type II bad debt.
+
+The engine drives each contiguous run of borrowers through one
+:class:`BorrowerCohort`, which decides whom to call each step;
+:class:`BorrowerAgent` stays the unit of behaviour.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from .. import sanitize
-from ..core.position import Position
+from ..core.position_book import SCAN_MARGIN
 from ..protocols.base import LendingProtocol, ProtocolError
 from .base import Agent
 
@@ -116,14 +120,12 @@ class BorrowerAgent(Agent):
         self.opened = True
 
     def _manage_position(self, engine: "SimulationEngine") -> None:
-        """Top up collateral when the health factor nears the liquidation point."""
+        """Top up collateral when the health factor nears the liquidation point.
+
+        This is the reference implementation: :class:`BorrowerCohort` skips
+        only the borrowers the step scan proves would return here unchanged.
+        """
         position = self.protocol.position_of(self.address)
-        # The prefilter skips exactly the positions the scalar check below
-        # would return on (HF ≥ trigger), before any side effect.
-        if self.protocol.clears_health_floor(position, self.profile.topup_trigger):
-            if engine.sanitize_step:
-                self._cross_check_skip(engine, position)
-            return
         if not position.has_debt:
             return
         prices = self.protocol.prices()
@@ -153,18 +155,6 @@ class BorrowerAgent(Agent):
         except ProtocolError:
             pass
 
-    def _cross_check_skip(self, engine: "SimulationEngine", position: Position) -> None:
-        """Sanitizer: a position the prefilter skipped must really have a
-        scalar health factor at or above the top-up trigger."""
-        health = position.health_factor(self.protocol.prices(), self.protocol.liquidation_thresholds())
-        if health < self.profile.topup_trigger:
-            raise sanitize.SanitizerError(
-                f"borrower prefilter of {self.protocol.name} skipped {self.label} at "
-                f"step {engine.step_index} (block {engine.chain.current_block}) with "
-                f"scalar health factor {health!r} below its top-up trigger "
-                f"{self.profile.topup_trigger!r}; the health column is stale or its margin too loose"
-            )
-
     # ------------------------------------------------------------------ #
     # Helpers
     # ------------------------------------------------------------------ #
@@ -175,3 +165,153 @@ class BorrowerAgent(Agent):
             return {symbols[0]: 1.0}
         raw = self.rng.dirichlet(np.ones(len(symbols)) * 2.0)
         return {symbol: float(weight) for symbol, weight in zip(symbols, raw)}
+
+
+class BorrowerCohort:
+    """One contiguous run of borrowers, acting as a group each step.
+
+    Each step the cohort calls ``act`` only on the borrowers whose call
+    could do something, in their original agent order:
+
+    * unopened borrowers whose entry step has arrived, from a list stably
+      sorted by ``entry_step``;
+    * open attentive borrowers whose row in the protocol's
+      :meth:`~repro.protocols.base.LendingProtocol.step_scan` fails
+      ``BC ≥ debt × topup_trigger × (1 + SCAN_MARGIN)`` — one vectorized
+      comparison per protocol over rows and triggers cached as arrays until
+      the membership changes.
+
+    Closed borrowers are dropped, and inattentive ones once they have opened.
+
+    Skipping is bit-identical to calling everyone:
+
+    * a skipped borrower's ``act`` is a no-op — it has not reached its
+      entry step, or its scalar health factor is at or above its trigger,
+      because the scan's re-associated sums differ from the scalar ones by
+      rounding far inside the margin;
+    * within the agents phase only a borrower itself touches its row
+      (interest accrues in maintenance, liquidations execute at mine), so
+      a scan taken when the cohort starts holds for every member;
+    * agent generators are private, so a call not made consumes no draw.
+
+    On sanitizer steps (``engine.sanitize_step``) every borrower acts in
+    order, and one the cohort would have skipped must leave its book's
+    revision and the chain's event log untouched.
+    """
+
+    def __init__(self, borrowers: Sequence[BorrowerAgent]) -> None:
+        self.borrowers = list(borrowers)
+        #: Indices of borrowers not yet opened or closed, by entry step.
+        self._unopened = sorted(
+            (index for index, borrower in enumerate(self.borrowers) if not (borrower.opened or borrower.closed)),
+            key=lambda index: self.borrowers[index].profile.entry_step,
+        )
+        #: Indices of open attentive borrowers, per protocol.
+        self._watched: dict[LendingProtocol, list[int]] = {}
+        #: Per protocol, the watched borrowers' book rows and top-up triggers.
+        self._arrays: dict[LendingProtocol, tuple[np.ndarray, np.ndarray]] = {}
+        for index, borrower in enumerate(self.borrowers):
+            if borrower.opened and not borrower.closed and borrower.profile.attentive:
+                self._watch(index)
+
+    def act(self, engine: "SimulationEngine") -> None:
+        """Call ``act`` on every borrower that could do something this step."""
+        due = self._due_count(engine.step_index)
+        selected = self._unopened[:due] + self._below_trigger()
+        selected.sort()
+        if engine.sanitize_step:
+            self._act_all_checked(engine, set(selected))
+        else:
+            borrowers = self.borrowers
+            for index in selected:
+                borrowers[index].act(engine)
+        self._settle(due)
+
+    def _due_count(self, step_index: int) -> int:
+        """How many unopened borrowers have reached their entry step."""
+        due = 0
+        for index in self._unopened:
+            if self.borrowers[index].profile.entry_step > step_index:
+                break
+            due += 1
+        return due
+
+    def _below_trigger(self) -> list[int]:
+        """Watched borrowers the step scan cannot prove at or above their trigger."""
+        flagged: list[int] = []
+        for protocol, members in self._watched.items():
+            arrays = self._arrays.get(protocol)
+            if arrays is None:
+                arrays = self._arrays[protocol] = (
+                    np.array(
+                        [protocol.position_of(self.borrowers[index].address)._row for index in members],
+                        dtype=np.intp,
+                    ),
+                    np.array([self.borrowers[index].profile.topup_trigger for index in members]),
+                )
+            rows, triggers = arrays
+            scan = protocol.step_scan()
+            # Negated, so a NaN row takes the scalar path too.
+            clears = scan.borrowing_capacity_usd[rows] >= scan.debt_usd[rows] * triggers * (1.0 + SCAN_MARGIN)
+            flagged.extend(members[position] for position in np.flatnonzero(~clears).tolist())
+        return flagged
+
+    def _watch(self, index: int) -> None:
+        protocol = self.borrowers[index].protocol
+        self._watched.setdefault(protocol, []).append(index)
+        self._arrays.pop(protocol, None)
+
+    def _settle(self, due: int) -> None:
+        """Move the due borrowers that opened or closed out of the unopened list."""
+        waiting = []
+        for index in self._unopened[:due]:
+            borrower = self.borrowers[index]
+            if borrower.closed:
+                continue
+            if borrower.opened:
+                if borrower.profile.attentive:
+                    self._watch(index)
+                continue
+            waiting.append(index)
+        self._unopened[:due] = waiting
+
+    def _act_all_checked(self, engine: "SimulationEngine", selected: set[int]) -> None:
+        """Sanitizer: the plain loop, with every would-be skip checked."""
+        events = engine.chain.events
+        for index, borrower in enumerate(self.borrowers):
+            if index in selected:
+                borrower.act(engine)
+                continue
+            book = borrower.protocol.book
+            revision, n_events = book.revision, len(events)
+            borrower.act(engine)
+            if book.revision != revision or len(events) != n_events:
+                raise sanitize.SanitizerError(
+                    f"borrower cohort skipped {borrower.label} on {borrower.protocol.name} at "
+                    f"step {engine.step_index} (block {engine.chain.current_block}), but its act "
+                    f"moved the book from revision {revision} to {book.revision} and the event "
+                    f"log from {n_events} to {len(events)} entries; the step scan is stale or "
+                    "its margin too loose"
+                )
+
+
+def plan_agents(agents: Sequence) -> list:
+    """``agents`` with each contiguous run of :class:`BorrowerAgent` s folded
+    into one :class:`BorrowerCohort`; every entry has ``act(engine)``.
+
+    Only exact ``BorrowerAgent`` instances join a cohort: a subclass may
+    act differently, so it keeps its own call.
+    """
+    plan: list = []
+    run: list[BorrowerAgent] = []
+    for agent in agents:
+        if type(agent) is BorrowerAgent:
+            run.append(agent)
+            continue
+        if run:
+            plan.append(BorrowerCohort(run))
+            run = []
+        plan.append(agent)
+    if run:
+        plan.append(BorrowerCohort(run))
+    return plan

@@ -58,7 +58,6 @@ import numpy as np
 
 from .. import sanitize
 from ..telemetry import runtime as telemetry
-from .position import DUST
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .position import Position
@@ -211,13 +210,13 @@ class BookValuation:
     def has_debt(self) -> np.ndarray:
         """Per-row "owes anything above dust" flags (lazy; guarded)."""
         self._require_unmutated()
-        return self._amounts_above_dust(self.book._debt)
+        return self.book._has_debt[: len(self.book)].copy()
 
     @cached_property
     def has_collateral(self) -> np.ndarray:
         """Per-row "holds anything above dust" flags (lazy; guarded)."""
         self._require_unmutated()
-        return self._amounts_above_dust(self.book._collateral)
+        return self.book._has_collateral[: len(self.book)].copy()
 
     @cached_property
     def ambiguous_collateral_rows(self) -> np.ndarray:
@@ -239,12 +238,6 @@ class BookValuation:
     def ambiguous_rows(self) -> np.ndarray:
         """Rows needing a scalar fixup on either side (diagnostics)."""
         return np.union1d(self.ambiguous_collateral_rows, self.ambiguous_debt_rows)
-
-    def _amounts_above_dust(self, matrix: np.ndarray) -> np.ndarray:
-        """Per-row "holds anything above dust" flags from the amount matrix."""
-        n_rows = len(self.book)
-        n_assets = len(self.book.assets)
-        return (matrix[:n_rows, :n_assets] > DUST).any(axis=1)
 
     def __len__(self) -> int:
         return self.collateral_usd.shape[0]
@@ -401,10 +394,12 @@ class PositionBook:
         self._positions: list[Position] = []
         self._collateral = np.zeros((0, 0))
         self._debt = np.zeros((0, 0))
+        #: Per row, ``Position.has_collateral`` / ``has_debt`` as of the
+        #: last sync: whether any amount in the row exceeds dust.
+        self._has_collateral = np.zeros(0, dtype=bool)
+        self._has_debt = np.zeros(0, dtype=bool)
         self._dirty: set[int] = set()
         self._revision = 0
-        #: Per row, the revision of its last attach or mutation.
-        self._touched: list[int] = []
 
     # ------------------------------------------------------------------ #
     # Introspection
@@ -433,12 +428,6 @@ class PositionBook:
     def position_at(self, row: int) -> "Position":
         """The position stored at ``row``."""
         return self._positions[row]
-
-    def touched_at(self, row: int) -> int:
-        """The :attr:`revision` at which ``row`` was last attached or
-        mutated: a value computed at revision ``r`` still holds for the
-        row when this is ``≤ r``."""
-        return self._touched[row]
 
     # ------------------------------------------------------------------ #
     # Structure
@@ -470,14 +459,12 @@ class PositionBook:
         position._row = row
         self._dirty.add(row)
         self._revision += 1
-        self._touched.append(self._revision)
         return row
 
     def mark_dirty(self, row: int) -> None:
         """Schedule ``row`` for re-materialization at the next sync."""
         self._dirty.add(row)
         self._revision += 1
-        self._touched[row] = self._revision
 
     def _grow(self, rows: int, cols: int) -> None:
         cap_rows, cap_cols = self._collateral.shape
@@ -492,6 +479,12 @@ class PositionBook:
             debt[:cap_rows, :cap_cols] = self._debt
         self._collateral = collateral
         self._debt = debt
+        has_collateral = np.zeros(new_rows, dtype=bool)
+        has_debt = np.zeros(new_rows, dtype=bool)
+        has_collateral[:cap_rows] = self._has_collateral
+        has_debt[:cap_rows] = self._has_debt
+        self._has_collateral = has_collateral
+        self._has_debt = has_debt
 
     # ------------------------------------------------------------------ #
     # Sync and scan
@@ -526,6 +519,8 @@ class PositionBook:
                 self._collateral[row, cols[symbol]] = amount
             for symbol, amount in position.debt.items():
                 self._debt[row, cols[symbol]] = amount
+            self._has_collateral[row] = position.has_collateral
+            self._has_debt[row] = position.has_debt
         if sanitize.enabled():
             self._check_finite(sorted(self._dirty), n_assets)
         self._dirty.clear()
@@ -574,8 +569,8 @@ class PositionBook:
             collateral_usd=collateral @ price_vec,
             debt_usd=debt @ price_vec,
             borrowing_capacity_usd=collateral @ (price_vec * lt_vec),
-            has_debt=(debt > DUST).any(axis=1),
-            has_collateral=(collateral > DUST).any(axis=1),
+            has_debt=self._has_debt[:n_rows].copy(),
+            has_collateral=self._has_collateral[:n_rows].copy(),
         )
 
     def valuation(self, prices: Mapping[str, float], thresholds: Mapping[str, float]) -> BookValuation:

@@ -21,7 +21,7 @@ from .. import sanitize
 from ..chain.chain import Blockchain
 from ..chain.types import Address, make_address
 from ..core.position import DUST, Position
-from ..core.position_book import SCAN_MARGIN, BookScan, BookValuation, PositionBook
+from ..core.position_book import BookScan, BookValuation, PositionBook
 from ..core.terminology import LiquidationParams
 from ..oracle.chainlink import PriceOracle
 from ..telemetry import runtime as telemetry
@@ -94,11 +94,8 @@ class LendingProtocol(abc.ABC):
         self._prices: dict[str, float] = {}
         self._prices_key: tuple | None = None
         self._thresholds: dict[str, float] | None = None
-        #: ``(price key, book revision, capacity per row, debt per row)`` of
-        #: the current price key; see :meth:`clears_health_floor`.
-        self._health_column: tuple[tuple, int, list[float], list[float]] | None = None
-        #: How many times that column has been built.
-        self.health_column_builds = 0
+        self._step_scan: BookScan | None = None
+        self._step_scan_key: tuple | None = None
         self.inception_block = chain.current_block if inception_block is None else inception_block
         self._total_borrowed_usd_estimate = 0.0
         self._last_accrual_block = self.chain.current_block
@@ -112,6 +109,7 @@ class LendingProtocol(abc.ABC):
         self.markets[market.symbol.upper()] = market
         self._prices_key = None
         self._thresholds = None
+        self._step_scan = None
         # Pre-register the asset column so the book's matrices do not need
         # to grow mid-run when the first deposit of the asset arrives.
         self.book.ensure_asset(market.symbol)
@@ -196,9 +194,20 @@ class LendingProtocol(abc.ABC):
         """All positions whose health factor is below 1 at current prices."""
         return self.liquidatable_candidates()
 
-    def book_scan(self) -> BookScan:
-        """One vectorized valuation of every position at current prices."""
-        return self.book.scan(self.prices(), self.liquidation_thresholds())
+    def step_scan(self) -> BookScan:
+        """One vectorized :class:`BookScan` of every position at current prices.
+
+        Synced, then cached per :meth:`_price_key` and book revision, so the
+        borrower cohort, the fixed-spread liquidation scan and MakerDAO's
+        bite scan share one pass per step; a top-up or any other position
+        mutation in between moves the revision and rebuilds it.
+        """
+        self.book.sync()
+        key = (self._price_key(), self.book.revision)
+        if self._step_scan is None or self._step_scan_key != key:
+            self._step_scan = self.book.scan(self.prices(), self.liquidation_thresholds())
+            self._step_scan_key = key
+        return self._step_scan
 
     def uses_book_aggregates(self) -> bool:
         """Whether aggregate valuations run through the book (the default).
@@ -288,40 +297,6 @@ class LendingProtocol(abc.ABC):
                     "does not cover has changed (prices, thresholds or book rows)"
                 )
 
-    def clears_health_floor(self, position: Position, floor: float) -> bool:
-        """Whether the vectorized health column proves ``position``'s scalar
-        health factor is at least ``floor``, without computing it.
-
-        The column is every row's borrowing capacity and debt from one
-        book valuation, rebuilt when the price key moves.  A row clears
-        when ``BC ≥ debt × floor × (1 + SCAN_MARGIN)``.  Its terms are the
-        scalar formulas' own products summed in another order, a rounding
-        difference far inside the margin, so a cleared row's scalar health
-        factor is ≥ ``floor``.  A row attached or mutated since the column
-        was built never clears: the caller takes the scalar path for it.
-
-        The column bypasses :meth:`valuation`'s cache and telemetry: it is
-        rebuilt on nearly every step, where a span and a counter per build
-        would double a traced run's span overhead.
-        :attr:`health_column_builds` counts the builds instead.
-        """
-        key = self._price_key()
-        column = self._health_column
-        if column is None or column[0] != key:
-            valuation = self.book.valuation(self.prices(), self.liquidation_thresholds())
-            self.health_column_builds += 1
-            column = self._health_column = (
-                key,
-                valuation._built_at_revision,
-                valuation.borrowing_capacity_usd.tolist(),
-                valuation.debt_usd.tolist(),
-            )
-        _, revision, capacity, debt = column
-        row = position._row
-        if row >= len(capacity) or self.book.touched_at(row) > revision:
-            return False
-        return capacity[row] >= debt[row] * floor * (1.0 + SCAN_MARGIN)
-
     def liquidatable_candidates(self, require_collateral: bool = False) -> list[Position]:
         """Positions with HF < 1, found by the columnar scan.
 
@@ -330,14 +305,14 @@ class LendingProtocol(abc.ABC):
         exactly the set (and order) a scalar sweep over ``positions`` finds.
 
         This stays on the lean :class:`BookScan` (two matrix-vector
-        products) rather than the full :meth:`valuation` materialization:
-        the per-stride opportunity scan runs on *every* block, while the
-        aggregate consumers that amortize a shared valuation (snapshots,
-        analytics, the watcher) only run on some.
+        products) of :meth:`step_scan` rather than the full
+        :meth:`valuation` materialization: the per-stride opportunity scan
+        runs on *every* block, while the aggregate consumers that amortize a
+        shared valuation (snapshots, analytics, the watcher) only run on some.
         """
+        scan = self.step_scan()
         prices = self.prices()
         thresholds = self.liquidation_thresholds()
-        scan = self.book.scan(prices, thresholds)
         candidates: list[Position] = []
         for row in scan.candidate_rows(require_collateral=require_collateral):
             position = self.book.position_at(int(row))

@@ -84,6 +84,9 @@ class MakerDAOProtocol(LendingProtocol):
         self.auction_config = auction_config or AuctionConfig()
         self.stability_fee_model = StabilityFeeModel(annual_rate=stability_fee)
         self.auctions: dict[int, TendDentAuction] = {}
+        #: The auctions not yet seen finalized, in start order; see
+        #: :meth:`open_auctions`.
+        self._open_auctions: dict[int, TendDentAuction] = {}
         self.settlements: list[AuctionSettlement] = []
         self._next_auction_id = 1
         self.dai = registry.ensure("DAI")
@@ -203,6 +206,7 @@ class MakerDAOProtocol(LendingProtocol):
         )
         self._next_auction_id += 1
         self.auctions[auction.auction_id] = auction
+        self._open_auctions[auction.auction_id] = auction
         # The collateral is escrowed (removed from the vault) for the
         # duration of the auction; the debt stays until the deal settles.
         position.remove_collateral(collateral_symbol, collateral_lot)
@@ -230,8 +234,16 @@ class MakerDAOProtocol(LendingProtocol):
             raise ProtocolError(f"no auction with id {auction_id}") from exc
 
     def open_auctions(self) -> list[TendDentAuction]:
-        """Auctions that have not been finalized yet."""
-        return [auction for auction in self.auctions.values() if auction.phase is not AuctionPhase.FINALIZED]
+        """Auctions that have not been finalized yet, in start order.
+
+        Read from an index that :meth:`bite` fills; entries found
+        ``FINALIZED`` are dropped here, whichever path finalized them, so
+        the list equals a filter over every auction ever started.
+        """
+        index = self._open_auctions
+        for auction_id in [key for key, auction in index.items() if auction.phase is AuctionPhase.FINALIZED]:
+            del index[auction_id]
+        return list(index.values())
 
     def tend(self, bidder: Address, auction_id: int, debt_bid: float) -> None:
         """Place a tend-phase bid: repay ``debt_bid`` DAI for the whole lot."""

@@ -9,9 +9,9 @@ dynamic complement of ``repro lint``'s static rules:
   downstream pinned reduction);
 * the engine cross-checks the vectorized liquidatable-candidate scan
   against the scalar sweep every :func:`stride`-th step;
-* every :func:`stride`-th step, each borrower the health-column prefilter
-  skips has its scalar health factor recomputed and checked against its
-  top-up trigger;
+* every :func:`stride`-th step, each borrower cohort calls every borrower
+  in order and checks that the ones it would have skipped left their book
+  revision and the chain's event log untouched;
 * :meth:`~repro.chain.mempool.Mempool.check_invariants` revalidates the
   twin-heap bookkeeping (pack/evict/FIFO views agree with the live size,
   sort keys match payloads) after every mined block;

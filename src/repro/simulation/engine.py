@@ -12,7 +12,9 @@ them step by step.  One step corresponds to ``blocks_per_step`` real blocks:
 4. background traffic is submitted so that blocks have a market-clearing gas
    price and congestion actually crowds out low bids;
 5. agents act (borrowers manage positions, keepers bid, liquidators submit
-   liquidation transactions);
+   liquidation transactions); each contiguous run of borrowers acts as one
+   :class:`~repro.agents.borrower.BorrowerCohort`, which calls only the
+   borrowers whose turn could do something;
 6. the chain mines the stride, executing the best-paying transactions.
 
 The resulting chain (events, receipts, snapshots) is what the analytics
@@ -37,6 +39,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .. import sanitize
+from ..agents.borrower import plan_agents
 from ..amm.router import AmmRouter
 from ..chain.chain import Blockchain
 from ..chain.transaction import TxKind
@@ -199,13 +202,13 @@ class SimulationEngine:
         self.flash_loans = flash_loans or FlashLoanProvider()
         self.amm = amm or AmmRouter()
         self.market_maker = market_maker or MarketMaker(oracle=oracle, registry=registry)
+        #: Every agent, in acting order.  Write it only through
+        #: :meth:`add_agent` / :meth:`add_agents`, which rebuild the plan.
         self.agents: list = []
+        #: What the agents phase calls: the agents, with each contiguous run
+        #: of borrowers folded into one cohort; built lazily.
+        self._agent_plan: list | None = None
         self.scheduled_events: list[ScheduledEvent] = []
-        #: ``"vectorized"`` (default) scans positions through each protocol's
-        #: columnar :class:`~repro.core.position_book.PositionBook`;
-        #: ``"scalar"`` keeps the legacy per-position sweep.  Both backends
-        #: produce bit-identical runs (see ``tests/test_scan_equivalence.py``).
-        self.scan_backend: str = "vectorized"
         self._aggregate_backend: str = "vectorized"
         #: The typed event stream.  Attach probes with :meth:`attach_probe`;
         #: with none attached every emission site is skipped entirely.
@@ -232,12 +235,14 @@ class SimulationEngine:
     # Wiring
     # ------------------------------------------------------------------ #
     def add_agent(self, agent) -> None:
-        """Register one agent."""
+        """Register one agent; it acts from the next step on."""
         self.agents.append(agent)
+        self._agent_plan = None
 
     def add_agents(self, agents: Iterable) -> None:
         """Register several agents."""
         self.agents.extend(agents)
+        self._agent_plan = None
 
     def schedule(self, block: int, name: str, action: Callable[["SimulationEngine"], None]) -> None:
         """Register a one-shot scenario event."""
@@ -345,23 +350,19 @@ class SimulationEngine:
     # Per-step opportunity scans (shared by all liquidator / keeper agents)
     # ------------------------------------------------------------------ #
     def _liquidatable_candidates(self, protocol: LendingProtocol, require_collateral: bool = False) -> list[Position]:
-        """Liquidatable positions of ``protocol`` via the selected backend.
+        """Liquidatable positions of ``protocol``, from its step scan.
 
-        The vectorized backend flags candidate rows with the columnar book
-        and confirms each with the scalar health factor, so both backends
-        return exactly the same positions in the same order.
+        The columnar book flags candidate rows and each is confirmed with
+        the scalar health factor, so the result is exactly what the scalar
+        sweep of :meth:`_scalar_candidates` returns, in the same order.
         """
-        if self.scan_backend == "vectorized":
-            candidates = protocol.liquidatable_candidates(require_collateral=require_collateral)
-            if sanitize.enabled() and self.step_index % sanitize.stride() == 0:
-                self._cross_check_scan(protocol, require_collateral, candidates)
-            return candidates
-        if self.scan_backend != "scalar":
-            raise ValueError(f"unknown scan backend {self.scan_backend!r}")
-        return self._scalar_candidates(protocol, require_collateral)
+        candidates = protocol.liquidatable_candidates(require_collateral=require_collateral)
+        if sanitize.enabled() and self.step_index % sanitize.stride() == 0:
+            self._cross_check_scan(protocol, require_collateral, candidates)
+        return candidates
 
     def _scalar_candidates(self, protocol: LendingProtocol, require_collateral: bool) -> list[Position]:
-        """The reference backend: a scalar sweep of every indebted position."""
+        """The reference: a scalar sweep of every indebted position."""
         prices = protocol.prices()
         thresholds = protocol.liquidation_thresholds()
         return [
@@ -379,7 +380,7 @@ class SimulationEngine:
     ) -> None:
         """Sanitizer: the vectorized scan must equal the scalar sweep exactly.
 
-        The vectorized backend is only allowed to exist because its
+        The vectorized scan is only allowed to exist because its
         margin-prefilter + scalar-confirmation construction returns the same
         positions in the same order as the reference sweep.  This re-derives
         the scalar answer every sanitize-stride-th step and insists on
@@ -472,8 +473,11 @@ class SimulationEngine:
                 self._submit_background_traffic()
             with span("engine.agents"):
                 self.sanitize_step = sanitize.enabled() and self.step_index % sanitize.stride() == 0
-                for agent in self.agents:
-                    agent.act(self)
+                plan = self._agent_plan
+                if plan is None:
+                    plan = self._agent_plan = plan_agents(self.agents)
+                for actor in plan:
+                    actor.act(self)
             with span("engine.mine"):
                 block = self.chain.mine_block()
             if bus:

@@ -6,18 +6,22 @@ slow formulation it replaced.
 * ``PriceFeed.step_for_block`` clamps with plain integers;
 * ``PriceOracle.price_at`` bisects a block list kept next to the history;
 * ``LendingProtocol.prices`` / ``liquidation_thresholds`` are memoised;
-* ``LendingProtocol.clears_health_floor`` only clears positions whose
-  scalar health factor is at or above the floor.
+* ``BorrowerCohort`` skips only borrowers whose scalar health factor is at
+  or above their top-up trigger, and calls the rest in agent order;
+* ``LendingProtocol.step_scan`` is one scan per price key and book
+  revision, shared with the liquidation scan.
 """
 
 from __future__ import annotations
 
 from itertools import islice
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from repro.agents import spawn_rng, spawn_rngs
+from repro import scenarios
+from repro.agents import BorrowerAgent, BorrowerCohort, BorrowerProfile, spawn_rng, spawn_rngs
 from repro.chain.chain import Blockchain, ChainConfig
 from repro.chain.types import make_address
 from repro.oracle.chainlink import OracleConfig, PriceOracle
@@ -152,54 +156,169 @@ class TestMemoisedPrices:
         assert "WBTC" in protocol.prices()
 
 
-class TestHealthFloorPrefilter:
-    @pytest.fixture()
-    def book(self, registry):
-        chain = Blockchain(ChainConfig(inception_block=1_000, blocks_per_step=10))
-        oracle = PriceOracle(chain, ramp_feed())
-        oracle.update_from_feed()
-        protocol = make_compound(chain, oracle, registry)
-        owners = []
-        for index, debt in enumerate(np.linspace(100.0, 800.0, 15)):
-            owner = make_address(f"prefilter-{index}")
-            position = protocol.position_of(owner)
-            position.add_collateral("ETH", 1.0)
-            position.add_debt("DAI", float(debt))
-            owners.append(owner)
-        return protocol, owners
+def ladder_protocol(registry):
+    """Compound with ETH at 1,000 USD on a 10-block-stride chain."""
+    chain = Blockchain(ChainConfig(inception_block=1_000, blocks_per_step=10))
+    oracle = PriceOracle(chain, ramp_feed())
+    oracle.update_from_feed()
+    return make_compound(chain, oracle, registry)
 
-    def scalar_hf(self, protocol, owner) -> float:
-        return protocol.position_of(owner).health_factor(protocol.prices(), protocol.liquidation_thresholds())
 
-    def test_cleared_rows_meet_the_floor_and_the_rest_fall_through(self, book):
-        protocol, owners = book
-        floor = 1.08
-        cleared = [protocol.clears_health_floor(protocol.position_of(owner), floor) for owner in owners]
-        for owner, clears in zip(owners, cleared):
-            if clears:
-                assert self.scalar_hf(protocol, owner) >= floor
-        # The ladder straddles the floor: both outcomes occur.
-        assert any(cleared) and not all(cleared)
-        # A row exactly at the floor is not cleared (the margin is conservative).
-        boundary = protocol.position_of(owners[0])
-        assert not protocol.clears_health_floor(boundary, self.scalar_hf(protocol, owners[0]))
+def open_borrower(protocol, label: str, debt: float) -> BorrowerAgent:
+    """An attentive borrower already holding 1 ETH against ``debt`` DAI, with
+    a top-up trigger of 1.08."""
+    profile = BorrowerProfile(topup_trigger=1.08)
+    borrower = BorrowerAgent(label, np.random.default_rng(0), protocol, profile)
+    position = protocol.position_of(borrower.address)
+    position.add_collateral("ETH", 1.0)
+    position.add_debt("DAI", debt)
+    borrower.opened = True
+    return borrower
 
-    def test_a_row_mutated_since_the_column_was_built_never_clears(self, book):
-        protocol, owners = book
-        position = protocol.position_of(owners[0])
-        assert protocol.clears_health_floor(position, 1.0)
-        position.add_collateral("ETH", 1.0)  # healthier, but the column predates it
-        assert not protocol.clears_health_floor(position, 1.0)
-        late = protocol.position_of(make_address("late"))
-        late.add_collateral("ETH", 10.0)
-        assert not protocol.clears_health_floor(late, 1.0)
 
-    def test_one_column_per_price_key(self, book):
-        protocol, owners = book
-        position = protocol.position_of(owners[0])
-        assert protocol.clears_health_floor(position, 1.0)
-        assert protocol.clears_health_floor(protocol.position_of(owners[1]), 1.0)
-        assert protocol.health_column_builds == 1
+def unopened_borrower(protocol, label: str, entry_step: int) -> BorrowerAgent:
+    return BorrowerAgent(label, np.random.default_rng(0), protocol, BorrowerProfile(entry_step=entry_step))
+
+
+def scalar_hf(borrower: BorrowerAgent) -> float:
+    protocol = borrower.protocol
+    position = protocol.position_of(borrower.address)
+    return position.health_factor(protocol.prices(), protocol.liquidation_thresholds())
+
+
+@pytest.fixture()
+def calls(monkeypatch):
+    """Labels of the borrowers whose ``act`` is called, in call order (the
+    calls themselves do nothing)."""
+    called: list[str] = []
+    monkeypatch.setattr(BorrowerAgent, "act", lambda self, engine: called.append(self.label))
+    return called
+
+
+def cohort_step(cohort: BorrowerCohort, step_index: int = 0) -> None:
+    cohort.act(SimpleNamespace(step_index=step_index, sanitize_step=False))
+
+
+class TestBorrowerCohort:
+    def test_skipped_rows_meet_their_trigger_the_rest_are_called(self, registry, calls):
+        protocol = ladder_protocol(registry)
+        borrowers = [
+            open_borrower(protocol, f"ladder-{index}", float(debt))
+            for index, debt in enumerate(np.linspace(100.0, 800.0, 15))
+        ]
+        # A row exactly at its trigger is called: the margin is conservative.
+        boundary = open_borrower(protocol, "boundary", 500.0)
+        boundary.profile.topup_trigger = scalar_hf(boundary)
+        cohort_step(BorrowerCohort([*borrowers, boundary]))
+        skipped = [borrower for borrower in borrowers if borrower.label not in calls]
+        for borrower in skipped:
+            assert scalar_hf(borrower) >= borrower.profile.topup_trigger
+        for borrower in borrowers:
+            if borrower.label in calls:
+                assert scalar_hf(borrower) < borrower.profile.topup_trigger * (1 + 1e-6)
+        # The ladder straddles the trigger: both outcomes occur.
+        assert skipped and len(skipped) < len(borrowers)
+        assert "boundary" in calls
+
+    def test_a_row_mutated_since_the_last_scan_is_judged_afresh(self, registry, calls):
+        protocol = ladder_protocol(registry)
+        borrower = open_borrower(protocol, "mutated", 100.0)
+        cohort = BorrowerCohort([borrower])
+        cohort_step(cohort, step_index=0)
+        assert calls == []
+        # Same price key, but the row now sits below its trigger.
+        protocol.position_of(borrower.address).add_debt("DAI", 650.0)
+        cohort_step(cohort, step_index=1)
+        assert calls == ["mutated"]
+
+    def test_a_due_entry_interleaves_in_agent_order_with_misses(self, registry, calls):
+        protocol = ladder_protocol(registry)
+        cohort = BorrowerCohort(
+            [
+                open_borrower(protocol, "below-a", 750.0),
+                unopened_borrower(protocol, "due-late-entry", entry_step=2),
+                open_borrower(protocol, "healthy", 100.0),
+                unopened_borrower(protocol, "not-due", entry_step=9),
+                open_borrower(protocol, "below-b", 800.0),
+                unopened_borrower(protocol, "due-early-entry", entry_step=0),
+            ]
+        )
+        cohort_step(cohort, step_index=3)
+        assert calls == ["below-a", "due-late-entry", "below-b", "due-early-entry"]
+
+    def test_closed_and_inattentive_borrowers_are_dropped(self, registry, calls):
+        protocol = ladder_protocol(registry)
+        closed = unopened_borrower(protocol, "closed", entry_step=0)
+        closed.closed = True
+        inattentive = open_borrower(protocol, "inattentive", 800.0)
+        inattentive.profile.attentive = False
+        cohort_step(BorrowerCohort([closed, inattentive, open_borrower(protocol, "watched", 800.0)]))
+        assert calls == ["watched"]
+
+    def test_a_borrower_that_opens_is_watched_from_the_next_step(self, registry, monkeypatch):
+        protocol = ladder_protocol(registry)
+        newcomer = unopened_borrower(protocol, "newcomer", entry_step=1)
+        called: list[str] = []
+
+        def act(self, engine):
+            called.append(self.label)
+            if not self.opened:  # open straight below the trigger
+                position = protocol.position_of(self.address)
+                position.add_collateral("ETH", 1.0)
+                position.add_debt("DAI", 800.0)
+                self.opened = True
+
+        monkeypatch.setattr(BorrowerAgent, "act", act)
+        cohort = BorrowerCohort([newcomer])
+        cohort_step(cohort, step_index=0)
+        assert called == []
+        cohort_step(cohort, step_index=1)
+        cohort_step(cohort, step_index=2)
+        assert called == ["newcomer", "newcomer"]
+
+    def test_an_agent_added_mid_run_is_called_on_the_next_step(self):
+        builder = scenarios.get("small").builder(seed=3)
+        config = builder.config
+        builder.config = config.with_overrides(end_block=config.start_block + 40 * config.blocks_per_step)
+        engine = builder.build()
+        engine.run(n_steps=3)
+        compound = engine.protocol("Compound")
+        profile = BorrowerProfile(collateral_usd=20_000.0, entry_step=engine.step_index)
+        late = BorrowerAgent("late-borrower", np.random.default_rng(0), compound, profile)
+        engine.add_agent(late)
+        engine.step()
+        assert late.opened
+        assert late.address in compound.positions
+
+
+class TestStepScan:
+    def test_one_scan_per_price_key_and_revision(self, registry):
+        protocol = ladder_protocol(registry)
+        borrower = open_borrower(protocol, "scanned", 500.0)
+        scan = protocol.step_scan()
+        assert protocol.step_scan() is scan
         protocol.oracle.post_price("ETH", 1.0)  # collateral nearly worthless
-        assert not protocol.clears_health_floor(position, 1.0)
-        assert protocol.health_column_builds == 2
+        moved = protocol.step_scan()
+        assert moved is not scan
+        row = protocol.position_of(borrower.address)._row
+        assert moved.borrowing_capacity_usd[row] < scan.borrowing_capacity_usd[row]
+
+    def test_liquidation_scan_reuses_the_step_scan_until_a_top_up(self, registry, monkeypatch):
+        protocol = ladder_protocol(registry)
+        underwater = open_borrower(protocol, "underwater", 950.0)
+        scans: list = []
+        book_scan = protocol.book.scan
+
+        def counted(*args):
+            scans.append(book_scan(*args))
+            return scans[-1]
+
+        monkeypatch.setattr(protocol.book, "scan", counted)
+        shared = protocol.step_scan()
+        candidates = protocol.liquidatable_candidates()
+        assert [position.owner for position in candidates] == [underwater.address]
+        assert scans == [shared]
+        # A top-up moves the book revision: the liquidation scan rebuilds.
+        protocol.position_of(underwater.address).add_collateral("ETH", 1.0)
+        assert protocol.liquidatable_candidates() == []
+        assert len(scans) == 2 and protocol.step_scan() is scans[1]

@@ -19,6 +19,12 @@ Hashed per scenario, each as its own entry so a failure names the layer:
 Canonical JSON means sorted keys, no whitespace and Python's shortest
 round-trip ``repr`` for floats (``json.dumps``' float spelling).
 
+Two windows are pinned, each under its own key of the golden file: the
+60-stride window at the top level, and a 320-stride ``late`` window.  The
+short one ends before any borrower tops up its collateral; the late one
+covers the first top-ups (stride 139 in ``paper-full``, 158 in ``small``)
+and the stress incidents at strides 206, 250 and 312.
+
 Regenerate only on an intended behaviour change, and say so in the change
 log::
 
@@ -43,6 +49,10 @@ GOLDEN = Path(__file__).parent / "golden" / "fingerprints.json"
 #: Engine strides each truncated run covers, from the scenario's start block.
 STRIDES = 60
 
+#: Strides of the late window, pinned under the golden file's ``late`` key.
+LATE_STRIDES = 320
+LATE = "late"
+
 SEED = 5
 
 COMPONENTS = ("events", "records", "snapshots", "table1", "table2")
@@ -54,19 +64,19 @@ def canonical_hash(obj) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def run_truncated(name: str):
+def run_truncated(name: str, strides: int):
     reset_run_state()
     builder = scenarios.get(name).builder(SEED)
     config = builder.config
     builder.config = config.with_overrides(
-        end_block=min(config.end_block, config.start_block + STRIDES * config.blocks_per_step)
+        end_block=min(config.end_block, config.start_block + strides * config.blocks_per_step)
     )
     return builder.run()
 
 
-def fingerprints(name: str) -> dict[str, str]:
+def fingerprints(name: str, strides: int = STRIDES) -> dict[str, str]:
     """The per-component hashes of one truncated run of ``name``."""
-    result = run_truncated(name)
+    result = run_truncated(name, strides)
     chain = result.chain
     events = [
         (event.name, event.emitter.value, event.block_number, event.tx_hash, event.log_index, event.data)
@@ -96,26 +106,43 @@ def load_golden() -> dict:
     return json.loads(GOLDEN.read_text())
 
 
-@pytest.mark.parametrize("name", scenarios.names())
-def test_golden_fingerprint(name, request):
-    actual = fingerprints(name)
+def window(golden: dict, key: str | None) -> dict:
+    """The entries of one window: the top level, or the section under ``key``."""
+    return golden if key is None else golden.setdefault(key, {})
+
+
+def check_window(name: str, request, key: str | None, strides: int) -> None:
+    actual = fingerprints(name, strides)
     if request.config.getoption("--update-golden", default=False):
         golden = load_golden()
-        golden["strides"] = STRIDES
-        golden["seed"] = SEED
-        golden.setdefault("scenarios", {})[name] = actual
+        section = window(golden, key)
+        section["strides"] = strides
+        section["seed"] = SEED
+        section.setdefault("scenarios", {})[name] = actual
         GOLDEN.parent.mkdir(parents=True, exist_ok=True)
         GOLDEN.write_text(json.dumps(golden, indent=2, sort_keys=True) + "\n")
         return
-    golden = load_golden()
-    assert golden.get("strides") == STRIDES and golden.get("seed") == SEED, (
+    section = window(load_golden(), key)
+    assert section.get("strides") == strides and section.get("seed") == SEED, (
         "fingerprints were generated with other run settings; regenerate with --update-golden"
     )
-    expected = golden.get("scenarios", {}).get(name)
+    expected = section.get("scenarios", {}).get(name)
     assert expected is not None, f"no golden fingerprint for {name!r}; generate with --update-golden"
     changed = [component for component in COMPONENTS if actual[component] != expected.get(component)]
     assert not changed, f"{name}: {', '.join(changed)} changed against the committed golden fingerprints"
 
 
+@pytest.mark.parametrize("name", scenarios.names())
+def test_golden_fingerprint(name, request):
+    check_window(name, request, None, STRIDES)
+
+
+@pytest.mark.parametrize("name", scenarios.names())
+def test_late_golden_fingerprint(name, request):
+    check_window(name, request, LATE, LATE_STRIDES)
+
+
 def test_every_registered_scenario_is_pinned():
-    assert sorted(load_golden().get("scenarios", {})) == sorted(scenarios.names())
+    golden = load_golden()
+    for key in (None, LATE):
+        assert sorted(window(golden, key).get("scenarios", {})) == sorted(scenarios.names())

@@ -132,6 +132,28 @@ class TestAuctionLiquidation:
         # The unpaid remainder of the debt stays with the vault owner.
         assert makerdao.position_of(vault_owner).debt["DAI"] == pytest.approx(6_000.0)
 
+    def test_open_auctions_index_matches_a_filter_over_every_auction(
+        self, makerdao, vault_owner, keeper, oracle, chain, registry
+    ):
+        second_owner = make_address("second-vault-owner")
+        registry.get("ETH").mint(second_owner, 10.0)
+        makerdao.deposit(second_owner, "ETH", 10.0)
+        makerdao.borrow(second_owner, "DAI", 12_000.0)
+        self._make_unsafe(oracle)
+        first = makerdao.bite(keeper, vault_owner)
+        second = makerdao.bite(keeper, second_owner)
+
+        def filtered():
+            return [auction for auction in makerdao.auctions.values() if auction.phase is not AuctionPhase.FINALIZED]
+
+        assert makerdao.open_auctions() == filtered() == [first, second]
+        for _ in range(150):
+            chain.mine_block()
+        makerdao.deal(keeper, first.auction_id)
+        assert makerdao.open_auctions() == filtered() == [second]
+        second.finalize(chain.current_block)  # finalized without a deal
+        assert makerdao.open_auctions() == filtered() == []
+
     def test_reconfigure_emits_event(self, makerdao, chain):
         before = len(chain.events.by_name("AuctionParamsChanged"))
         makerdao.reconfigure_auctions(AuctionConfig(auction_length_blocks=500, bid_duration_blocks=200))

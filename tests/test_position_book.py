@@ -290,9 +290,15 @@ class TestBookMechanics:
             position = Position(owner=make_address(f"grow-{i}"))
             book.attach(position)
             position.add_collateral("ETH", float(i))
+            if i % 3 == 0:
+                position.add_debt("ETH", 1.0)
             positions.append(position)
+            if i % 10 == 0:
+                book.sync()  # rows synced before a doubling keep their dust flags
         scan = book.scan({"ETH": 2.0}, {"ETH": 0.5})
         assert scan.collateral_usd[123] == pytest.approx(246.0)
+        assert scan.has_collateral.tolist() == [position.has_collateral for position in positions]
+        assert scan.has_debt.tolist() == [position.has_debt for position in positions]
         assert len(book) == 200
 
     def test_health_factors_match_scalar(self):

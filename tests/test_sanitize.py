@@ -10,7 +10,7 @@ Two obligations, both load-bearing:
 * **Sensitivity** — every check must actually fire on the corruption it
   claims to catch, proven here by injecting each corruption directly:
   non-finite amounts into the position book, a desynchronised book row
-  behind the vectorized scan, a loosened borrower prefilter margin, broken
+  behind the vectorized scan, a loosened borrower-cohort margin, broken
   mempool bookkeeping, and a poisoned valuation cache.
 """
 
@@ -220,10 +220,10 @@ class TestBorrowerPrefilterCrossCheck:
         engine = run_small()
         borrower, position = self.exposed_borrower(engine)
         self.halve_collateral(borrower, position)
-        # Loosen the prefilter so it clears rows down to a tenth of the floor.
-        monkeypatch.setattr("repro.protocols.base.SCAN_MARGIN", -0.9)
+        # Loosen the cohort's margin so it skips rows down to a tenth of the trigger.
+        monkeypatch.setattr("repro.agents.borrower.SCAN_MARGIN", -0.9)
         with sanitize.scoped(True, check_stride=1):
-            with pytest.raises(sanitize.SanitizerError, match="borrower prefilter"):
+            with pytest.raises(sanitize.SanitizerError, match=f"borrower cohort skipped {borrower.label} "):
                 engine.step()
 
     def test_honest_margin_takes_the_scalar_path(self):

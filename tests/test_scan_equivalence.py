@@ -1,15 +1,20 @@
-"""Seed-pinned equivalence: vectorized and scalar scans replay identically.
+"""Seed-pinned equivalence: the columnar scan and the scalar sweep replay identically.
 
-The engine's opportunity scans can run through the columnar
-:class:`~repro.core.position_book.PositionBook` (default) or the legacy
-per-position sweep (``engine.scan_backend = "scalar"``).  Because the book is
-only a conservative prefilter confirmed by the scalar health factor, the two
-backends must produce *bit-identical* simulations: same events (names,
-blocks, log indices, payloads), same liquidation records, same final block —
-for every registered scenario at the same seed.
+The engine's liquidation scans flag candidate rows with each protocol's
+:meth:`~repro.protocols.base.LendingProtocol.step_scan` (one columnar
+:class:`~repro.core.position_book.BookScan` per price key and book
+revision, shared with the borrower cohort) and confirm each row with the
+scalar health factor.  The reference is the engine's scalar sweep over
+every indebted position, ``SimulationEngine._scalar_candidates``.
+
+* Every registered scenario replays bit-identically — same events (names,
+  blocks, log indices, payloads), same liquidation records, same blocks —
+  when the reference sweep stands in for the scan.
+* Over one run crossing the March 2020 crash, the scan returns exactly the
+  reference's positions, in order, at every step.
 
 The windows are truncated (same mechanism as ``repro run --end-block``) so
-the whole matrix stays test-suite friendly; each run still crosses scheduled
+the matrix stays test-suite friendly; each run still crosses scheduled
 incidents, accrual, insurance write-offs and auctions.
 """
 
@@ -25,17 +30,24 @@ STRIDES = 45
 SEED = 17
 
 
-def run_scenario(name: str, backend: str):
+def build(name: str, strides: int):
     # Addresses and tx hashes come from process-wide counters; reset them so
     # both runs mint identical identifiers (same trick the campaign executor
     # uses for byte-identical store files).
     reset_id_counters()
     builder = scenarios.get(name).builder(seed=SEED)
     config = builder.config
-    end_block = min(config.end_block, config.start_block + STRIDES * config.blocks_per_step)
+    end_block = min(config.end_block, config.start_block + strides * config.blocks_per_step)
     builder.config = config.with_overrides(end_block=end_block)
-    engine = builder.build()
-    engine.scan_backend = backend
+    return builder.build()
+
+
+def run_scenario(name: str, *, reference: bool):
+    engine = build(name, STRIDES)
+    if reference:
+        engine._liquidatable_candidates = (
+            lambda protocol, require_collateral=False: engine._scalar_candidates(protocol, require_collateral)
+        )
     return engine.run()
 
 
@@ -48,8 +60,8 @@ def event_fingerprint(result):
 
 @pytest.mark.parametrize("name", scenarios.names())
 def test_backends_replay_identically(name):
-    scalar = run_scenario(name, "scalar")
-    vectorized = run_scenario(name, "vectorized")
+    scalar = run_scenario(name, reference=True)
+    vectorized = run_scenario(name, reference=False)
     assert event_fingerprint(vectorized) == event_fingerprint(scalar)
     assert len(extract_liquidations(vectorized)) == len(extract_liquidations(scalar))
     assert vectorized.final_block == scalar.final_block
@@ -58,8 +70,22 @@ def test_backends_replay_identically(name):
     assert blocks_v == blocks_s
 
 
-def test_unknown_backend_rejected():
-    engine = scenarios.get("small").build(seed=SEED)
-    engine.scan_backend = "simd"
-    with pytest.raises(ValueError, match="unknown scan backend"):
-        engine.run(n_steps=1)
+def test_scan_equals_the_scalar_sweep_on_every_step():
+    engine = build("small", 250)
+    scanned = engine._liquidatable_candidates
+    steps: set[int] = set()
+    found = 0
+
+    def compared(protocol, require_collateral=False):
+        nonlocal found
+        candidates = scanned(protocol, require_collateral)
+        reference = engine._scalar_candidates(protocol, require_collateral)
+        assert [id(position) for position in candidates] == [id(position) for position in reference]
+        steps.add(engine.step_index)
+        found += len(candidates)
+        return candidates
+
+    engine._liquidatable_candidates = compared
+    result = engine.run()
+    assert steps == set(range(engine.step_index))
+    assert found and extract_liquidations(result)
