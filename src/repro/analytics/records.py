@@ -23,12 +23,15 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable
 
 from ..chain.chain import Blockchain
-from ..chain.events import EventLog
+from ..chain.events import EventFilter, EventLog
 from ..oracle.chainlink import PriceOracle
 from .common import FIXED_SPREAD_LIQUIDATION_EVENTS, month_of_block
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (engine imports observers)
     from ..simulation.engine import SimulationResult
+
+#: Every event signature :func:`record_from_event` can turn into a record.
+LIQUIDATION_EVENTS = FIXED_SPREAD_LIQUIDATION_EVENTS + ("Deal",)
 
 
 @dataclass(frozen=True)
@@ -134,14 +137,14 @@ def record_from_event(
 def extract_liquidations(result: "SimulationResult") -> list[LiquidationRecord]:
     """Crawl the chain's event logs and normalise every settled liquidation.
 
-    One pass in emission order — ``(block number, log index)`` — so the
-    resulting list is exactly what a :class:`LiquidationRecorder` probe
-    streamed during the run.
+    One pass over the liquidation signatures in emission order — ``(block
+    number, log index)`` — so the resulting list is exactly what a
+    :class:`LiquidationRecorder` probe streamed during the run.
     """
     chain = result.chain
     oracle = result.oracle
     records: list[LiquidationRecord] = []
-    for event in chain.events:
+    for event in chain.get_logs(EventFilter.create(names=LIQUIDATION_EVENTS)):
         record = record_from_event(chain, oracle, event)
         if record is not None:
             records.append(record)

@@ -26,7 +26,10 @@ class Block:
         Unix timestamp (seconds).  Timestamps advance by the configured
         inter-block time so that block spans convert to wall-clock durations.
     receipts:
-        The executed transactions, in inclusion order.
+        Receipts of the executed transactions, in inclusion order, except
+        background fill: a transaction without an action that carries the
+        ``{"background": True}`` marker executes as a no-op and leaves only
+        its gas price, in :attr:`fill_gas_prices`.
     gas_limit:
         Maximum gas the block could have packed.
     gas_used:
@@ -35,6 +38,10 @@ class Block:
         The prevailing "market" gas price (wei) at the time the block was
         mined.  The analytics layer computes moving averages over this series
         to reproduce the average-gas-price curve of Figure 6.
+    fill_gas_prices:
+        Gas prices (wei) of the executed background-fill transactions, in
+        inclusion order.  Together with the receipts they are every executed
+        transaction of the block.
     """
 
     number: int
@@ -43,6 +50,7 @@ class Block:
     gas_limit: int = 0
     gas_used: int = 0
     base_gas_price: int = 0
+    fill_gas_prices: list[int] = field(default_factory=list)
 
     def __post_init__(self) -> None:
         if not self.gas_used and self.receipts:
@@ -50,14 +58,17 @@ class Block:
 
     @property
     def median_gas_price(self) -> float:
-        """Median gas price (wei) of the block's transactions.
+        """Median gas price (wei) of the block's executed transactions,
+        receipted and background fill alike.
 
         Falls back to the prevailing base gas price for empty blocks so the
         moving-average series in Figure 6 has no gaps.
         """
-        if not self.receipts:
+        prices = [receipt.gas_price for receipt in self.receipts]
+        prices += self.fill_gas_prices
+        if not prices:
             return float(self.base_gas_price)
-        prices = sorted(receipt.gas_price for receipt in self.receipts)
+        prices.sort()
         mid = len(prices) // 2
         if len(prices) % 2:
             return float(prices[mid])

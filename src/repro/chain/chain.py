@@ -61,6 +61,7 @@ class Blockchain:
         self.mempool = Mempool()
         self.events = EventStore()
         self.blocks: list[Block] = []
+        #: Every receipt by transaction hash; background fill has none.
         self.receipts_by_hash: dict[str, Receipt] = {}
         self._snapshots: dict[int, dict[str, Any]] = {}
         self._snapshot_providers: dict[str, Callable[[], Any]] = {}
@@ -119,7 +120,7 @@ class Blockchain:
             kind=kind,
             metadata=metadata or {},
         )
-        self.submit(tx)
+        self.mempool.submit(tx, self._current_block)
         return tx
 
     def mine_block(self) -> Block:
@@ -142,12 +143,18 @@ class Blockchain:
                 min_gas_price=self.gas_market.min_inclusion_gas_price_wei,
             )
         receipts: list[Receipt] = []
+        fill_gas_prices: list[int] = []
         self._executing_block = self._current_block
         self._block_receipts = receipts
         with span("chain.execute"):
             for tx in selected:
-                receipt = self._execute(tx)
-                receipts.append(receipt)
+                if tx.action is None and tx.metadata.get("background"):
+                    # Background fill: a no-op whose gas price is all any
+                    # reader uses (the block's median), so it gets no receipt.
+                    tx.status = TxStatus.SUCCESS
+                    fill_gas_prices.append(tx.gas_price)
+                else:
+                    receipts.append(self._execute(tx))
         self._executing_block = None
         self._block_receipts = None
         block = Block(
@@ -156,6 +163,7 @@ class Blockchain:
             receipts=receipts,
             gas_limit=gas_budget,
             base_gas_price=base_price,
+            fill_gas_prices=fill_gas_prices,
         )
         # Direct executions may have attached receipts mid-block without
         # going through packing; charge the block's gas accounting only for
@@ -241,20 +249,11 @@ class Blockchain:
     # ------------------------------------------------------------------ #
     # Events
     # ------------------------------------------------------------------ #
-    def emit_event(self, name: str, emitter: Address, data: dict[str, Any], tx_hash: str = "") -> EventLog:
+    def emit_event(self, name: str, emitter: Address, data: dict[str, Any], tx_hash: str = "") -> None:
         """Record an EVM-style log emitted by a contract at the current block."""
         block_number = self._executing_block if self._executing_block is not None else self._current_block
-        event = EventLog(
-            name=name,
-            emitter=emitter,
-            block_number=block_number,
-            tx_hash=tx_hash,
-            log_index=self._log_index,
-            data=dict(data),
-        )
+        self.events.append(name, emitter, block_number, tx_hash, self._log_index, dict(data))
         self._log_index += 1
-        self.events.append(event)
-        return event
 
     def get_logs(self, event_filter: EventFilter) -> list[EventLog]:
         """Archive-node style filtered log query."""

@@ -10,7 +10,8 @@ highest bidders first, and anything that does not fit waits (or expires).
 
 Internally the pool keeps three views over shared entries:
 
-* a max-heap by gas price (FIFO on ties) that block packing pops from;
+* a max-heap of ``(-gas_price, seq, entry)`` (FIFO on ties) that block
+  packing pops from;
 * a min-heap by gas price (LIFO on ties) so the bounded-capacity eviction
   finds its victim in O(log n) instead of a linear ``max`` + ``remove`` +
   re-heapify sweep;
@@ -27,20 +28,21 @@ from __future__ import annotations
 import heapq
 import itertools
 from collections import deque
-from dataclasses import dataclass, field
 
 from .. import sanitize
 from ..telemetry import runtime as telemetry
 from .transaction import Transaction, TxStatus
 
 
-@dataclass(order=True)
 class _PoolEntry:
-    """Internal heap entry; ordered by descending gas price, FIFO on ties."""
+    """A pending transaction shared by the pool's views; the heaps order it
+    by the key tuples that carry it, so it never compares itself."""
 
-    sort_key: tuple[int, int]
-    transaction: Transaction = field(compare=False)
-    alive: bool = field(default=True, compare=False)
+    __slots__ = ("transaction", "alive")
+
+    def __init__(self, transaction: Transaction) -> None:
+        self.transaction = transaction
+        self.alive = True
 
 
 class Mempool:
@@ -52,7 +54,9 @@ class Mempool:
     """
 
     def __init__(self, max_pending: int = 50_000, expiry_blocks: int = 5_000) -> None:
-        self._heap: list[_PoolEntry] = []
+        #: Max-heap of ``(-gas_price, seq, entry)``: the top is the pool's
+        #: highest bidder (oldest on ties), i.e. the next one packed.
+        self._heap: list[tuple[int, int, _PoolEntry]] = []
         #: Min-heap of ``(gas_price, -seq, entry)``: the top is the pool's
         #: lowest bidder (newest on ties), i.e. the eviction victim.
         self._evict_heap: list[tuple[int, int, _PoolEntry]] = []
@@ -70,7 +74,7 @@ class Mempool:
     @property
     def pending(self) -> list[Transaction]:
         """Snapshot of pending transactions (not in inclusion order)."""
-        return [entry.transaction for entry in self._heap if entry.alive]
+        return [entry.transaction for _, _, entry in self._heap if entry.alive]
 
     def submit(self, transaction: Transaction, current_block: int) -> None:
         """Add a transaction to the pool.
@@ -80,8 +84,8 @@ class Mempool:
         """
         transaction.submitted_block = current_block
         seq = next(self._counter)
-        entry = _PoolEntry(sort_key=(-transaction.gas_price, seq), transaction=transaction)
-        heapq.heappush(self._heap, entry)
+        entry = _PoolEntry(transaction)
+        heapq.heappush(self._heap, (-transaction.gas_price, seq, entry))
         heapq.heappush(self._evict_heap, (transaction.gas_price, -seq, entry))
         self._fifo.append(entry)
         self._size += 1
@@ -115,7 +119,7 @@ class Mempool:
             self._evict_heap = [item for item in self._evict_heap if item[2].alive]
             heapq.heapify(self._evict_heap)
         if len(self._heap) > threshold:
-            self._heap = [entry for entry in self._heap if entry.alive]
+            self._heap = [item for item in self._heap if item[2].alive]
             heapq.heapify(self._heap)
         if len(self._fifo) > threshold:
             self._fifo = deque(entry for entry in self._fifo if entry.alive)
@@ -168,9 +172,10 @@ class Mempool:
         self.sweep_expired(current_block)
         selected: list[Transaction] = []
         gas_budget = gas_limit
-        skipped: list[_PoolEntry] = []
+        skipped: list[tuple[int, int, _PoolEntry]] = []
         while self._heap and gas_budget > 0:
-            entry = heapq.heappop(self._heap)
+            item = heapq.heappop(self._heap)
+            entry = item[2]
             if not entry.alive:
                 continue
             tx = entry.transaction
@@ -179,19 +184,19 @@ class Mempool:
                 continue
             if tx.gas_price < min_gas_price:
                 # Everything further down the heap bids even less: stop here.
-                skipped.append(entry)
+                skipped.append(item)
                 break
             if tx.gas_limit <= gas_budget:
                 self._consume(entry)
                 selected.append(tx)
                 gas_budget -= tx.gas_limit
             else:
-                skipped.append(entry)
+                skipped.append(item)
                 # A block is effectively full once remaining space is small.
                 if gas_budget < 25_000:
                     break
-        for entry in skipped:
-            heapq.heappush(self._heap, entry)
+        for item in skipped:
+            heapq.heappush(self._heap, item)
         return selected
 
     def check_invariants(self) -> None:
@@ -205,7 +210,7 @@ class Mempool:
         transactions' gas prices, and that both heaps retain the heap
         property.  Raises :class:`~repro.sanitize.SanitizerError`.
         """
-        live_pack = [entry for entry in self._heap if entry.alive]
+        live_pack = [item for item in self._heap if item[2].alive]
         live_fifo = [entry for entry in self._fifo if entry.alive]
         live_evict = [item for item in self._evict_heap if item[2].alive]
         for view, count in (("pack heap", len(live_pack)), ("fifo", len(live_fifo)), ("evict heap", len(live_evict))):
@@ -214,15 +219,14 @@ class Mempool:
                     f"mempool {view} holds {count} live entries but _size says "
                     f"{self._size}: a lazy deletion was missed or double-counted"
                 )
-        if {id(e) for e in live_pack} != {id(e) for e in live_fifo}:
+        if {id(item[2]) for item in live_pack} != {id(e) for e in live_fifo}:
             raise sanitize.SanitizerError(
                 "mempool pack heap and fifo disagree on the live entry set"
             )
-        for entry in live_pack:
-            expected = -entry.transaction.gas_price
-            if entry.sort_key[0] != expected:
+        for key, _, entry in live_pack:
+            if key != -entry.transaction.gas_price:
                 raise sanitize.SanitizerError(
-                    f"mempool pack-heap sort key {entry.sort_key[0]} does not "
+                    f"mempool pack-heap sort key {key} does not "
                     f"match gas price {entry.transaction.gas_price} of "
                     f"{entry.transaction.tx_hash}: the bid mutated after submit"
                 )
@@ -242,7 +246,7 @@ class Mempool:
 
     def clear(self) -> list[Transaction]:
         """Drop every pending transaction and return them (used by tests)."""
-        dropped = [entry.transaction for entry in self._heap if entry.alive]
+        dropped = [entry.transaction for _, _, entry in self._heap if entry.alive]
         for tx in dropped:
             tx.status = TxStatus.DROPPED
         self._heap.clear()

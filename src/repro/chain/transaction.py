@@ -14,7 +14,7 @@ import enum
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
-from .types import Address, GWEI, make_tx_hash
+from .types import Address, GWEI, next_hash_id, tx_hash_of
 
 
 class TxStatus(enum.Enum):
@@ -71,7 +71,12 @@ class Transaction:
         Coarse action classification used by analytics.
     metadata:
         Free-form annotations (platform name, borrower address, …) consumed
-        by analytics and tests.
+        by analytics and tests.  ``{"background": True}`` on a transaction
+        without an action marks background fill: the chain records only its
+        gas price (see :attr:`~repro.chain.block.Block.fill_gas_prices`).
+    hash_id:
+        The id reserved from the process-wide hash sequence at construction;
+        :attr:`tx_hash` is derived from it on first read.
     """
 
     sender: Address
@@ -80,9 +85,23 @@ class Transaction:
     action: Optional[Callable[[], Any]] = None
     kind: TxKind = TxKind.OTHER
     metadata: dict[str, Any] = field(default_factory=dict)
-    tx_hash: str = field(default_factory=make_tx_hash)
+    hash_id: int = field(default_factory=next_hash_id)
     submitted_block: int = 0
     status: TxStatus = TxStatus.PENDING
+    _tx_hash: str | None = field(default=None, init=False, repr=False, compare=False)
+
+    @property
+    def tx_hash(self) -> str:
+        """The transaction hash, computed on first read.
+
+        Ids are reserved in construction order, so every hash string is the
+        one an eager hash at construction would have produced; transactions
+        whose hash nobody reads never pay for the sha256.
+        """
+        tx_hash = self._tx_hash
+        if tx_hash is None:
+            tx_hash = self._tx_hash = tx_hash_of(self.hash_id)
+        return tx_hash
 
     @property
     def gas_price_gwei(self) -> float:

@@ -95,10 +95,24 @@ def make_address(label: str = "") -> Address:
     return Address(value="0x" + digest, label=label)
 
 
+def next_hash_id() -> int:
+    """Reserve the next transaction-hash id of the process-wide sequence."""
+    return next(_hash_counter)
+
+
+def tx_hash_of(hash_id: int, payload: str = "") -> str:
+    """The transaction-hash-like identifier of a reserved ``hash_id``.
+
+    A pure function of its arguments: a hash computed long after its id was
+    reserved (even after :func:`reset_id_counters`) is the same string.
+    """
+    seed = f"tx:{hash_id}:{payload}"
+    return "0x" + hashlib.sha256(seed.encode()).hexdigest()
+
+
 def make_tx_hash(payload: str = "") -> str:
     """Create a fresh transaction-hash-like identifier."""
-    seed = f"tx:{next(_hash_counter)}:{payload}"
-    return "0x" + hashlib.sha256(seed.encode()).hexdigest()
+    return tx_hash_of(next_hash_id(), payload)
 
 
 def reset_id_counters() -> None:

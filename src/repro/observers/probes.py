@@ -210,9 +210,11 @@ class MetricsAccumulator:
     The resulting :attr:`metrics` dict is what campaign workers persist into
     the run manifest, replacing a post-hoc re-crawl.  For a completed run
     without this probe, :func:`run_metrics` computes the same aggregates
-    from the archive (the ``price_updates`` count is the one field the
-    post-hoc shim cannot scope to the run: it counts every posted
-    ``AnswerUpdated`` log, including scenario-construction posts).
+    from the archive: the liquidation tally from the post-hoc records, the
+    auction counts from the ``Deal`` logs.  ``price_updates`` is the one
+    field the post-hoc shim cannot scope to the run: it is the event store's
+    ``AnswerUpdated`` count, which includes scenario-construction posts,
+    while this probe counts the run's ``PriceUpdated`` events.
     """
 
     #: Accrual strides and run lifecycle markers add no per-step aggregate;
@@ -319,7 +321,7 @@ def run_metrics(result: "SimulationResult") -> dict:
         "blocks": len(result.chain.blocks),
         "final_block": result.final_block,
         "incidents_fired": sum(1 for event in engine.scheduled_events if event.fired),
-        "price_updates": len(result.chain.events.by_name("AnswerUpdated")),
+        "price_updates": result.chain.events.count("AnswerUpdated"),
         "snapshots": len(result.chain.snapshot_blocks),
         "auctions": {
             "dealt": len(deals),

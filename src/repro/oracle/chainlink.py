@@ -57,6 +57,8 @@ class PriceOracle:
         #: Per symbol, the blocks of ``_history`` in the same order, so an
         #: archive lookup bisects without rebuilding the list.
         self._blocks: dict[str, list[int]] = {}
+        #: Per symbol, the latest posted price (the last entry of ``_history``).
+        self._latest: dict[str, float] = {}
         self._overrides: dict[str, float] = {}
         self._last_update_block: dict[str, int] = {}
         #: The ``(symbol, posted_price)`` pairs of the most recent
@@ -78,14 +80,16 @@ class PriceOracle:
         """Record a posted price for ``symbol`` at ``block_number``."""
         key = symbol.upper()
         block = self.chain.current_block if block_number is None else block_number
-        self._history.setdefault(key, []).append((block, float(price)))
+        price = float(price)
+        self._history.setdefault(key, []).append((block, price))
         self._blocks.setdefault(key, []).append(block)
+        self._latest[key] = price
         self._last_update_block[key] = block
         self.version += 1
         self.chain.emit_event(
             "AnswerUpdated",
             emitter=self.address,
-            data={"symbol": key, "price": float(price), "oracle": self.config.name},
+            data={"symbol": key, "price": price, "oracle": self.config.name},
         )
 
     def update_from_feed(self, block_number: int | None = None) -> list[str]:
@@ -101,17 +105,21 @@ class PriceOracle:
         updates: list[tuple[str, float]] = []
         # One feed row per call: the block maps to a step once, not per symbol.
         market = self.feed.prices_at(block) if self.feed.series else {}
+        # Feed symbols are upper-case already: read the per-symbol state
+        # directly instead of through the case-folding accessors.
+        overrides = self._overrides
+        latest = self._latest
+        last_update_block = self._last_update_block
+        threshold = self.config.deviation_threshold
+        heartbeat = self.config.heartbeat_blocks
         for symbol, market_price in sorted(market.items()):
-            posted = self._overrides.get(symbol, market_price)
-            current = self._latest_posted(symbol)
+            posted = overrides.get(symbol, market_price)
+            current = latest.get(symbol)
             needs_update = current is None
             if not needs_update:
-                last_block = self._last_update_block.get(symbol, -10**9)
+                last_block = last_update_block.get(symbol, -10**9)
                 deviation = abs(posted - current) / current if current else float("inf")
-                needs_update = (
-                    deviation >= self.config.deviation_threshold
-                    or block - last_block >= self.config.heartbeat_blocks
-                )
+                needs_update = deviation >= threshold or block - last_block >= heartbeat
             if needs_update:
                 self.post_price(symbol, posted, block)
                 updated.append(symbol)
@@ -141,10 +149,7 @@ class PriceOracle:
     # Queries
     # ------------------------------------------------------------------ #
     def _latest_posted(self, symbol: str) -> float | None:
-        history = self._history.get(symbol.upper())
-        if not history:
-            return None
-        return history[-1][1]
+        return self._latest.get(symbol.upper())
 
     def price(self, symbol: str) -> float:
         """Latest posted price of ``symbol`` in USD.

@@ -487,7 +487,7 @@ class SimulationEngine:
                         sim_events.BlockMined(
                             step_index=self.step_index,
                             block_number=block.number,
-                            n_receipts=len(block.receipts),
+                            n_receipts=len(block.receipts) + len(block.fill_gas_prices),
                             gas_used=block.gas_used,
                             base_gas_price_wei=block.base_gas_price,
                         )
@@ -641,17 +641,18 @@ class SimulationEngine:
             # Imported lazily (the analytics package imports this module)
             # and cached: the drain runs on every observed stride.
             from ..analytics.common import FIXED_SPREAD_LIQUIDATION_EVENTS
-            from ..analytics.records import auction_record, fixed_spread_record
+            from ..analytics.records import LIQUIDATION_EVENTS, auction_record, fixed_spread_record
 
             normalizers = self._record_normalizers = (
+                frozenset(LIQUIDATION_EVENTS),
                 frozenset(FIXED_SPREAD_LIQUIDATION_EVENTS),
                 fixed_spread_record,
                 auction_record,
             )
-        fixed_spread_names, fixed_spread_record, auction_record = normalizers
+        liquidation_names, fixed_spread_names, fixed_spread_record, auction_record = normalizers
 
         store = self.chain.events
-        logs = store.since(self._event_cursor)
+        logs = store.since(self._event_cursor, liquidation_names)
         self._event_cursor = len(store)
         for log in logs:
             if log.name in fixed_spread_names:

@@ -14,6 +14,8 @@ Hashed per scenario, each as its own entry so a failure names the layer:
 * ``records`` — the normalised liquidation records;
 * ``snapshots`` — per-protocol collateral and debt totals of every
   archive snapshot;
+* ``blocks`` — per mined block: number, gas used, median gas price and the
+  number of executed transactions;
 * ``table1`` / ``table2`` — the Table 1 and Table 2 JSON payloads.
 
 Canonical JSON means sorted keys, no whitespace and Python's shortest
@@ -55,7 +57,7 @@ LATE = "late"
 
 SEED = 5
 
-COMPONENTS = ("events", "records", "snapshots", "table1", "table2")
+COMPONENTS = ("events", "records", "snapshots", "blocks", "table1", "table2")
 
 
 def canonical_hash(obj) -> str:
@@ -89,11 +91,16 @@ def fingerprints(name: str, strides: int = STRIDES) -> dict[str, str]:
             for platform, state in chain.snapshot_at(block).items()
             if isinstance(state, dict) and "total_collateral_usd" in state
         }
+    blocks = [
+        (block.number, block.gas_used, block.median_gas_price, len(block.receipts) + len(block.fill_gas_prices))
+        for block in chain.blocks
+    ]
     records = result.records
     parts = {
         "events": events,
         "records": records,
         "snapshots": snapshots,
+        "blocks": blocks,
         "table1": run_one(result, "table1", records).json_payload(),
         "table2": run_one(result, "table2", records).json_payload(),
     }

@@ -259,7 +259,7 @@ class TestMempoolInvariants:
 
     def test_mutated_bid_detected(self):
         pool = self.make_pool()
-        victim = next(entry for entry in pool._heap if entry.alive)
+        victim = next(item[2] for item in pool._heap if item[2].alive)
         victim.transaction.gas_price *= 2  # bid change after submit: key is stale
         with pytest.raises(sanitize.SanitizerError, match="sort key"):
             pool.check_invariants()
@@ -268,7 +268,7 @@ class TestMempoolInvariants:
         pool = self.make_pool()
         # Simulate a view desync: kill an entry in the pack heap only,
         # leaving _size and the other views convinced it is alive.
-        victim = next(entry for entry in pool._heap if entry.alive)
+        victim = next(item[2] for item in pool._heap if item[2].alive)
         victim.alive = False
         with pytest.raises(sanitize.SanitizerError):
             pool.check_invariants()
