@@ -26,10 +26,7 @@ class Block:
         Unix timestamp (seconds).  Timestamps advance by the configured
         inter-block time so that block spans convert to wall-clock durations.
     receipts:
-        Receipts of the executed transactions, in inclusion order, except
-        background fill: a transaction without an action that carries the
-        ``{"background": True}`` marker executes as a no-op and leaves only
-        its gas price, in :attr:`fill_gas_prices`.
+        Receipts of the executed transactions, in inclusion order.
     gas_limit:
         Maximum gas the block could have packed.
     gas_used:
@@ -39,9 +36,11 @@ class Block:
         mined.  The analytics layer computes moving averages over this series
         to reproduce the average-gas-price curve of Figure 6.
     fill_gas_prices:
-        Gas prices (wei) of the executed background-fill transactions, in
-        inclusion order.  Together with the receipts they are every executed
-        transaction of the block.
+        Gas prices (wei) of the background fill the block packed, in
+        inclusion order.  Fill is a mempool lane without transactions
+        (:meth:`~repro.chain.chain.Blockchain.submit_fill`), so its price is
+        all it leaves; together with the receipts these are every entry the
+        block executed.
     """
 
     number: int

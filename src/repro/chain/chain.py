@@ -23,7 +23,7 @@ from .events import EventFilter, EventLog, EventStore
 from .gas import GasMarket
 from .mempool import Mempool
 from .transaction import Receipt, Transaction, TransactionReverted, TxKind, TxStatus
-from .types import Address, DEFAULT_BLOCK_GAS_LIMIT, SECONDS_PER_BLOCK
+from .types import Address, DEFAULT_BLOCK_GAS_LIMIT, SECONDS_PER_BLOCK, reserve_hash_ids
 
 
 @dataclass
@@ -123,6 +123,20 @@ class Blockchain:
         self.mempool.submit(tx, self._current_block)
         return tx
 
+    def submit_fill(self, gas_prices: list[int], gas_limit: int) -> None:
+        """Submit one batch of background fill: ordinary traffic that competes
+        for block space at ``gas_prices`` with ``gas_limit`` each.
+
+        Fill is packed, evicted and expired like any transaction, but the
+        only trace it leaves is its gas price in
+        :attr:`~repro.chain.block.Block.fill_gas_prices`, so it is never
+        built as a :class:`Transaction`.  Each entry still takes one id
+        from the hash sequence, as a transaction would, so later
+        transaction hashes do not depend on how the fill is represented.
+        """
+        reserve_hash_ids(len(gas_prices))
+        self.mempool.submit_fill(gas_prices, gas_limit, self._current_block)
+
     def mine_block(self) -> Block:
         """Mine one block (or block stride): execute pending transactions.
 
@@ -143,18 +157,11 @@ class Blockchain:
                 min_gas_price=self.gas_market.min_inclusion_gas_price_wei,
             )
         receipts: list[Receipt] = []
-        fill_gas_prices: list[int] = []
         self._executing_block = self._current_block
         self._block_receipts = receipts
         with span("chain.execute"):
             for tx in selected:
-                if tx.action is None and tx.metadata.get("background"):
-                    # Background fill: a no-op whose gas price is all any
-                    # reader uses (the block's median), so it gets no receipt.
-                    tx.status = TxStatus.SUCCESS
-                    fill_gas_prices.append(tx.gas_price)
-                else:
-                    receipts.append(self._execute(tx))
+                receipts.append(self._execute(tx))
         self._executing_block = None
         self._block_receipts = None
         block = Block(
@@ -163,12 +170,12 @@ class Blockchain:
             receipts=receipts,
             gas_limit=gas_budget,
             base_gas_price=base_price,
-            fill_gas_prices=fill_gas_prices,
+            fill_gas_prices=selected.fill_gas_prices,
         )
         # Direct executions may have attached receipts mid-block without
         # going through packing; charge the block's gas accounting only for
         # what the mempool selection actually consumed of the budget.
-        block.gas_used = sum(tx.gas_limit for tx in selected)
+        block.gas_used = selected.gas_used
         self.blocks.append(block)
         if self.config.snapshot_interval and (
             (block.number - self.config.inception_block) % self.config.snapshot_interval < stride
@@ -254,6 +261,18 @@ class Blockchain:
         block_number = self._executing_block if self._executing_block is not None else self._current_block
         self.events.append(name, emitter, block_number, tx_hash, self._log_index, dict(data))
         self._log_index += 1
+
+    def emit_events(self, name: str, emitter: Address, payloads: list[dict[str, Any]], tx_hash: str = "") -> None:
+        """Record one ``name`` log per payload, in order, at the current block.
+
+        The logs are exactly those of one :meth:`emit_event` call per
+        payload — consecutive log indices included — except that the
+        payload dicts are stored as given, not copied: the caller hands
+        them over.
+        """
+        block_number = self._executing_block if self._executing_block is not None else self._current_block
+        self.events.extend(name, emitter, block_number, tx_hash, self._log_index, payloads)
+        self._log_index += len(payloads)
 
     def get_logs(self, event_filter: EventFilter) -> list[EventLog]:
         """Archive-node style filtered log query."""

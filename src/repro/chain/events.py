@@ -102,10 +102,13 @@ class EventStore:
     name, the list of positions holding that name.  A finished
     ``paper-full`` world emits ~190k logs, ~177k of them oracle posts, and
     columns are a handful of containers the garbage collector walks as a
-    whole instead of one frozen object per log.  Readers still receive
-    :class:`EventLog` s: iteration, :meth:`by_name`, :meth:`filter` and
-    :meth:`since` build them on read, in emission order (block number,
-    then log index), and a view's ``data`` is the stored payload dict.
+    whole instead of one frozen object per log.  Logs come in one at a
+    time (:meth:`append`) or as a run of one name from one emitter at
+    consecutive log indices (:meth:`extend`: an oracle's posts of a step).
+    Readers still receive :class:`EventLog` s: iteration, :meth:`by_name`,
+    :meth:`filter` and :meth:`since` build them on read, in emission order
+    (block number, then log index), and a view's ``data`` is the stored
+    payload dict.
     """
 
     def __init__(self) -> None:
@@ -132,6 +135,28 @@ class EventStore:
         tx_hashes.append(tx_hash)
         log_indices.append(log_index)
         payloads.append(data)
+
+    def extend(
+        self,
+        name: str,
+        emitter: Address,
+        block_number: int,
+        tx_hash: str,
+        first_log_index: int,
+        payloads: list[dict[str, Any]],
+    ) -> None:
+        """Record one ``name`` event per payload, at consecutive log indices
+        from ``first_log_index``; the payload dicts are stored as given."""
+        count = len(payloads)
+        names, emitters, blocks, tx_hashes, log_indices, stored = self._columns
+        start = len(names)
+        self._positions.setdefault(name, []).extend(range(start, start + count))
+        names.extend(itertools.repeat(name, count))
+        emitters.extend(itertools.repeat(emitter, count))
+        blocks.extend(itertools.repeat(block_number, count))
+        tx_hashes.extend(itertools.repeat(tx_hash, count))
+        log_indices.extend(range(first_log_index, first_log_index + count))
+        stored.extend(payloads)
 
     def _view(self, position: int) -> EventLog:
         return EventLog(*[column[position] for column in self._columns])

@@ -8,6 +8,14 @@ bots unable to land bids — is a direct consequence of this mechanism, so the
 simulator reproduces it: transactions wait in the mempool, blocks pack the
 highest bidders first, and anything that does not fit waits (or expires).
 
+The pool holds two kinds of pending bids in one population: transactions,
+and background fill (:meth:`Mempool.submit_fill`) — ordinary traffic that
+competes for block space like any transaction but whose only trace is its
+gas price, so it is kept as a price, a gas limit and a submission block
+with no :class:`~repro.chain.transaction.Transaction` behind it.  Both
+kinds share one sequence of submission numbers, so packing, eviction and
+expiry treat them exactly alike.
+
 Internally the pool keeps three views over shared entries:
 
 * a max-heap of ``(-gas_price, seq, entry)`` (FIFO on ties) that block
@@ -15,7 +23,7 @@ Internally the pool keeps three views over shared entries:
 * a min-heap by gas price (LIFO on ties) so the bounded-capacity eviction
   finds its victim in O(log n) instead of a linear ``max`` + ``remove`` +
   re-heapify sweep;
-* a FIFO of submissions so expired transactions are swept as soon as their
+* a FIFO of submissions so expired entries are swept as soon as their
   window passes, instead of lingering below the congestion break-point.
 
 Entries are shared between the views and removed lazily: consuming an entry
@@ -28,6 +36,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from collections import deque
+from typing import Iterable
 
 from .. import sanitize
 from ..telemetry import runtime as telemetry
@@ -35,14 +44,31 @@ from .transaction import Transaction, TxStatus
 
 
 class _PoolEntry:
-    """A pending transaction shared by the pool's views; the heaps order it
-    by the key tuples that carry it, so it never compares itself."""
+    """A pending bid shared by the pool's views: a transaction, or a slot of
+    background fill when ``transaction`` is ``None``.  The heaps order it by
+    the key tuples that carry it, so it never compares itself."""
 
-    __slots__ = ("transaction", "alive")
+    __slots__ = ("transaction", "gas_price", "gas_limit", "submitted_block", "alive")
 
-    def __init__(self, transaction: Transaction) -> None:
+    def __init__(self, transaction: Transaction | None, gas_price: int, gas_limit: int, submitted_block: int) -> None:
         self.transaction = transaction
+        self.gas_price = gas_price
+        self.gas_limit = gas_limit
+        self.submitted_block = submitted_block
         self.alive = True
+
+
+class BlockSelection(list[Transaction]):
+    """What one block packs: the transactions, in inclusion order, plus the
+    gas prices of the background fill packed among them (in inclusion
+    order) and the gas every packed entry used."""
+
+    __slots__ = ("fill_gas_prices", "gas_used")
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.fill_gas_prices: list[int] = []
+        self.gas_used = 0
 
 
 class Mempool:
@@ -69,28 +95,48 @@ class Mempool:
         self._expiry_blocks = expiry_blocks
 
     def __len__(self) -> int:
+        """Pending entries, background fill included."""
         return self._size
 
     @property
     def pending(self) -> list[Transaction]:
-        """Snapshot of pending transactions (not in inclusion order)."""
-        return [entry.transaction for _, _, entry in self._heap if entry.alive]
+        """Snapshot of pending transactions (not in inclusion order; fill
+        has no transaction and is left out)."""
+        return [entry.transaction for _, _, entry in self._heap if entry.alive and entry.transaction is not None]
 
     def submit(self, transaction: Transaction, current_block: int) -> None:
         """Add a transaction to the pool.
 
-        If the pool is full, the lowest-paying transaction is dropped —
-        which, during congestion, is typically a stale keeper bid.
+        If the pool is full, the lowest-paying entry is dropped — which,
+        during congestion, is typically a stale keeper bid.
         """
         transaction.submitted_block = current_block
-        seq = next(self._counter)
-        entry = _PoolEntry(transaction)
-        heapq.heappush(self._heap, (-transaction.gas_price, seq, entry))
-        heapq.heappush(self._evict_heap, (transaction.gas_price, -seq, entry))
-        self._fifo.append(entry)
-        self._size += 1
-        if self._size > self._max_pending:
-            self._drop_lowest()
+        self._enter((_PoolEntry(transaction, transaction.gas_price, transaction.gas_limit, current_block),))
+
+    def submit_fill(self, gas_prices: Iterable[int], gas_limit: int, current_block: int) -> None:
+        """Add one batch of background fill, one entry per gas price.
+
+        Each entry is exactly what submitting a transaction with that bid
+        and ``gas_limit`` would have added, in the same order; the pool
+        compacts once for the batch.
+        """
+        self._enter(_PoolEntry(None, gas_price, gas_limit, current_block) for gas_price in gas_prices)
+
+    def _enter(self, entries: Iterable[_PoolEntry]) -> None:
+        """Enter each entry in every view, in order, evicting the lowest bid
+        whenever the pool overflows; then compact once."""
+        heap = self._heap
+        evict_heap = self._evict_heap
+        fifo = self._fifo
+        counter = self._counter
+        for entry in entries:
+            seq = next(counter)
+            heapq.heappush(heap, (-entry.gas_price, seq, entry))
+            heapq.heappush(evict_heap, (entry.gas_price, -seq, entry))
+            fifo.append(entry)
+            self._size += 1
+            if self._size > self._max_pending:
+                self._drop_lowest()
         self._compact_if_stale()
 
     def _drop_lowest(self) -> None:
@@ -102,14 +148,10 @@ class Mempool:
                 return
 
     def _discard(self, entry: _PoolEntry) -> None:
-        """Mark an entry dead and its transaction dropped."""
+        """Mark an entry dead and its transaction (if any) dropped."""
         entry.alive = False
-        entry.transaction.status = TxStatus.DROPPED
-        self._size -= 1
-
-    def _consume(self, entry: _PoolEntry) -> None:
-        """Mark an entry dead because its transaction left the pool (mined)."""
-        entry.alive = False
+        if entry.transaction is not None:
+            entry.transaction.status = TxStatus.DROPPED
         self._size -= 1
 
     def _compact_if_stale(self) -> None:
@@ -125,12 +167,12 @@ class Mempool:
             self._fifo = deque(entry for entry in self._fifo if entry.alive)
 
     def sweep_expired(self, current_block: int) -> int:
-        """Drop every transaction whose expiry window has passed.
+        """Drop every entry whose expiry window has passed.
 
         Without this, anything bidding below the congestion break-point is
         never popped by block packing and would survive its expiry window
         indefinitely, inflating the pool through long congestion episodes.
-        Returns the number of transactions dropped.
+        Returns the number of entries dropped, background fill included.
         """
         swept = 0
         while self._fifo:
@@ -138,7 +180,7 @@ class Mempool:
             if not entry.alive:
                 self._fifo.popleft()
                 continue
-            if current_block - entry.transaction.submitted_block > self._expiry_blocks:
+            if current_block - entry.submitted_block > self._expiry_blocks:
                 self._fifo.popleft()
                 self._discard(entry)
                 swept += 1
@@ -158,56 +200,68 @@ class Mempool:
         gas_limit: int,
         current_block: int,
         min_gas_price: int = 0,
-    ) -> list[Transaction]:
-        """Pop the best-paying transactions that fit into ``gas_limit``.
+    ) -> BlockSelection:
+        """Pop the best-paying entries that fit into ``gas_limit``.
+
+        Returns the packed transactions in inclusion order; the packed
+        fill's gas prices and the gas of everything packed ride along on
+        the returned :class:`BlockSelection`.
 
         ``min_gas_price`` models the market-clearing inclusion price during
-        congestion: transactions bidding below it stay pending (they are what
-        outside traffic crowds out of full blocks).  Transactions older than
-        the expiry window are dropped (their status is set to
+        congestion: bids below it stay pending (they are what outside
+        traffic crowds out of full blocks).  Entries older than the expiry
+        window are dropped (a transaction's status is set to
         :attr:`TxStatus.DROPPED`), emulating senders replacing or abandoning
         stale transactions — including the ones sitting below the
         ``min_gas_price`` break-point that block packing never reaches.
         """
         self.sweep_expired(current_block)
-        selected: list[Transaction] = []
+        selected = BlockSelection()
+        fill_gas_prices = selected.fill_gas_prices
         gas_budget = gas_limit
+        expiry_blocks = self._expiry_blocks
+        heap = self._heap
         skipped: list[tuple[int, int, _PoolEntry]] = []
-        while self._heap and gas_budget > 0:
-            item = heapq.heappop(self._heap)
+        while heap and gas_budget > 0:
+            item = heapq.heappop(heap)
             entry = item[2]
             if not entry.alive:
                 continue
-            tx = entry.transaction
-            if current_block - tx.submitted_block > self._expiry_blocks:
+            if current_block - entry.submitted_block > expiry_blocks:
                 self._discard(entry)
                 continue
-            if tx.gas_price < min_gas_price:
+            if entry.gas_price < min_gas_price:
                 # Everything further down the heap bids even less: stop here.
                 skipped.append(item)
                 break
-            if tx.gas_limit <= gas_budget:
-                self._consume(entry)
-                selected.append(tx)
-                gas_budget -= tx.gas_limit
+            if entry.gas_limit <= gas_budget:
+                # Consumed: the entry leaves the pool.
+                entry.alive = False
+                self._size -= 1
+                gas_budget -= entry.gas_limit
+                if entry.transaction is None:
+                    fill_gas_prices.append(entry.gas_price)
+                else:
+                    selected.append(entry.transaction)
             else:
                 skipped.append(item)
                 # A block is effectively full once remaining space is small.
                 if gas_budget < 25_000:
                     break
         for item in skipped:
-            heapq.heappush(self._heap, item)
+            heapq.heappush(heap, item)
+        selected.gas_used = gas_limit - gas_budget
         return selected
 
     def check_invariants(self) -> None:
         """Sanitizer: revalidate the twin-heap bookkeeping.
 
         The three lazy views share entries and delete lazily, so a missed
-        ``_consume``/``_discard`` (or a double one) desynchronises the live
-        count from the views *silently* — packing and eviction keep working,
+        lazy deletion (or a double one) desynchronises the live count from
+        the views *silently* — packing and eviction keep working,
         just on the wrong population.  This check asserts that every view
-        agrees with :attr:`_size`, that sort keys still match their
-        transactions' gas prices, and that both heaps retain the heap
+        agrees with :attr:`_size`, that sort keys still match their entries'
+        (and transactions') gas prices, and that both heaps retain the heap
         property.  Raises :class:`~repro.sanitize.SanitizerError`.
         """
         live_pack = [item for item in self._heap if item[2].alive]
@@ -224,17 +278,18 @@ class Mempool:
                 "mempool pack heap and fifo disagree on the live entry set"
             )
         for key, _, entry in live_pack:
-            if key != -entry.transaction.gas_price:
+            tx = entry.transaction
+            bid = entry.gas_price if tx is None else tx.gas_price
+            if key != -entry.gas_price or bid != entry.gas_price:
                 raise sanitize.SanitizerError(
-                    f"mempool pack-heap sort key {key} does not "
-                    f"match gas price {entry.transaction.gas_price} of "
-                    f"{entry.transaction.tx_hash}: the bid mutated after submit"
+                    f"mempool pack-heap sort key {key} does not match gas price "
+                    f"{bid} of {_describe(entry)}: the bid mutated after submit"
                 )
         for price, _, entry in live_evict:
-            if price != entry.transaction.gas_price:
+            if price != entry.gas_price:
                 raise sanitize.SanitizerError(
                     f"mempool evict-heap key {price} does not match gas price "
-                    f"{entry.transaction.gas_price} of {entry.transaction.tx_hash}"
+                    f"{entry.gas_price} of {_describe(entry)}"
                 )
         for name, heap in (("pack", self._heap), ("evict", self._evict_heap)):
             for index in range(1, len(heap)):
@@ -245,8 +300,9 @@ class Mempool:
                     )
 
     def clear(self) -> list[Transaction]:
-        """Drop every pending transaction and return them (used by tests)."""
-        dropped = [entry.transaction for _, _, entry in self._heap if entry.alive]
+        """Drop every pending entry and return the transactions among them
+        (used by tests)."""
+        dropped = self.pending
         for tx in dropped:
             tx.status = TxStatus.DROPPED
         self._heap.clear()
@@ -254,3 +310,10 @@ class Mempool:
         self._fifo.clear()
         self._size = 0
         return dropped
+
+
+def _describe(entry: _PoolEntry) -> str:
+    """How a sanitizer message names an entry."""
+    if entry.transaction is None:
+        return f"background fill submitted at block {entry.submitted_block}"
+    return entry.transaction.tx_hash

@@ -71,9 +71,9 @@ class Transaction:
         Coarse action classification used by analytics.
     metadata:
         Free-form annotations (platform name, borrower address, …) consumed
-        by analytics and tests.  ``{"background": True}`` on a transaction
-        without an action marks background fill: the chain records only its
-        gas price (see :attr:`~repro.chain.block.Block.fill_gas_prices`).
+        by analytics and tests.  Every executed transaction gets a receipt
+        carrying a copy; background fill is not a transaction at all (see
+        :meth:`~repro.chain.chain.Blockchain.submit_fill`).
     hash_id:
         The id reserved from the process-wide hash sequence at construction;
         :attr:`tx_hash` is derived from it on first read.

@@ -100,6 +100,19 @@ def next_hash_id() -> int:
     return next(_hash_counter)
 
 
+def reserve_hash_ids(n: int) -> None:
+    """Reserve the next ``n`` ids of the hash sequence without using them.
+
+    Background fill takes one id per entry, as a
+    :class:`~repro.chain.transaction.Transaction` would, so transaction
+    hashes do not depend on whether traffic is built as transactions or
+    as fill.
+    """
+    global _hash_counter
+    if n > 0:
+        _hash_counter = itertools.count(next(_hash_counter) + n)
+
+
 def tx_hash_of(hash_id: int, payload: str = "") -> str:
     """The transaction-hash-like identifier of a reserved ``hash_id``.
 

@@ -75,7 +75,8 @@ def quote_liquidation(
     """
     if repay_amount <= 0:
         raise LiquidationError("repay amount must be positive")
-    if not position.is_liquidatable(prices, thresholds):
+    hf_before = position.health_factor(prices, thresholds)
+    if not hf_before < 1.0:
         raise LiquidationError("position is healthy (HF >= 1); nothing to liquidate")
     owed = position.debt.get(debt_symbol, 0.0)
     if owed <= DUST:
@@ -99,7 +100,6 @@ def quote_liquidation(
         seize_usd = seize_amount * collateral_price
         repay_usd = seize_usd / (1.0 + params.liquidation_spread)
         repay_amount = repay_usd / debt_price
-    hf_before = position.health_factor(prices, thresholds)
     preview = position.copy()
     preview.reduce_debt(debt_symbol, min(repay_amount, preview.debt.get(debt_symbol, 0.0)))
     preview.remove_collateral(collateral_symbol, min(seize_amount, preview.collateral.get(collateral_symbol, 0.0)))

@@ -53,20 +53,19 @@ class PriceOracle:
         self.feed = feed
         self.config = config or OracleConfig()
         self.address = address or make_address(self.config.name)
-        self._history: dict[str, list[tuple[int, float]]] = {}
-        #: Per symbol, the blocks of ``_history`` in the same order, so an
-        #: archive lookup bisects without rebuilding the list.
+        #: The posted history, per symbol, as two parallel lists: the blocks
+        #: (ascending, so an archive lookup bisects them) and the prices.
         self._blocks: dict[str, list[int]] = {}
-        #: Per symbol, the latest posted price (the last entry of ``_history``).
+        self._prices: dict[str, list[float]] = {}
+        #: Per symbol, the latest posted price (the last of ``_prices``).
         self._latest: dict[str, float] = {}
         self._overrides: dict[str, float] = {}
-        self._last_update_block: dict[str, int] = {}
         #: The ``(symbol, posted_price)`` pairs of the most recent
         #: :meth:`update_from_feed` call.  The engine's observer bus reads
         #: this to publish ``PriceUpdated`` events without re-querying each
         #: symbol's price on the hot path.
         self.last_updates: list[tuple[str, float]] = []
-        #: Monotonic post counter: bumps on every :meth:`post_price`.  A
+        #: Monotonic post counter: bumps once per posted price.  A
         #: posted-price query (:meth:`price`) can only change when this
         #: version changes or — for symbols with no posted history yet,
         #: which fall back to the market feed — when the block advances, so
@@ -78,30 +77,49 @@ class PriceOracle:
     # ------------------------------------------------------------------ #
     def post_price(self, symbol: str, price: float, block_number: int | None = None) -> None:
         """Record a posted price for ``symbol`` at ``block_number``."""
-        key = symbol.upper()
         block = self.chain.current_block if block_number is None else block_number
-        price = float(price)
-        self._history.setdefault(key, []).append((block, price))
-        self._blocks.setdefault(key, []).append(block)
-        self._latest[key] = price
-        self._last_update_block[key] = block
-        self.version += 1
-        self.chain.emit_event(
-            "AnswerUpdated",
-            emitter=self.address,
-            data={"symbol": key, "price": price, "oracle": self.config.name},
-        )
+        self._post([(symbol.upper(), float(price))], block)
+
+    def _post(self, updates: list[tuple[str, float]], block: int) -> None:
+        """Record every ``(symbol, price)`` pair as posted at ``block``, in
+        order, and emit their ``AnswerUpdated`` logs in one call.
+
+        Symbols must be upper-case and prices ``float`` s: this is the one
+        posting path, behind both :meth:`post_price` and
+        :meth:`update_from_feed`.
+        """
+        if not updates:
+            return
+        posted_blocks = self._blocks
+        posted_prices = self._prices
+        latest = self._latest
+        oracle = self.config.name
+        payloads = []
+        for key, price in updates:
+            blocks = posted_blocks.get(key)
+            if blocks is None:
+                blocks = posted_blocks[key] = []
+                posted_prices[key] = []
+            blocks.append(block)
+            posted_prices[key].append(price)
+            latest[key] = price
+            payloads.append({"symbol": key, "price": price, "oracle": oracle})
+        self.version += len(updates)
+        self.chain.emit_events("AnswerUpdated", self.address, payloads)
 
     def update_from_feed(self, block_number: int | None = None) -> list[str]:
         """Post fresh prices for every symbol whose policy triggers an update.
 
-        Returns the list of symbols that were updated (the posted
-        ``(symbol, price)`` pairs are kept on :attr:`last_updates`).
-        Overridden symbols (see :meth:`set_override`) keep their override
-        until cleared, modelling a stuck or manipulated reporter.
+        Every symbol is decided first, then the triggered ones are posted
+        together: one :meth:`~repro.chain.chain.Blockchain.emit_events`
+        call for the lot, the same logs and state that posting each symbol
+        with :meth:`post_price` in sorted order leaves.  Returns the list of
+        symbols that were updated (the posted ``(symbol, price)`` pairs are
+        kept on :attr:`last_updates`).  Overridden symbols (see
+        :meth:`set_override`) keep their override until cleared, modelling a
+        stuck or manipulated reporter.
         """
         block = self.chain.current_block if block_number is None else block_number
-        updated: list[str] = []
         updates: list[tuple[str, float]] = []
         # One feed row per call: the block maps to a step once, not per symbol.
         market = self.feed.prices_at(block) if self.feed.series else {}
@@ -109,23 +127,23 @@ class PriceOracle:
         # directly instead of through the case-folding accessors.
         overrides = self._overrides
         latest = self._latest
-        last_update_block = self._last_update_block
+        blocks = self._blocks
         threshold = self.config.deviation_threshold
         heartbeat = self.config.heartbeat_blocks
         for symbol, market_price in sorted(market.items()):
             posted = overrides.get(symbol, market_price)
             current = latest.get(symbol)
-            needs_update = current is None
-            if not needs_update:
-                last_block = last_update_block.get(symbol, -10**9)
-                deviation = abs(posted - current) / current if current else float("inf")
-                needs_update = deviation >= threshold or block - last_block >= heartbeat
-            if needs_update:
-                self.post_price(symbol, posted, block)
-                updated.append(symbol)
+            # Due when never posted, when the heartbeat has passed since the
+            # last post, or when the price moved by the deviation threshold.
+            if (
+                current is None
+                or block - blocks[symbol][-1] >= heartbeat
+                or (abs(posted - current) / current if current else float("inf")) >= threshold
+            ):
                 updates.append((symbol, float(posted)))
+        self._post(updates, block)
         self.last_updates = updates
-        return updated
+        return [symbol for symbol, _ in updates]
 
     def set_override(self, symbol: str, price: float) -> None:
         """Force the oracle to report ``price`` for ``symbol`` until cleared.
@@ -148,16 +166,13 @@ class PriceOracle:
     # ------------------------------------------------------------------ #
     # Queries
     # ------------------------------------------------------------------ #
-    def _latest_posted(self, symbol: str) -> float | None:
-        return self._latest.get(symbol.upper())
-
     def price(self, symbol: str) -> float:
         """Latest posted price of ``symbol`` in USD.
 
         Falls back to the market feed when nothing has been posted yet, so
         that freshly constructed scenarios always have a price.
         """
-        posted = self._latest_posted(symbol)
+        posted = self._latest.get(symbol.upper())
         if posted is not None:
             return posted
         return self.feed.price(symbol, self.chain.current_block)
@@ -173,7 +188,7 @@ class PriceOracle:
         if blocks:
             index = bisect.bisect_right(blocks, block_number) - 1
             if index >= 0:
-                return self._history[key][index][1]
+                return self._prices[key][index]
         return self.feed.price(symbol, block_number)
 
     def value_usd(self, symbol: str, amount: float) -> float:
@@ -182,4 +197,5 @@ class PriceOracle:
 
     def history(self, symbol: str) -> list[tuple[int, float]]:
         """Full posted history of ``symbol`` as ``(block, price)`` pairs."""
-        return list(self._history.get(symbol.upper(), []))
+        key = symbol.upper()
+        return list(zip(self._blocks.get(key, ()), self._prices.get(key, ())))

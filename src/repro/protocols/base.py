@@ -316,7 +316,9 @@ class LendingProtocol(abc.ABC):
         candidates: list[Position] = []
         for row in scan.candidate_rows(require_collateral=require_collateral):
             position = self.book.position_at(int(row))
-            if position.is_liquidatable(prices, thresholds):
+            # Bad debt: with no collateral entry BC is exactly 0, and a
+            # flagged row's priced debt is > 0, so its HF is 0 < 1.
+            if not position.collateral or position.is_liquidatable(prices, thresholds):
                 candidates.append(position)
         return candidates
 

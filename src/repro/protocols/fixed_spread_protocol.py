@@ -179,6 +179,8 @@ class FixedSpreadProtocol(LendingProtocol):
         thresholds: Mapping[str, float],
     ) -> FixedSpreadQuote | None:
         """The shared single-candidate quote against pre-fetched prices."""
+        if not position.collateral:
+            return None  # bad debt: nothing to seize
         debt_values = position.debt_values(prices)
         collateral_values = position.collateral_values(prices)
         if not debt_values or not collateral_values:

@@ -42,7 +42,6 @@ from .. import sanitize
 from ..agents.borrower import plan_agents
 from ..amm.router import AmmRouter
 from ..chain.chain import Blockchain
-from ..chain.transaction import TxKind
 from ..chain.types import Address, make_address
 from ..core.position import Position
 from ..flashloan.pool import FlashLoanProvider
@@ -226,7 +225,10 @@ class SimulationEngine:
         self._event_cursor = 0
         self._record_normalizers: tuple | None = None
         self._complete_probes: list[Probe] = []
-        self._traffic_address = make_address("background-traffic")
+        # Background fill has no sender, but its address is still allocated:
+        # the address sequence, and every address after it, stays the one
+        # the golden fingerprints pin.
+        make_address("background-traffic")
         self._fixed_spread_cache: list[LiquidationOpportunity] | None = None
         self._makerdao_cache: list[Address] | None = None
         self._protocols_by_name: dict[str, LendingProtocol] = {}
@@ -707,13 +709,5 @@ class SimulationEngine:
         # One vectorized draw per step; the stream is identical to the former
         # per-chunk scalar draws, so seeded runs are unchanged.
         multipliers = self.rng.lognormal(0.0, 0.35, size=n_chunks)
-        for multiplier in multipliers:
-            gas_price = max(int(base * float(multiplier)), 1)
-            self.chain.submit_call(
-                sender=self._traffic_address,
-                action=None,
-                gas_price=gas_price,
-                gas_limit=gas_each,
-                kind=TxKind.OTHER,
-                metadata={"background": True},
-            )
+        gas_prices = [max(int(base * multiplier), 1) for multiplier in multipliers.tolist()]
+        self.chain.submit_fill(gas_prices, gas_each)

@@ -3,20 +3,24 @@
 * The event log is columnar: every read builds :class:`EventLog` views,
   which must equal what was emitted, in emission order, through every
   access path (iteration, ``by_name``, ``count``, ``filter``, ``since``).
-* Background fill — an action-less transaction carrying the
-  ``{"background": True}`` marker — leaves only its gas price on the block;
-  the block median and the executed-transaction count still cover it.
+* Background fill is a lane of the mempool: slot-only entries that pack,
+  evict and expire in one ``(price, seq)`` order with the transactions,
+  exactly as transactions with the same bids would, and leave only their
+  gas price on the block; the block median, its gas used and the
+  executed-transaction count still cover it.
 * Transaction hashes are computed on first read from an id reserved at
   construction, so they are the strings eager hashing produced.
 """
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.analytics.records import LIQUIDATION_EVENTS
 from repro.chain.chain import Blockchain, ChainConfig
 from repro.chain.events import EventFilter, EventLog
+from repro.chain.mempool import Mempool
 from repro.chain.transaction import Transaction, TxKind, TxStatus
 from repro.chain.types import gwei, make_address, make_tx_hash, reset_id_counters, tx_hash_of
 from repro.observers.events import BlockMined
@@ -25,7 +29,6 @@ from repro.scenarios import get as get_scenario
 
 ALICE = make_address("alice")
 TRAFFIC = make_address("traffic")
-BACKGROUND = {"background": True}
 
 
 # --------------------------------------------------------------------- #
@@ -121,10 +124,7 @@ class TestEventReadsOnARun:
 class TestBackgroundFill:
     def test_fill_joins_the_median_but_gets_no_receipt(self):
         chain = Blockchain()
-        fill = [
-            chain.submit_call(TRAFFIC, None, gas_price=gwei(price), gas_limit=21_000, metadata=dict(BACKGROUND))
-            for price in (1.0, 2.0, 3.0, 4.0)
-        ]
+        chain.submit_fill([gwei(price) for price in (1.0, 2.0, 3.0, 4.0)], gas_limit=21_000)
         agents = [
             chain.submit_call(ALICE, lambda: "ok", gas_price=gwei(price), gas_limit=21_000, kind=TxKind.TRANSFER)
             for price in (50.0, 60.0)
@@ -132,22 +132,22 @@ class TestBackgroundFill:
         block = chain.mine_block()
         # Executed prices: 1 2 3 4 50 60 gwei.  Receipts alone would give 55.
         assert block.median_gas_price == pytest.approx(gwei(3.5))
-        assert sorted(block.fill_gas_prices) == [gwei(price) for price in (1.0, 2.0, 3.0, 4.0)]
+        assert block.fill_gas_prices == [gwei(price) for price in (4.0, 3.0, 2.0, 1.0)]
         assert [receipt.tx_hash for receipt in block.receipts] == [tx.tx_hash for tx in reversed(agents)]
         assert set(chain.receipts_by_hash) == {tx.tx_hash for tx in agents}
         assert block.gas_used == 6 * 21_000
-        assert all(tx.status is TxStatus.SUCCESS for tx in fill)
+        assert len(chain.mempool) == 0
 
-    def test_unmarked_actionless_transaction_is_receipted(self):
+    def test_actionless_transaction_is_receipted(self):
         chain = Blockchain()
         plain = chain.submit_call(ALICE, None, gas_price=gwei(5.0), gas_limit=21_000)
-        marked_action = chain.submit_call(
-            TRAFFIC, lambda: "did something", gas_price=gwei(4.0), gas_limit=21_000, metadata=dict(BACKGROUND)
-        )
+        # Metadata does not make a transaction fill: only submit_fill does.
+        marked = chain.submit_call(TRAFFIC, None, gas_price=gwei(4.0), gas_limit=21_000, metadata={"background": True})
         block = chain.mine_block()
         assert block.fill_gas_prices == []
-        assert [receipt.tx_hash for receipt in block.receipts] == [plain.tx_hash, marked_action.tx_hash]
+        assert [receipt.tx_hash for receipt in block.receipts] == [plain.tx_hash, marked.tx_hash]
         assert chain.receipts_by_hash[plain.tx_hash].succeeded
+        assert marked.status is TxStatus.SUCCESS
 
     def test_block_mined_counts_every_executed_transaction(self):
         reset_run_state()
@@ -172,9 +172,147 @@ class TestBackgroundFill:
         assert sum(len(block.fill_gas_prices) for block in blocks) > 0
         for event, block in zip(mined, blocks):
             assert event.n_receipts == len(block.receipts) + len(block.fill_gas_prices)
+            assert event.gas_used == block.gas_used
         receipts = [receipt for block in blocks for receipt in block.receipts]
-        assert not any(receipt.metadata.get("background") for receipt in receipts)
-        assert not any(receipt.metadata.get("background") for receipt in result.chain.receipts_by_hash.values())
+        assert not any(receipt.sender.label == "background-traffic" for receipt in receipts)
+        assert len(result.chain.receipts_by_hash) == len(receipts)
+
+
+class TestFillLane:
+    """Fill entries sit in the same heaps and FIFO as transactions."""
+
+    def test_fill_and_transactions_pack_in_price_then_submission_order(self):
+        pool = Mempool()
+        early = make_tx(5.0)
+        pool.submit(early, current_block=0)  # seq 0
+        pool.submit_fill([gwei(5.0), gwei(7.0), gwei(3.0)], 21_000, current_block=0)  # seq 1, 2, 3
+        late = make_tx(7.0)
+        pool.submit(late, current_block=0)  # seq 4
+        # By (-price, seq): fill 7, tx 7, tx 5, fill 5, fill 3.  Room for three.
+        first = pool.select_for_block(21_000 + 2 * 21_000, current_block=0)
+        assert list(first) == [late, early]
+        assert first.fill_gas_prices == [gwei(7.0)]
+        assert first.gas_used == 21_000 + 2 * 21_000
+        second = pool.select_for_block(10 * 21_000, current_block=0)
+        assert list(second) == []
+        assert second.fill_gas_prices == [gwei(5.0), gwei(3.0)]
+        assert second.gas_used == 2 * 21_000
+        assert len(pool) == 0
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_lane_replays_fill_built_as_transactions(self, seed):
+        """Against the same script with fill submitted as plain
+        transactions: every block packs the same transactions, the same
+        fill prices and the same gas, through ties, eviction, expiry and
+        the min-price cut."""
+        rng = np.random.default_rng(seed)
+        script = []
+        for block in range(80):
+            txs = [
+                (int(rng.integers(1, 6)) * 10**9, int(rng.choice([21_000, 150_000])))
+                for _ in range(int(rng.integers(0, 4)))
+            ]
+            fill = [int(rng.integers(1, 6)) * 10**9 for _ in range(int(rng.integers(0, 14)))]
+            script.append((txs, fill, int(rng.integers(2, 5)) * 10**9 if block % 5 == 3 else 0))
+        lane = replay_pool(script, as_transactions=False)
+        assert lane == replay_pool(script, as_transactions=True)
+        assert any(record[0] for record in lane) and any(record[1] for record in lane)
+        assert any(record[3] for record in lane)  # entries expired
+        assert any(record[4] for record in lane)  # the pool overflowed and evicted
+
+    def test_fill_is_evicted_at_max_pending(self):
+        pool = Mempool(max_pending=3)
+        keeper = make_tx(2.0)
+        pool.submit(keeper, current_block=0)
+        pool.submit_fill([gwei(1.0), gwei(5.0), gwei(1.0)], 21_000, current_block=0)
+        # Four entries in a pool of three: the newest of the tied lowest goes.
+        assert len(pool) == 3
+        pool.submit_fill([gwei(9.0)], 21_000, current_block=0)
+        assert len(pool) == 3  # the other 1-gwei fill went
+        assert keeper.status is TxStatus.PENDING
+        pool.submit_fill([gwei(9.0)], 21_000, current_block=0)
+        assert keeper.status is TxStatus.DROPPED  # fill outbids a transaction
+        selected = pool.select_for_block(10 * 21_000, current_block=0)
+        assert list(selected) == []
+        assert selected.fill_gas_prices == [gwei(9.0), gwei(9.0), gwei(5.0)]
+
+    def test_fill_expires_in_the_sweep(self):
+        pool = Mempool(expiry_blocks=10)
+        pool.submit_fill([gwei(1.0)] * 3, 21_000, current_block=0)
+        fresh = make_tx(1.0)
+        pool.submit(fresh, current_block=95)
+        assert pool.sweep_expired(current_block=100) == 3
+        assert len(pool) == 1
+        assert pool.pending == [fresh]
+
+    def test_fill_expires_during_packing(self):
+        pool = Mempool(expiry_blocks=10)
+        head = make_tx(1.0)
+        pool.submit(head, current_block=95)
+        # Submitted out of block order behind a fresh head: the sweep stops
+        # at the head, so packing meets the stale fill and drops it.
+        pool.submit_fill([gwei(9.0)], 21_000, current_block=0)
+        assert pool.sweep_expired(current_block=100) == 0
+        selected = pool.select_for_block(10 * 21_000, current_block=100)
+        assert list(selected) == [head]
+        assert selected.fill_gas_prices == []
+        assert selected.gas_used == 21_000
+        assert len(pool) == 0
+
+    def test_fill_below_the_min_price_waits(self):
+        pool = Mempool()
+        pool.submit_fill([gwei(1.0), gwei(60.0)], 21_000, current_block=0)
+        selected = pool.select_for_block(10 * 21_000, current_block=0, min_gas_price=gwei(50.0))
+        assert selected.fill_gas_prices == [gwei(60.0)]
+        assert len(pool) == 1
+        assert pool.pending == []
+
+    def test_a_transaction_after_fill_keeps_its_hash(self):
+        reset_id_counters()
+        for _ in range(40):  # the same fill as plain transactions
+            Transaction(sender=TRAFFIC, gas_price=gwei(1.0), gas_limit=21_000)
+        expected = make_tx().tx_hash
+        reset_id_counters()
+        chain = Blockchain()
+        chain.submit_fill([gwei(1.0)] * 40, gas_limit=21_000)
+        tx = make_tx()
+        assert tx.hash_id == 41
+        assert tx.tx_hash == expected
+
+
+def replay_pool(script, *, as_transactions: bool) -> list[tuple]:
+    """Run ``script`` through a small congested pool, one record per block.
+
+    Each script entry is one block: transaction ``(price, gas)`` pairs, fill
+    prices and the block's min inclusion price.  With ``as_transactions``
+    the fill goes in as plain transactions from ``TRAFFIC``.
+    """
+    pool = Mempool(max_pending=30, expiry_blocks=6)
+    submitted: dict[tuple[int, int], Transaction] = {}
+    records = []
+    for block, (txs, fill, min_price) in enumerate(script):
+        before = len(pool)
+        for index, (price, gas) in enumerate(txs):
+            tx = Transaction(sender=ALICE, gas_price=price, gas_limit=gas, metadata={"label": (block, index)})
+            submitted[(block, index)] = tx
+            pool.submit(tx, block)
+        if as_transactions:
+            for price in fill:
+                pool.submit(Transaction(sender=TRAFFIC, gas_price=price, gas_limit=21_000), block)
+        else:
+            pool.submit_fill(fill, 21_000, block)
+        evicted = before + len(txs) + len(fill) - len(pool)
+        swept = pool.sweep_expired(block)
+        selected = pool.select_for_block(200_000, block, min_gas_price=min_price)
+        if as_transactions:
+            packed = [tx for tx in selected if tx.sender != TRAFFIC]
+            fill_prices = [tx.gas_price for tx in selected if tx.sender == TRAFFIC]
+            gas_used = sum(tx.gas_limit for tx in selected)
+        else:
+            packed, fill_prices, gas_used = list(selected), selected.fill_gas_prices, selected.gas_used
+        dropped = sorted(label for label, tx in submitted.items() if tx.status is TxStatus.DROPPED)
+        records.append(([tx.metadata["label"] for tx in packed], fill_prices, gas_used, swept, evicted, len(pool), dropped))
+    return records
 
 
 # --------------------------------------------------------------------- #

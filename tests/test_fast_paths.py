@@ -9,7 +9,9 @@ slow formulation it replaced.
 * ``BorrowerCohort`` skips only borrowers whose scalar health factor is at
   or above their top-up trigger, and calls the rest in agent order;
 * ``LendingProtocol.step_scan`` is one scan per price key and book
-  revision, shared with the liquidation scan.
+  revision, shared with the liquidation scan;
+* an indebted row with no collateral entry (bad debt) is a liquidation
+  candidate without a scalar health factor and quotes to ``None``.
 """
 
 from __future__ import annotations
@@ -24,6 +26,8 @@ from repro import scenarios
 from repro.agents import BorrowerAgent, BorrowerCohort, BorrowerProfile, spawn_rng, spawn_rngs
 from repro.chain.chain import Blockchain, ChainConfig
 from repro.chain.types import make_address
+from repro.core.fixed_spread import LiquidationError, quote_liquidation
+from repro.core.position import Position
 from repro.oracle.chainlink import OracleConfig, PriceOracle
 from repro.oracle.feed import PriceFeed
 from repro.protocols.base import MarketConfig
@@ -322,3 +326,91 @@ class TestStepScan:
         protocol.position_of(underwater.address).add_collateral("ETH", 1.0)
         assert protocol.liquidatable_candidates() == []
         assert len(scans) == 2 and protocol.step_scan() is scans[1]
+
+
+def reference_quote(protocol, position):
+    """The quote without the bad-debt shortcut: value dicts first."""
+    prices, thresholds = protocol.prices(), protocol.liquidation_thresholds()
+    debt_values = position.debt_values(prices)
+    collateral_values = position.collateral_values(prices)
+    if not debt_values or not collateral_values:
+        return None
+    debt_symbol = max(debt_values, key=debt_values.get)
+    collateral_symbol = max(collateral_values, key=collateral_values.get)
+    try:
+        return quote_liquidation(
+            position,
+            debt_symbol,
+            collateral_symbol,
+            position.debt[debt_symbol] * protocol.close_factor,
+            protocol.params_for(collateral_symbol),
+            prices,
+            thresholds,
+        )
+    except LiquidationError:
+        return None
+
+
+class TestBadDebtRows:
+    """An indebted row with no collateral entry is a candidate (HF = 0)
+    without a scalar health factor, and quotes to nothing."""
+
+    @pytest.fixture()
+    def rows(self, registry, monkeypatch):
+        protocol = ladder_protocol(registry)
+        bad_debt = protocol.position_of(make_address("bad-debt"))
+        bad_debt.add_debt("DAI", 400.0)
+        sub_dust = protocol.position_of(make_address("sub-dust"))
+        sub_dust.add_collateral("ETH", 1e-12)
+        sub_dust.add_debt("DAI", 400.0)
+        underwater = open_borrower(protocol, "underwater", 950.0)
+        healthy = open_borrower(protocol, "healthy", 100.0)
+        scored: list = []
+        health_factor = Position.health_factor
+
+        def spy(position, prices, thresholds):
+            scored.append(position.owner)
+            return health_factor(position, prices, thresholds)
+
+        monkeypatch.setattr(Position, "health_factor", spy)
+        return SimpleNamespace(
+            protocol=protocol,
+            bad_debt=bad_debt,
+            sub_dust=sub_dust,
+            underwater=protocol.position_of(underwater.address),
+            healthy=protocol.position_of(healthy.address),
+            scored=scored,
+        )
+
+    def test_a_collateral_less_row_is_a_candidate_without_a_health_factor(self, rows):
+        candidates = rows.protocol.liquidatable_candidates()
+        assert candidates == [rows.bad_debt, rows.sub_dust, rows.underwater]
+        assert rows.bad_debt.owner not in rows.scored
+        assert rows.sub_dust.owner in rows.scored and rows.underwater.owner in rows.scored
+        assert health_factor_of(rows.protocol, rows.bad_debt) == 0.0
+
+    def test_the_candidates_equal_the_scalar_sweep(self, rows):
+        prices, thresholds = rows.protocol.prices(), rows.protocol.liquidation_thresholds()
+        for require_collateral in (False, True):
+            sweep = [
+                position
+                for position in rows.protocol.positions_with_debt()
+                if (position.has_collateral or not require_collateral)
+                and position.is_liquidatable(prices, thresholds)
+            ]
+            assert rows.protocol.liquidatable_candidates(require_collateral=require_collateral) == sweep
+
+    def test_quotes_are_unchanged(self, rows):
+        protocol = rows.protocol
+        assert protocol.quote_best_opportunity(rows.bad_debt.owner) is None
+        for position in (rows.sub_dust, rows.underwater, rows.healthy):
+            assert protocol.quote_best_opportunity(position.owner) == reference_quote(protocol, position)
+        assert protocol.quote_best_opportunity(rows.underwater.owner) is not None
+        quoted = protocol.quote_opportunities(protocol.liquidatable_candidates())
+        assert [position for position, _ in quoted] == [
+            position for position in (rows.sub_dust, rows.underwater) if reference_quote(protocol, position)
+        ]
+
+
+def health_factor_of(protocol, position) -> float:
+    return position.health_factor(protocol.prices(), protocol.liquidation_thresholds())

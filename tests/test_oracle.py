@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from repro.chain.chain import Blockchain, ChainConfig
+from repro.chain.types import make_address
 from repro.oracle.chainlink import OracleConfig, PriceOracle
 from repro.oracle.feed import PriceFeed, UnknownSymbol
 from repro.oracle.paths import AssetPathConfig, Shock, apply_shocks, build_series, gbm_path, stablecoin_path
@@ -118,3 +120,111 @@ class TestPriceOracle:
 
     def test_value_usd(self, oracle):
         assert oracle.value_usd("ETH", 2.0) == pytest.approx(4_000.0)
+
+
+ORACLE_ADDRESS = make_address("bulk-oracle")
+OTHER_EMITTER = make_address("other-contract")
+
+
+def per_symbol_update(oracle: PriceOracle) -> list[str]:
+    """The reference: decide each symbol in sorted order and post it on its
+    own with :meth:`PriceOracle.post_price`."""
+    block = oracle.chain.current_block
+    config = oracle.config
+    updates = []
+    for symbol, market_price in sorted(oracle.feed.prices_at(block).items()):
+        posted = oracle.overrides.get(symbol, market_price)
+        history = oracle.history(symbol)
+        needs_update = not history
+        if history:
+            last_block, current = history[-1]
+            deviation = abs(posted - current) / current if current else float("inf")
+            needs_update = deviation >= config.deviation_threshold or block - last_block >= config.heartbeat_blocks
+        if needs_update:
+            oracle.post_price(symbol, posted, block)
+            updates.append((symbol, float(posted)))
+    oracle.last_updates = updates
+    return [symbol for symbol, _ in updates]
+
+
+def oracle_state(oracle: PriceOracle) -> tuple:
+    events = [
+        (event.name, event.emitter, event.block_number, event.tx_hash, event.log_index, event.data)
+        for event in oracle.chain.events
+    ]
+    return (
+        events,
+        {symbol: oracle.history(symbol) for symbol in oracle.feed.symbols()},
+        oracle._blocks,
+        oracle._prices,
+        oracle._latest,
+        oracle.version,
+        oracle.last_updates,
+    )
+
+
+class TestBulkPosting:
+    """One ``update_from_feed`` leaves what its per-symbol posts left."""
+
+    def twins(self, flat_feed):
+        pair = []
+        for _ in range(2):
+            chain = Blockchain(ChainConfig(inception_block=1_000))
+            pair.append(PriceOracle(chain, flat_feed, OracleConfig(heartbeat_blocks=5), address=ORACLE_ADDRESS))
+        return pair
+
+    def run_both(self, flat_feed, script):
+        bulk, reference = self.twins(flat_feed)
+        updated = []
+        for oracle, update in ((bulk, bulk.update_from_feed), (reference, lambda: per_symbol_update(reference))):
+            updated.append(script(oracle, update))
+        assert updated[0] == updated[1]
+        assert oracle_state(bulk) == oracle_state(reference)
+        return bulk, updated[0]
+
+    def test_first_post_continues_another_emitters_log_indices(self, flat_feed):
+        def script(oracle, update):
+            oracle.chain.emit_event("Ping", OTHER_EMITTER, {"n": 1})
+            oracle.chain.emit_event("Ping", OTHER_EMITTER, {"n": 2})
+            return update()
+
+        bulk, updated = self.run_both(flat_feed, script)
+        assert updated == sorted(flat_feed.symbols())
+        assert [event.log_index for event in bulk.chain.events] == list(range(2 + len(updated)))
+
+    def test_overridden_symbol_and_heartbeat_only_update(self, flat_feed):
+        def script(oracle, update):
+            rounds = [update()]
+            for _ in range(3):
+                oracle.chain.mine_block()
+            oracle.post_price("ETH", 2_000.0)  # same price: resets ETH's heartbeat only
+            oracle.set_override("DAI", 1.30)
+            rounds.append(update())  # DAI deviates; nothing else is due
+            for _ in range(3):
+                oracle.chain.mine_block()
+            oracle.chain.emit_event("Ping", OTHER_EMITTER, {})
+            rounds.append(update())  # heartbeat: every symbol but ETH and DAI
+            return rounds
+
+        bulk, (first, overridden, heartbeat) = self.run_both(flat_feed, script)
+        assert overridden == ["DAI"]
+        assert bulk.last_updates != []
+        assert set(heartbeat) == set(flat_feed.symbols()) - {"ETH", "DAI"}
+        assert bulk.chain.events.by_name("AnswerUpdated")[-1].log_index == len(heartbeat)
+
+    def test_nothing_due_posts_nothing(self, flat_feed):
+        def script(oracle, update):
+            return [update(), update()]
+
+        bulk, (first, second) = self.run_both(flat_feed, script)
+        assert second == [] and bulk.last_updates == []
+
+    def test_post_price_is_a_one_pair_post(self, chain, flat_feed):
+        oracle = PriceOracle(chain, flat_feed)
+        payload_count = len(chain.events)
+        oracle.post_price("eth", 1_950, block_number=990)
+        (event,) = chain.events.since(payload_count)
+        assert event.data == {"symbol": "ETH", "price": 1_950.0, "oracle": "chainlink"}
+        assert isinstance(event.data["price"], float)
+        assert oracle.history("ETH") == [(990, 1_950.0)]
+        assert oracle.version == 1

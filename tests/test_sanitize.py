@@ -25,6 +25,7 @@ from repro.chain.mempool import Mempool
 from repro.chain.transaction import Transaction
 from repro.chain.types import make_address, reset_id_counters
 from repro.serialize import to_jsonable
+from repro.simulation.engine import SimulationEngine
 
 #: Number of block strides each truncated bit-identity run covers.
 STRIDES = 30
@@ -197,6 +198,27 @@ class TestScanCrossCheck:
             candidates = engine._liquidatable_candidates(protocol)
             assert candidates == engine._scalar_candidates(protocol, False)
 
+    def test_cross_check_holds_through_bad_debt(self, monkeypatch):
+        """``double-crash-stress`` strands debt without collateral after its
+        first crash; the scan admits those rows without a scalar health
+        factor, and every cross-check against the sweep still agrees."""
+        checked = SimulationEngine._cross_check_scan
+        bad_debt_candidates: list[int] = []
+
+        def counting(engine, protocol, require_collateral, candidates):
+            checked(engine, protocol, require_collateral, candidates)
+            bad_debt_candidates.append(sum(1 for position in candidates if not position.collateral))
+
+        monkeypatch.setattr(SimulationEngine, "_cross_check_scan", counting)
+        reset_id_counters()
+        builder = scenarios.get("double-crash-stress").builder(seed=2)
+        config = builder.config
+        builder.config = config.with_overrides(end_block=config.start_block + 260 * config.blocks_per_step)
+        with sanitize.scoped(True, check_stride=4):
+            builder.build().run()
+        assert len(bad_debt_candidates) > 100
+        assert max(bad_debt_candidates) > 0
+
 
 class TestBorrowerPrefilterCrossCheck:
     def exposed_borrower(self, engine):
@@ -271,6 +293,16 @@ class TestMempoolInvariants:
         victim = next(item[2] for item in pool._heap if item[2].alive)
         victim.alive = False
         with pytest.raises(sanitize.SanitizerError):
+            pool.check_invariants()
+
+    def test_corrupted_fill_key_detected(self):
+        pool = self.make_pool()
+        pool.submit_fill([3 * 10**9, 5 * 10**9], 21_000, current_block=1)
+        pool.check_invariants()
+        index = next(i for i, item in enumerate(pool._heap) if item[2].transaction is None)
+        key, seq, entry = pool._heap[index]
+        pool._heap[index] = (key - 10**9, seq, entry)  # the fill now claims a higher bid
+        with pytest.raises(sanitize.SanitizerError, match="sort key .* of background fill"):
             pool.check_invariants()
 
     def test_checked_from_mine_block(self):
