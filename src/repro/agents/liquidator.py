@@ -76,26 +76,43 @@ class LiquidatorAgent(Agent):
     # Acting
     # ------------------------------------------------------------------ #
     def act(self, engine: "SimulationEngine") -> None:
-        """Scan this step's opportunities and submit liquidation transactions."""
-        if self.profile.offline_during_congestion and engine.chain.gas_market.is_congested:
+        """Scan this step's opportunities and submit liquidation transactions.
+
+        Each detected opportunity draws a competitive gas-price bid around
+        the prevailing base price (lognormal multiplier) and is skipped
+        when the fee, scaled by the profit margin, exceeds its expected
+        profit.  Nothing the bids read changes while the bot submits, so
+        the base price, the ETH price and the profile terms are read once
+        per call; the draws keep their order.
+        """
+        profile = self.profile
+        if profile.offline_during_congestion and engine.chain.gas_market.is_congested:
             return
         opportunities = engine.fixed_spread_opportunities()
         if not opportunities:
             return
         self._ensure_funding(engine)
-        for opportunity in opportunities:
-            if self.rng.random() > self.profile.detection_probability:
-                continue
-            self._consider(engine, opportunity)
-
-    def _consider(self, engine: "SimulationEngine", opportunity: "LiquidationOpportunity") -> None:
-        """Evaluate profitability and, if attractive, submit the liquidation."""
-        gas_price = self._choose_gas_price(engine)
+        rng = self.rng
+        detection_probability = profile.detection_probability
+        base = engine.chain.gas_market.base_gas_price_wei
+        log_mean = np.log(profile.gas_multiplier_mean)
+        sigma = profile.gas_multiplier_sigma
         eth_price = engine.oracle.price("ETH")
-        fee_usd = gas_price * LIQUIDATION_GAS / 1e18 * eth_price
-        if opportunity.expected_profit_usd < fee_usd * self.profile.min_profit_margin:
-            return
-        use_flash = self.rng.random() < self.profile.flash_loan_probability
+        margin = profile.min_profit_margin
+        for opportunity in opportunities:
+            if rng.random() > detection_probability:
+                continue
+            gas_price = max(int(base * float(rng.lognormal(log_mean, sigma))), 1)
+            fee_usd = gas_price * LIQUIDATION_GAS / 1e18 * eth_price
+            if opportunity.expected_profit_usd < fee_usd * margin:
+                continue
+            use_flash = rng.random() < profile.flash_loan_probability
+            self._submit(engine, opportunity, gas_price, use_flash)
+
+    def _submit(
+        self, engine: "SimulationEngine", opportunity: "LiquidationOpportunity", gas_price: int, use_flash: bool
+    ) -> None:
+        """Submit the liquidation of ``opportunity`` at ``gas_price``."""
         protocol = opportunity.protocol
         borrower = opportunity.borrower
         debt_symbol = opportunity.debt_symbol
@@ -273,14 +290,3 @@ class LiquidatorAgent(Agent):
         balance = collateral_token.balance_of(self.address)
         if balance > 0:
             engine.market_maker.convert(self.address, collateral_symbol, holding, balance)
-
-    # ------------------------------------------------------------------ #
-    # Gas bidding
-    # ------------------------------------------------------------------ #
-    def _choose_gas_price(self, engine: "SimulationEngine") -> int:
-        """Draw a competitive gas-price bid around the prevailing base price."""
-        base = engine.chain.gas_market.base_gas_price_wei
-        multiplier = float(
-            self.rng.lognormal(mean=np.log(self.profile.gas_multiplier_mean), sigma=self.profile.gas_multiplier_sigma)
-        )
-        return max(int(base * multiplier), 1)

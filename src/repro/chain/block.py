@@ -7,7 +7,9 @@ in Figures 5 and 9).
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
+from functools import partial
 
 from .receipts import summarize_gas
 from .transaction import Receipt, TxKind
@@ -37,10 +39,11 @@ class Block:
         to reproduce the average-gas-price curve of Figure 6.
     fill_gas_prices:
         Gas prices (wei) of the background fill the block packed, in
-        inclusion order.  Fill is a mempool lane without transactions
-        (:meth:`~repro.chain.chain.Blockchain.submit_fill`), so its price is
-        all it leaves; together with the receipts these are every entry the
-        block executed.
+        inclusion order, as an ``array("q")``: one machine integer each
+        instead of an ``int`` object.  Fill is a mempool lane without
+        transactions (:meth:`~repro.chain.chain.Blockchain.submit_fill`), so
+        its price is all it leaves; together with the receipts these are
+        every entry the block executed.
     """
 
     number: int
@@ -49,7 +52,7 @@ class Block:
     gas_limit: int = 0
     gas_used: int = 0
     base_gas_price: int = 0
-    fill_gas_prices: list[int] = field(default_factory=list)
+    fill_gas_prices: array[int] = field(default_factory=partial(array, "q"))
 
     def __post_init__(self) -> None:
         if not self.gas_used and self.receipts:

@@ -13,8 +13,9 @@ This is the substrate standing in for the paper's Ethereum full archive node
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Any, Callable, Mapping, Sequence
 
 from .. import sanitize
 from ..telemetry.runtime import span
@@ -170,7 +171,7 @@ class Blockchain:
             receipts=receipts,
             gas_limit=gas_budget,
             base_gas_price=base_price,
-            fill_gas_prices=selected.fill_gas_prices,
+            fill_gas_prices=array("q", selected.fill_gas_prices),
         )
         # Direct executions may have attached receipts mid-block without
         # going through packing; charge the block's gas accounting only for
@@ -262,17 +263,22 @@ class Blockchain:
         self.events.append(name, emitter, block_number, tx_hash, self._log_index, dict(data))
         self._log_index += 1
 
-    def emit_events(self, name: str, emitter: Address, payloads: list[dict[str, Any]], tx_hash: str = "") -> None:
-        """Record one ``name`` log per payload, in order, at the current block.
+    def emit_events(
+        self, name: str, emitter: Address, columns: Mapping[str, Sequence[Any]], tx_hash: str = ""
+    ) -> None:
+        """Record one ``name`` log per row of ``columns``, in order, at the
+        current block.
 
-        The logs are exactly those of one :meth:`emit_event` call per
-        payload — consecutive log indices included — except that the
-        payload dicts are stored as given, not copied: the caller hands
-        them over.
+        ``columns`` maps each payload key to its values, one per log (for
+        example an oracle's posts: ``{"symbol": [...], "price":
+        array("d", ...), "oracle": [...]}``).  The logs are exactly those of
+        one :meth:`emit_event` call per row, with the row's keys in
+        ``columns`` order — consecutive log indices included — but the
+        batch is archived as its columns, which the caller hands over, not
+        as one dict per log (:class:`~repro.chain.events.PayloadRun`).
         """
         block_number = self._executing_block if self._executing_block is not None else self._current_block
-        self.events.extend(name, emitter, block_number, tx_hash, self._log_index, payloads)
-        self._log_index += len(payloads)
+        self._log_index += self.events.extend(name, emitter, block_number, tx_hash, self._log_index, columns)
 
     def get_logs(self, event_filter: EventFilter) -> list[EventLog]:
         """Archive-node style filtered log query."""

@@ -11,8 +11,9 @@ exactly the workflow of ``eth_getLogs`` against an archive node.
 from __future__ import annotations
 
 import itertools
+from array import array
 from dataclasses import dataclass, field
-from typing import Any, Container, Iterable, Iterator
+from typing import Any, Container, Iterable, Iterator, Mapping, Sequence
 
 from .types import Address
 
@@ -95,40 +96,71 @@ class EventFilter:
         return True
 
 
+class PayloadRun:
+    """The payloads of one :meth:`EventStore.extend` batch, kept as columns.
+
+    ``columns`` maps each payload key to one sequence with an entry per log
+    of the batch (a list, or a typed ``array`` for numbers); ``start`` is the
+    store position of the batch's first log.  Every log of the batch shares
+    this one object in the store's payload column, and a view builds its
+    ``data`` dict on read: the keys in ``columns`` order, the values at the
+    log's offset in the batch.
+    """
+
+    __slots__ = ("start", "columns")
+
+    def __init__(self, start: int, columns: Mapping[str, Sequence[Any]]) -> None:
+        self.start = start
+        self.columns = columns
+
+    def row(self, position: int) -> dict[str, Any]:
+        """The payload dict of the log at store ``position``."""
+        index = position - self.start
+        return {key: column[index] for key, column in self.columns.items()}
+
+
 class EventStore:
     """Append-only, columnar store of every event emitted on the simulated chain.
 
     The store keeps one list per :class:`EventLog` field plus, per event
-    name, the list of positions holding that name.  A finished
+    name, the positions holding that name in an ``array("q")``.  A finished
     ``paper-full`` world emits ~190k logs, ~177k of them oracle posts, and
     columns are a handful of containers the garbage collector walks as a
     whole instead of one frozen object per log.  Logs come in one at a
-    time (:meth:`append`) or as a run of one name from one emitter at
-    consecutive log indices (:meth:`extend`: an oracle's posts of a step).
+    time (:meth:`append`, whose payload dict is stored) or as a run of one
+    name from one emitter at consecutive log indices (:meth:`extend`: an
+    oracle's posts of a step), whose payloads arrive as columns and are
+    stored as one shared :class:`PayloadRun` instead of one dict per log.
     Readers still receive :class:`EventLog` s: iteration, :meth:`by_name`,
     :meth:`filter` and :meth:`since` build them on read, in emission order
-    (block number, then log index), and a view's ``data`` is the stored
-    payload dict.
+    (block number, then log index).  A view's ``data`` is the stored dict
+    of an appended log, and a fresh dict equal to what was posted for a log
+    of a run.
     """
 
     def __init__(self) -> None:
-        #: One list per :class:`EventLog` field, in field order.
+        #: One list per :class:`EventLog` field, in field order; the payload
+        #: column holds a dict per appended log and the shared
+        #: :class:`PayloadRun` for each log of an extended batch.
         self._columns: tuple[list[Any], ...] = ([], [], [], [], [], [])
         #: Per event name, the ascending positions that hold it.
-        self._positions: dict[str, list[int]] = {}
+        self._positions: dict[str, array[int]] = {}
 
     def __len__(self) -> int:
         return len(self._columns[0])
 
     def __iter__(self) -> Iterator[EventLog]:
-        return map(EventLog, *self._columns)
+        for position, (name, emitter, block_number, tx_hash, log_index, data) in enumerate(zip(*self._columns)):
+            if type(data) is PayloadRun:
+                data = data.row(position)
+            yield EventLog(name, emitter, block_number, tx_hash, log_index, data)
 
     def append(
         self, name: str, emitter: Address, block_number: int, tx_hash: str, log_index: int, data: dict[str, Any]
     ) -> None:
         """Record a newly emitted event, one value per column."""
         names, emitters, blocks, tx_hashes, log_indices, payloads = self._columns
-        self._positions.setdefault(name, []).append(len(names))
+        self._positions.setdefault(name, array("q")).append(len(names))
         names.append(name)
         emitters.append(emitter)
         blocks.append(block_number)
@@ -143,23 +175,36 @@ class EventStore:
         block_number: int,
         tx_hash: str,
         first_log_index: int,
-        payloads: list[dict[str, Any]],
-    ) -> None:
-        """Record one ``name`` event per payload, at consecutive log indices
-        from ``first_log_index``; the payload dicts are stored as given."""
-        count = len(payloads)
+        columns: Mapping[str, Sequence[Any]],
+    ) -> int:
+        """Record one ``name`` event per row of ``columns``, at consecutive
+        log indices from ``first_log_index``, and return how many.
+
+        ``columns`` maps each payload key to its values, one per log and all
+        of one length; it is stored as given in one :class:`PayloadRun`.
+        """
+        count = len(next(iter(columns.values())))
+        if any(len(column) != count for column in columns.values()):
+            raise ValueError(f"{name} payload columns differ in length")
         names, emitters, blocks, tx_hashes, log_indices, stored = self._columns
         start = len(names)
-        self._positions.setdefault(name, []).extend(range(start, start + count))
+        self._positions.setdefault(name, array("q")).extend(range(start, start + count))
         names.extend(itertools.repeat(name, count))
         emitters.extend(itertools.repeat(emitter, count))
         blocks.extend(itertools.repeat(block_number, count))
         tx_hashes.extend(itertools.repeat(tx_hash, count))
         log_indices.extend(range(first_log_index, first_log_index + count))
-        stored.extend(payloads)
+        stored.extend(itertools.repeat(PayloadRun(start, columns), count))
+        return count
 
     def _view(self, position: int) -> EventLog:
-        return EventLog(*[column[position] for column in self._columns])
+        names, emitters, blocks, tx_hashes, log_indices, payloads = self._columns
+        data = payloads[position]
+        if type(data) is PayloadRun:
+            data = data.row(position)
+        return EventLog(
+            names[position], emitters[position], blocks[position], tx_hashes[position], log_indices[position], data
+        )
 
     def filter(self, event_filter: EventFilter) -> list[EventLog]:
         """Return all events matching ``event_filter`` in emission order."""

@@ -61,7 +61,8 @@ class _PoolEntry:
 class BlockSelection(list[Transaction]):
     """What one block packs: the transactions, in inclusion order, plus the
     gas prices of the background fill packed among them (in inclusion
-    order) and the gas every packed entry used."""
+    order, a plain list while packing appends to it; the mined block keeps
+    them as one typed array) and the gas every packed entry used."""
 
     __slots__ = ("fill_gas_prices", "gas_used")
 

@@ -17,6 +17,7 @@ Aave and Compound base their pricing on external oracles (Section 2.2.1,
 from __future__ import annotations
 
 import bisect
+from array import array
 from dataclasses import dataclass, field
 
 from ..chain.chain import Blockchain
@@ -39,7 +40,8 @@ class PriceOracle:
     The oracle keeps, per symbol, the full history of posted ``(block,
     price)`` pairs.  ``price(symbol)`` returns the latest posted price, and
     ``price_at(symbol, block)`` performs the archive-style historical lookup
-    the analytics pipeline uses.
+    the analytics pipeline uses.  The history is the archive's record of
+    the posts; the ``AnswerUpdated`` logs only mirror it for log readers.
     """
 
     def __init__(
@@ -53,10 +55,11 @@ class PriceOracle:
         self.feed = feed
         self.config = config or OracleConfig()
         self.address = address or make_address(self.config.name)
-        #: The posted history, per symbol, as two parallel lists: the blocks
-        #: (ascending, so an archive lookup bisects them) and the prices.
-        self._blocks: dict[str, list[int]] = {}
-        self._prices: dict[str, list[float]] = {}
+        #: The posted history, per symbol, as two parallel typed arrays: the
+        #: blocks (``array("q")``, ascending, so an archive lookup bisects
+        #: them) and the prices (``array("d")``).
+        self._blocks: dict[str, array[int]] = {}
+        self._prices: dict[str, array[float]] = {}
         #: Per symbol, the latest posted price (the last of ``_prices``).
         self._latest: dict[str, float] = {}
         self._overrides: dict[str, float] = {}
@@ -93,19 +96,21 @@ class PriceOracle:
         posted_blocks = self._blocks
         posted_prices = self._prices
         latest = self._latest
-        oracle = self.config.name
-        payloads = []
         for key, price in updates:
             blocks = posted_blocks.get(key)
             if blocks is None:
-                blocks = posted_blocks[key] = []
-                posted_prices[key] = []
+                blocks = posted_blocks[key] = array("q")
+                posted_prices[key] = array("d")
             blocks.append(block)
             posted_prices[key].append(price)
             latest[key] = price
-            payloads.append({"symbol": key, "price": price, "oracle": oracle})
         self.version += len(updates)
-        self.chain.emit_events("AnswerUpdated", self.address, payloads)
+        columns = {
+            "symbol": [key for key, _ in updates],
+            "price": array("d", [price for _, price in updates]),
+            "oracle": [self.config.name] * len(updates),
+        }
+        self.chain.emit_events("AnswerUpdated", self.address, columns)
 
     def update_from_feed(self, block_number: int | None = None) -> list[str]:
         """Post fresh prices for every symbol whose policy triggers an update.

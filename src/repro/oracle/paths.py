@@ -93,17 +93,23 @@ def stablecoin_path(
     n_steps: int,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Generate a mean-reverting path hovering around the peg."""
+    """Generate a mean-reverting path hovering around the peg.
+
+    The noise is one vector draw, the same stream as one scalar
+    ``rng.normal(0.0, peg_volatility)`` per step, and the recurrence runs
+    on Python floats, which round exactly as the ``float64`` elements do.
+    """
     if n_steps <= 0:
         return np.zeros(0)
-    prices = np.empty(n_steps)
-    prices[0] = config.initial_price
-    for step in range(1, n_steps):
-        deviation = config.peg - prices[step - 1]
-        noise = rng.normal(0.0, config.peg_volatility)
-        prices[step] = prices[step - 1] + config.peg_reversion * deviation + noise
-    prices = np.clip(prices, 0.2 * config.peg, 5.0 * config.peg)
-    return apply_shocks(prices, config.shocks)
+    peg = config.peg
+    reversion = config.peg_reversion
+    price = float(config.initial_price)
+    prices = [price]
+    for noise in rng.normal(0.0, config.peg_volatility, n_steps - 1).tolist():
+        price = price + reversion * (peg - price) + noise
+        prices.append(price)
+    path = np.clip(np.array(prices), 0.2 * peg, 5.0 * peg)
+    return apply_shocks(path, config.shocks)
 
 
 def apply_shocks(path: np.ndarray, shocks: list[Shock]) -> np.ndarray:

@@ -12,8 +12,9 @@ subclasses.
 from __future__ import annotations
 
 import abc
+from array import array
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -57,6 +58,83 @@ class MarketConfig:
     interest_model: KinkedRateModel = field(default_factory=KinkedRateModel)
 
 
+class SnapshotPositions(Sequence[dict[str, Any]]):
+    """The ``positions`` rows of one archived snapshot, kept as columns.
+
+    Each row reads as the dict the archive has always held: ``{"owner":
+    owner address, "collateral": {symbol: amount}, "debt": {symbol:
+    amount}, "health_factor": hf}``, with the position's entries in its own
+    insertion order (explicit ``0.0`` and sub-dust amounts included).  What
+    is stored is one owner string, one interned collateral-key tuple and
+    one interned debt-key tuple per row, and the amounts and health
+    factors in flat ``array("d")`` s, so a snapshot of a ``paper-full``
+    book is a few containers instead of three dicts per position.  Rows
+    are built on read; the sequence is read-only.
+    """
+
+    __slots__ = ("_owners", "_collateral_keys", "_debt_keys", "_starts", "_amounts", "_health_factors")
+
+    def __init__(
+        self, valued: Iterable[tuple[Position, float]], key_tuples: dict[tuple[str, ...], tuple[str, ...]]
+    ) -> None:
+        """Capture each ``(position, health_factor)`` pair as a row.
+
+        ``key_tuples`` interns the key tuples: equal tuples of every
+        snapshot that shares it are one object.
+        """
+        owners: list[str] = []
+        collateral_keys: list[tuple[str, ...]] = []
+        debt_keys: list[tuple[str, ...]] = []
+        starts = array("q")
+        amounts = array("d")
+        health_factors = array("d")
+        for position, health_factor in valued:
+            collateral = position.collateral
+            debt = position.debt
+            owners.append(position.owner.value)
+            keys = tuple(collateral)
+            collateral_keys.append(key_tuples.setdefault(keys, keys))
+            keys = tuple(debt)
+            debt_keys.append(key_tuples.setdefault(keys, keys))
+            starts.append(len(amounts))
+            amounts.extend(collateral.values())
+            amounts.extend(debt.values())
+            health_factors.append(health_factor)
+        self._owners = owners
+        self._collateral_keys = collateral_keys
+        self._debt_keys = debt_keys
+        #: Per row, where its collateral amounts start in ``_amounts``; its
+        #: debt amounts follow them.
+        self._starts = starts
+        self._amounts = amounts
+        self._health_factors = health_factors
+
+    def __len__(self) -> int:
+        return len(self._owners)
+
+    def _row(self, index: int) -> dict[str, Any]:
+        collateral_keys = self._collateral_keys[index]
+        debt_keys = self._debt_keys[index]
+        start = self._starts[index]
+        middle = start + len(collateral_keys)
+        amounts = self._amounts
+        return {
+            "owner": self._owners[index],
+            "collateral": dict(zip(collateral_keys, amounts[start:middle])),
+            "debt": dict(zip(debt_keys, amounts[middle : middle + len(debt_keys)])),
+            "health_factor": self._health_factors[index],
+        }
+
+    def __getitem__(self, index: Any) -> Any:
+        rows = range(len(self))
+        if isinstance(index, slice):
+            return [self._row(row) for row in rows[index]]
+        return self._row(rows[index])
+
+    def __iter__(self) -> Iterator[dict[str, Any]]:
+        return map(self._row, range(len(self)))
+
+
 class LendingProtocol(abc.ABC):
     """Base class of the four studied lending protocols."""
 
@@ -96,6 +174,8 @@ class LendingProtocol(abc.ABC):
         self._thresholds: dict[str, float] | None = None
         self._step_scan: BookScan | None = None
         self._step_scan_key: tuple | None = None
+        #: Interned key tuples shared by every archived snapshot's rows.
+        self._snapshot_keys: dict[tuple[str, ...], tuple[str, ...]] = {}
         self.inception_block = chain.current_block if inception_block is None else inception_block
         self._total_borrowed_usd_estimate = 0.0
         self._last_accrual_block = self.chain.current_block
@@ -509,7 +589,9 @@ class LendingProtocol(abc.ABC):
         position's health factor come from one shared
         :meth:`valuation` — the price vector is fetched once per snapshot
         instead of once per aggregate — and the pinned accessors keep the
-        archived numbers bit-identical to the scalar walk.
+        archived numbers bit-identical to the scalar walk.  Either way
+        ``"positions"`` is a :class:`SnapshotPositions`: the open
+        positions' rows, kept as columns and read as dicts.
         """
         if self.uses_book_aggregates():
             valuation = self.valuation()
@@ -519,18 +601,16 @@ class LendingProtocol(abc.ABC):
             total_debt = valuation.pinned_total_debt_usd()
             health_factors = valuation.pinned_health_factors()
             open_rows = np.flatnonzero(valuation.has_debt | valuation.has_collateral)
-            valued_positions = [
-                (self.book.position_at(row), health_factors[row]) for row in open_rows.tolist()
-            ]
+            position_at = self.book.position_at
+            valued = ((position_at(row), health_factors[row]) for row in open_rows.tolist())
         else:
             prices = self.prices()
             thresholds = self.liquidation_thresholds()
             total_collateral = self.total_collateral_usd()
             total_debt = self.total_debt_usd()
-            valued_positions = [
-                (position, position.health_factor(prices, thresholds))
-                for position in self.open_positions()
-            ]
+            valued = (
+                (position, position.health_factor(prices, thresholds)) for position in self.open_positions()
+            )
         return {
             "block": self.chain.current_block,
             "platform": self.name,
@@ -538,15 +618,7 @@ class LendingProtocol(abc.ABC):
             "thresholds": dict(thresholds),
             "total_collateral_usd": total_collateral,
             "total_debt_usd": total_debt,
-            "positions": [
-                {
-                    "owner": position.owner.value,
-                    "collateral": dict(position.collateral),
-                    "debt": dict(position.debt),
-                    "health_factor": health_factor,
-                }
-                for position, health_factor in valued_positions
-            ],
+            "positions": SnapshotPositions(valued, self._snapshot_keys),
         }
 
     # ------------------------------------------------------------------ #

@@ -12,7 +12,8 @@ Rules:
 * dataclasses become dicts in field order;
 * numpy scalars become their Python equivalents, numpy arrays become
   (nested) lists;
-* tuples and lists become lists; sets become sorted lists;
+* tuples, lists and any other ``Sequence`` (an archived snapshot's
+  positions, a typed ``array``) become lists; sets become sorted lists;
 * dict keys are stringified (``{10.0: ...}`` → ``{"10.0": ...}``) because
   JSON object keys are always strings;
 * non-finite floats become the strings ``"NaN"`` / ``"Infinity"`` /
@@ -31,6 +32,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+from collections.abc import Sequence
 from typing import Any
 
 import numpy as np
@@ -75,7 +77,7 @@ def to_jsonable(obj: Any) -> Any:
         }
     if isinstance(obj, dict):
         return {_key(key): to_jsonable(value) for key, value in obj.items()}
-    if isinstance(obj, (list, tuple)):
+    if isinstance(obj, (list, tuple, Sequence)):
         return [to_jsonable(value) for value in obj]
     if isinstance(obj, (set, frozenset)):
         return [to_jsonable(value) for value in sorted(obj, key=str)]

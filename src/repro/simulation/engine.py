@@ -214,8 +214,9 @@ class SimulationEngine:
         self.bus = ObserverBus()
         self.step_index = 0
         #: Whether this step runs the sanitizer's per-stride cross-checks
-        #: that agents make (read once per step, not once per agent).
-        self.sanitize_step = False
+        #: (read once per step, not once per scan or agent); ``None``
+        #: outside :meth:`step`, where a scan reads the switch itself.
+        self.sanitize_step: bool | None = None
         self.rng = np.random.default_rng(config.seed + 104729)
         #: Streaming cursor into the chain's append-only event store: chain
         #: logs past this offset have not yet been translated into typed
@@ -359,7 +360,10 @@ class SimulationEngine:
         sweep of :meth:`_scalar_candidates` returns, in the same order.
         """
         candidates = protocol.liquidatable_candidates(require_collateral=require_collateral)
-        if sanitize.enabled() and self.step_index % sanitize.stride() == 0:
+        check = self.sanitize_step
+        if check is None:
+            check = sanitize.enabled() and self.step_index % sanitize.stride() == 0
+        if check:
             self._cross_check_scan(protocol, require_collateral, candidates)
         return candidates
 
@@ -456,6 +460,7 @@ class SimulationEngine:
         shared no-op, so the instrumentation is unmeasurable on bare runs.
         """
         with span("engine.step"):
+            self.sanitize_step = sanitize.enabled() and self.step_index % sanitize.stride() == 0
             bus = self.bus if self.bus.active else None
             if bus:
                 bus.emit(
@@ -474,7 +479,6 @@ class SimulationEngine:
             with span("engine.traffic"):
                 self._submit_background_traffic()
             with span("engine.agents"):
-                self.sanitize_step = sanitize.enabled() and self.step_index % sanitize.stride() == 0
                 plan = self._agent_plan
                 if plan is None:
                     plan = self._agent_plan = plan_agents(self.agents)
@@ -495,6 +499,7 @@ class SimulationEngine:
                         )
                     )
             self.step_index += 1
+            self.sanitize_step = None
             return block
 
     def run(self, n_steps: int | None = None) -> SimulationResult:

@@ -3,6 +3,12 @@
 * The event log is columnar: every read builds :class:`EventLog` views,
   which must equal what was emitted, in emission order, through every
   access path (iteration, ``by_name``, ``count``, ``filter``, ``since``).
+  A batch of posts is stored as payload columns, and its views equal the
+  dicts one ``emit_event`` per post stores.
+* Snapshot positions are columns too: their rows equal the dicts the
+  archive stored per open position, on both aggregate backends.
+* What the archive retains per oracle post and per snapshot row is
+  bounded (traced bytes, not RSS, so the bound holds on any host).
 * Background fill is a lane of the mempool: slot-only entries that pack,
   evict and expire in one ``(price, seq)`` order with the transactions,
   exactly as transactions with the same bids would, and leave only their
@@ -14,6 +20,12 @@
 
 from __future__ import annotations
 
+import gc
+import json
+import math
+import tracemalloc
+from array import array
+
 import numpy as np
 import pytest
 
@@ -22,10 +34,15 @@ from repro.chain.chain import Blockchain, ChainConfig
 from repro.chain.events import EventFilter, EventLog
 from repro.chain.mempool import Mempool
 from repro.chain.transaction import Transaction, TxKind, TxStatus
+from repro.chain import events as events_module
 from repro.chain.types import gwei, make_address, make_tx_hash, reset_id_counters, tx_hash_of
 from repro.observers.events import BlockMined
+from repro.oracle import chainlink as chainlink_module
+from repro.protocols import base as protocols_base
+from repro.protocols.base import SnapshotPositions
 from repro.runtime_state import reset_run_state
 from repro.scenarios import get as get_scenario
+from repro.serialize import to_jsonable
 
 ALICE = make_address("alice")
 TRAFFIC = make_address("traffic")
@@ -118,6 +135,217 @@ class TestEventReadsOnARun:
             assert store.since(offset, wanted) == [event for event in every_event[offset:] if event.name in wanted]
 
 
+POSTER = make_address("poster")
+
+
+def post_batches(chain: Blockchain, *, as_columns: bool) -> None:
+    """Two blocks of posts between another emitter's logs: as payload
+    columns, or (the reference) one copied dict per post."""
+    batches = [
+        [("DAI", 1.0), ("ETH", 2_000.5), ("WBTC", 9_100.25)],
+        [("ETH", 1_950.0)],
+        [("USDC", 0.999), ("DAI", 1.01)],
+    ]
+    for index, batch in enumerate(batches):
+        chain.emit_event("Ping", ALICE, {"n": index})
+        if as_columns:
+            columns = {
+                "symbol": [symbol for symbol, _ in batch],
+                "price": array("d", [price for _, price in batch]),
+                "oracle": ["chainlink"] * len(batch),
+            }
+            chain.emit_events("AnswerUpdated", POSTER, columns)
+        else:
+            for symbol, price in batch:
+                chain.emit_event("AnswerUpdated", POSTER, {"symbol": symbol, "price": price, "oracle": "chainlink"})
+        if index == 1:
+            chain.mine_block()
+    chain.emit_event("Pong", ALICE, {})
+
+
+class TestPayloadRuns:
+    @pytest.fixture()
+    def pair(self):
+        runs, reference = Blockchain(ChainConfig(inception_block=50)), Blockchain(ChainConfig(inception_block=50))
+        post_batches(runs, as_columns=True)
+        post_batches(reference, as_columns=False)
+        return runs.events, reference.events
+
+    def test_views_equal_the_stored_dicts_on_every_read(self, pair):
+        runs, reference = pair
+        assert list(runs) == list(reference)
+        assert [event.log_index for event in runs] == [0, 1, 2, 3, 4, 5, 0, 1, 2, 3]
+        for name in ("AnswerUpdated", "Ping", "Pong"):
+            assert runs.by_name(name) == reference.by_name(name)
+            assert runs.count(name) == reference.count(name)
+        for names in (["AnswerUpdated", "Pong"], ["Ping", "AnswerUpdated"], None):
+            query = EventFilter.create(names=names, from_block=50, to_block=51)
+            assert runs.filter(query) == reference.filter(query)
+        for offset in range(len(reference) + 1):
+            assert runs.since(offset) == reference.since(offset)
+            assert runs.since(offset, {"AnswerUpdated"}) == reference.since(offset, {"AnswerUpdated"})
+
+    def test_view_data_has_the_posted_keys_order_and_types(self, pair):
+        runs, _ = pair
+        for view in runs.by_name("AnswerUpdated"):
+            assert list(view.data) == ["symbol", "price", "oracle"]
+            assert type(view.data["price"]) is float
+        assert runs.by_name("AnswerUpdated")[1].data == {"symbol": "ETH", "price": 2_000.5, "oracle": "chainlink"}
+
+    def test_a_batch_is_one_shared_run(self, pair):
+        runs, _ = pair
+        payloads = runs._columns[5]
+        assert isinstance(payloads[1], events_module.PayloadRun)
+        assert payloads[1] is payloads[2] is payloads[3]
+        assert isinstance(runs._positions["AnswerUpdated"], array)
+
+    def test_ragged_columns_are_rejected(self):
+        chain = Blockchain()
+        with pytest.raises(ValueError, match="differ in length"):
+            chain.emit_events("AnswerUpdated", POSTER, {"symbol": ["ETH", "DAI"], "price": array("d", [1.0])})
+        assert len(chain.events) == 0
+
+
+# --------------------------------------------------------------------- #
+# Snapshot positions
+# --------------------------------------------------------------------- #
+def old_rows(protocol) -> list[dict]:
+    """The rows the archive stored before they became columns: one dict per
+    open position with copies of its collateral and debt dicts."""
+    prices = protocol.prices()
+    thresholds = protocol.liquidation_thresholds()
+    return [
+        {
+            "owner": position.owner.value,
+            "collateral": dict(position.collateral),
+            "debt": dict(position.debt),
+            "health_factor": position.health_factor(prices, thresholds),
+        }
+        for position in protocol.open_positions()
+    ]
+
+
+class TestSnapshotPositions:
+    @pytest.fixture(scope="class")
+    def protocol(self):
+        reset_run_state()
+        engine = get_scenario("small").build(seed=3)
+        protocol = engine.protocols[0]
+        book = [
+            # Collateral only: no debt, so the health factor is inf.
+            [("collateral", "USDC", 500.0), ("collateral", "ETH", 2.0)],
+            # Explicit 0.0 and sub-dust entries, inserted out of sorted order.
+            [
+                ("collateral", "WBTC", 0.5),
+                ("collateral", "ETH", 0.0),
+                ("debt", "USDC", 1e-12),
+                ("debt", "DAI", 3_000.0),
+            ],
+            # Debt without collateral (bad debt): HF 0.
+            [("debt", "DAI", 10.0)],
+            # Only dust: not an open position, so no row.
+            [("collateral", "ETH", 1e-12)],
+            [("debt", "USDT", 100.0), ("collateral", "LINK", 80.0), ("collateral", "BAT", 0.0)],
+        ]
+        for index, entries in enumerate(book):
+            position = protocol.position_of(make_address(f"snapshot-{index}"))
+            for side, symbol, amount in entries:
+                (position.add_collateral if side == "collateral" else position.add_debt)(symbol, amount)
+        return protocol
+
+    @pytest.mark.parametrize("backend", ["vectorized", "scalar"])
+    def test_rows_equal_the_old_rows(self, protocol, backend):
+        protocol.aggregate_backend = backend
+        try:
+            positions = protocol.snapshot()["positions"]
+        finally:
+            protocol.aggregate_backend = "vectorized"
+        expected = old_rows(protocol)
+        assert isinstance(positions, SnapshotPositions)
+        assert len(positions) == len(expected) == 4
+        rows = list(positions)
+        assert rows == expected
+        for row, old in zip(rows, expected):
+            assert list(row) == list(old)
+            assert list(row["collateral"]) == list(old["collateral"])
+            assert list(row["debt"]) == list(old["debt"])
+        assert rows[0]["health_factor"] == math.inf
+        assert rows[1]["collateral"] == {"WBTC": 0.5, "ETH": 0.0}
+        assert rows[1]["debt"] == {"USDC": 1e-12, "DAI": 3_000.0}
+        assert rows[2]["collateral"] == {} and rows[2]["health_factor"] == 0.0
+        assert json.dumps(to_jsonable(positions)) == json.dumps(to_jsonable(expected))
+
+    def test_indexing_and_slicing(self, protocol):
+        positions = protocol.snapshot()["positions"]
+        expected = old_rows(protocol)
+        assert [positions[index] for index in range(len(positions))] == expected
+        assert positions[-1] == expected[-1] and positions[-4] == expected[0]
+        assert positions[1:3] == expected[1:3] and positions[::-2] == expected[::-2]
+        for index in (4, -5):
+            with pytest.raises(IndexError):
+                positions[index]
+        assert list(protocol.snapshot()["positions"]) == expected
+
+    def test_equal_key_tuples_are_shared(self, protocol):
+        first, second = protocol.snapshot()["positions"], protocol.snapshot()["positions"]
+        assert first._collateral_keys[0] == ("USDC", "ETH")
+        assert first._collateral_keys[0] is second._collateral_keys[0]
+        assert first._debt_keys[1] is second._debt_keys[1]
+
+
+# --------------------------------------------------------------------- #
+# Archive footprint
+# --------------------------------------------------------------------- #
+#: Bytes the archive may retain per ``AnswerUpdated`` log (the event
+#: columns and the oracle's posted history) and per snapshot row
+#: (everything the protocols' snapshots keep), as tracemalloc counts them
+#: on the window below.  Measured with CPython 3.11: 134 and 255; one dict
+#: per post and three per row retained 272 and 836.
+MAX_BYTES_PER_POST = 180
+MAX_BYTES_PER_SNAPSHOT_ROW = 400
+
+
+def traced_bytes(snapshot: tracemalloc.Snapshot, *modules) -> int:
+    filters = [tracemalloc.Filter(True, module.__file__) for module in modules]
+    return sum(stat.size for stat in snapshot.filter_traces(filters).statistics("filename"))
+
+
+def test_archive_retains_few_bytes_per_post_and_snapshot_row():
+    reset_run_state()
+    builder = get_scenario("small").builder(seed=3)
+    config = builder.config
+    builder.config = config.with_overrides(end_block=config.start_block + 120 * config.blocks_per_step)
+    engine = builder.build()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        result = engine.run()
+        gc.collect()
+        traced = tracemalloc.take_snapshot()
+    finally:
+        tracemalloc.stop()
+    chain = result.chain
+    posts = chain.events.count("AnswerUpdated")
+    rows = sum(
+        len(state["positions"])
+        for block in chain.snapshot_blocks
+        for state in chain.snapshot_at(block).values()
+        if isinstance(state, dict) and "positions" in state
+    )
+    assert posts > 4_000 and rows > 600
+    per_post = traced_bytes(traced, events_module, chainlink_module) / posts
+    per_row = traced_bytes(traced, protocols_base) / rows
+    assert per_post < MAX_BYTES_PER_POST
+    assert per_row < MAX_BYTES_PER_SNAPSHOT_ROW
+    # The archived scalars are typed arrays: the int and float objects a
+    # list would keep are allocated elsewhere, out of the bounds' sight.
+    oracle = result.engine.oracle
+    assert {history.typecode for history in oracle._blocks.values()} == {"q"}
+    assert {history.typecode for history in oracle._prices.values()} == {"d"}
+    assert {block.fill_gas_prices.typecode for block in chain.blocks} == {"q"}
+    assert {positions.typecode for positions in chain.events._positions.values()} == {"q"}
+
+
 # --------------------------------------------------------------------- #
 # Background fill
 # --------------------------------------------------------------------- #
@@ -132,7 +360,7 @@ class TestBackgroundFill:
         block = chain.mine_block()
         # Executed prices: 1 2 3 4 50 60 gwei.  Receipts alone would give 55.
         assert block.median_gas_price == pytest.approx(gwei(3.5))
-        assert block.fill_gas_prices == [gwei(price) for price in (4.0, 3.0, 2.0, 1.0)]
+        assert list(block.fill_gas_prices) == [gwei(price) for price in (4.0, 3.0, 2.0, 1.0)]
         assert [receipt.tx_hash for receipt in block.receipts] == [tx.tx_hash for tx in reversed(agents)]
         assert set(chain.receipts_by_hash) == {tx.tx_hash for tx in agents}
         assert block.gas_used == 6 * 21_000
@@ -144,7 +372,7 @@ class TestBackgroundFill:
         # Metadata does not make a transaction fill: only submit_fill does.
         marked = chain.submit_call(TRAFFIC, None, gas_price=gwei(4.0), gas_limit=21_000, metadata={"background": True})
         block = chain.mine_block()
-        assert block.fill_gas_prices == []
+        assert list(block.fill_gas_prices) == []
         assert [receipt.tx_hash for receipt in block.receipts] == [plain.tx_hash, marked.tx_hash]
         assert chain.receipts_by_hash[plain.tx_hash].succeeded
         assert marked.status is TxStatus.SUCCESS

@@ -68,6 +68,27 @@ class TestPaths:
         assert abs(path.mean() - 1.0) < 0.05
         assert path.std() < 0.05
 
+    @pytest.mark.parametrize(
+        "config",
+        [
+            AssetPathConfig(initial_price=1.0, is_stablecoin=True),
+            AssetPathConfig(initial_price=1.02, is_stablecoin=True, peg_volatility=0.05, peg_reversion=0.3),
+            AssetPathConfig(
+                initial_price=3,
+                is_stablecoin=True,
+                peg=2.0,
+                peg_volatility=0.9,
+                shocks=[Shock(step=1, magnitude=1.11, duration=2, recovery=1.0, recovery_steps=3)],
+            ),
+        ],
+    )
+    def test_stablecoin_path_is_the_scalar_recurrence(self, config):
+        for seed in (0, 5, 11):
+            for n_steps in (0, 1, 2, 3, 40, 1_000):
+                path = stablecoin_path(config, n_steps, np.random.default_rng(seed))
+                reference = scalar_stablecoin_path(config, n_steps, np.random.default_rng(seed))
+                assert path.dtype == reference.dtype and path.tobytes() == reference.tobytes()
+
     def test_build_series_is_deterministic_per_seed(self):
         configs = {"ETH": AssetPathConfig(initial_price=100.0), "DAI": AssetPathConfig(initial_price=1.0, is_stablecoin=True)}
         first = build_series(configs, 50, seed=3)
@@ -120,6 +141,21 @@ class TestPriceOracle:
 
     def test_value_usd(self, oracle):
         assert oracle.value_usd("ETH", 2.0) == pytest.approx(4_000.0)
+
+
+def scalar_stablecoin_path(config: AssetPathConfig, n_steps: int, rng: np.random.Generator) -> np.ndarray:
+    """The reference: one scalar noise draw per step, the recurrence on a
+    ``float64`` array."""
+    if n_steps <= 0:
+        return np.zeros(0)
+    prices = np.empty(n_steps)
+    prices[0] = config.initial_price
+    for step in range(1, n_steps):
+        deviation = config.peg - prices[step - 1]
+        noise = rng.normal(0.0, config.peg_volatility)
+        prices[step] = prices[step - 1] + config.peg_reversion * deviation + noise
+    prices = np.clip(prices, 0.2 * config.peg, 5.0 * config.peg)
+    return apply_shocks(prices, config.shocks)
 
 
 ORACLE_ADDRESS = make_address("bulk-oracle")
