@@ -11,9 +11,9 @@ The telemetry subsystem is only viable if its two promises hold:
   append).  The macro section times the same truncated seed-pinned scenario
   bare and with telemetry installed; the difference is exactly the spans.
 
-Both runs build identical worlds (ids reset per run) and neither attaches
-probes, so the observer bus stays off in both — its cost is bounded
-separately by ``test_watch_overhead``.  For reference the record also times
+Both runs build identical worlds (each chain mints its own ids) and
+neither attaches probes, so the observer bus stays off in both — its cost
+is bounded separately by ``test_watch_overhead``.  For reference the record also times
 a fully-instrumented run (telemetry **and** the :class:`TelemetryProbe`
 bridging events into metrics), which stacks the bus cost on top.
 
@@ -33,7 +33,6 @@ from pathlib import Path
 from conftest import write_bench_record
 
 from repro import scenarios
-from repro.chain.types import reset_id_counters
 from repro.telemetry import Telemetry, TelemetryProbe, enabled
 from repro.telemetry.runtime import span
 
@@ -59,7 +58,6 @@ def timed_run(mode: str) -> tuple[float, int]:
     ``mode``: ``bare`` (telemetry off), ``traced`` (tracer installed), or
     ``full`` (tracer plus the metrics-bridging probe, bus active).
     """
-    reset_id_counters()
     builder = scenarios.get("small").builder(seed=SEED)
     config = builder.config
     end_block = min(config.end_block, config.start_block + STRIDES * config.blocks_per_step)

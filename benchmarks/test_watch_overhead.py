@@ -11,8 +11,8 @@ scenario twice per round:
 * ``observed``  — a no-op probe attached, forcing the full hot path: event
   construction, the chain-log → typed-event drain, and bus dispatch.
 
-Both runs build identical worlds (ids reset per run), so the difference is
-exactly the bus.  With ``BENCH_RECORD=1`` the result is written to
+Both runs build identical worlds (each chain mints its own ids), so the
+difference is exactly the bus.  With ``BENCH_RECORD=1`` the result is written to
 ``BENCH_watch.json`` at the repo root (a seed record is committed; CI
 regenerates and uploads it as an artifact).  The <5 % overhead ceiling is
 asserted only under ``BENCH_ENFORCE=1`` (the dedicated CI benchmark job):
@@ -33,7 +33,6 @@ import numpy as np
 from conftest import write_bench_record
 
 from repro import scenarios
-from repro.chain.types import reset_id_counters
 
 #: Block strides of the timed window (≈ half the `small` scenario).
 STRIDES = 60
@@ -62,7 +61,6 @@ class NoOpProbe:
 
 
 def timed_run(observed: bool) -> tuple[float, int]:
-    reset_id_counters()
     builder = scenarios.get("small").builder(seed=SEED)
     config = builder.config
     end_block = min(config.end_block, config.start_block + STRIDES * config.blocks_per_step)

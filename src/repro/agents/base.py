@@ -2,9 +2,10 @@
 
 Agents are the behavioural counterparts of the paper's measured populations:
 borrowers and lenders interacting with the pools, liquidation bots competing
-on gas, and MakerDAO auction keepers.  Each agent owns an address, a private
-random stream (spawned from the scenario seed so runs are reproducible), and
-an :meth:`Agent.act` hook called once per simulation step with the engine as
+on gas, and MakerDAO auction keepers.  Each agent owns an address (minted by
+the world's chain when the agent joins the engine), a private random stream
+(spawned from the scenario seed so runs are reproducible), and an
+:meth:`Agent.act` hook called once per simulation step with the engine as
 context.
 """
 
@@ -16,17 +17,23 @@ from typing import TYPE_CHECKING, Iterator
 
 import numpy as np
 
-from ..chain.types import Address, make_address
+from ..chain.types import Address
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..simulation.engine import SimulationEngine
 
 
 class Agent(abc.ABC):
-    """Base class of every simulated actor."""
+    """Base class of every simulated actor.
+
+    :attr:`address` is set by
+    :meth:`~repro.simulation.engine.SimulationEngine.add_agent`, from the
+    world's chain: an agent has no address before it joins a world.
+    """
+
+    address: Address
 
     def __init__(self, label: str, rng: np.random.Generator) -> None:
-        self.address: Address = make_address(label)
         self.label = label
         self.rng = rng
 

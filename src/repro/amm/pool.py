@@ -33,6 +33,8 @@ class ConstantProductPool:
     token_b: Token
     fee: float = 0.003
     chain: Blockchain | None = None
+    #: A world's builder passes one minted by the world's chain; the
+    #: default is for pools built outside any world.
     address: Address = field(default_factory=lambda: make_address("amm-pool"))
 
     def __post_init__(self) -> None:

@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ..core.bad_debt import BadDebtReport, bad_debt_report, bad_debt_report_from_values
+from ..core.bad_debt import BadDebtReport, bad_debt_report_from_values
 from ..protocols.base import LendingProtocol
 from ..simulation.engine import SimulationResult
 
@@ -51,32 +51,19 @@ def platform_bad_debt(
 ) -> PlatformBadDebt:
     """Classify one protocol's open positions at its current prices.
 
-    With book aggregates on (the default), the per-position values come
-    from the block's shared :class:`~repro.core.position_book.BookValuation`
-    — one vectorized pass valued once and reused across the fee levels,
-    instead of one full position walk per fee.  The pinned per-row values
-    are bit-identical to the scalar formulas, so both paths produce the
-    same Table 2.
+    The per-position values come from the block's shared
+    :class:`~repro.core.position_book.BookValuation` — one vectorized pass
+    valued once and reused across the fee levels, instead of one full
+    position walk per fee.  The pinned per-row values are bit-identical to
+    the scalar formulas, so the table equals
+    :func:`~repro.core.bad_debt.bad_debt_report` over every indebted
+    position.
     """
-    if protocol.uses_book_aggregates():
-        valuation = protocol.valuation()
-        rows = np.flatnonzero(valuation.has_debt).tolist()
-        valued = [valuation.pinned_row_values(row) for row in rows]
-        by_fee = {fee: bad_debt_report_from_values(valued, fee) for fee in fees_usd}
-        reference = by_fee[fees_usd[0]] if fees_usd else bad_debt_report_from_values(valued, 0.0)
-        return PlatformBadDebt(
-            platform=protocol.name,
-            type_i_count=reference.type_i_count,
-            type_i_collateral_usd=reference.type_i_collateral_usd,
-            type_ii_by_fee=by_fee,
-            total_positions=reference.total_positions,
-        )
-    prices = protocol.prices()
-    positions = protocol.positions_with_debt()
-    by_fee: dict[float, BadDebtReport] = {}
-    for fee in fees_usd:
-        by_fee[fee] = bad_debt_report(positions, prices, fee)
-    reference = by_fee[fees_usd[0]] if fees_usd else bad_debt_report(positions, prices, 0.0)
+    valuation = protocol.valuation()
+    rows = np.flatnonzero(valuation.has_debt).tolist()
+    valued = [valuation.pinned_row_values(row) for row in rows]
+    by_fee = {fee: bad_debt_report_from_values(valued, fee) for fee in fees_usd}
+    reference = by_fee[fees_usd[0]] if fees_usd else bad_debt_report_from_values(valued, 0.0)
     return PlatformBadDebt(
         platform=protocol.name,
         type_i_count=reference.type_i_count,

@@ -19,7 +19,6 @@ from ..core.sensitivity import (
     SensitivityPoint,
     most_sensitive_symbol,
     sensitivity_curve,
-    sensitivity_surface,
 )
 from ..protocols.base import LendingProtocol
 from ..simulation.engine import SimulationResult
@@ -70,13 +69,14 @@ def platform_sensitivity(
 ) -> PlatformSensitivity:
     """Run Algorithm 1 over one platform's current state.
 
-    With book aggregates on (the default), the per-currency sweeps only
-    walk the positions that actually hold the declining collateral: the
-    holder set is selected from the shared
+    The per-currency sweeps only walk the positions that actually hold the
+    declining collateral: the holder set is selected from the shared
     :class:`~repro.core.position_book.BookValuation`'s exact per-asset value
     column (the same ``amount × price`` products Algorithm 1's skip test
     computes), so the prefilter is bit-exact — the scalar inner loop then
-    runs unchanged over the subset, producing an identical Figure 8.
+    runs unchanged over the subset, producing the Figure 8 of
+    :func:`~repro.core.sensitivity.sensitivity_surface` over every indebted
+    position.
     """
     if symbols is None:
         symbols = [
@@ -86,23 +86,17 @@ def platform_sensitivity(
         ]
     if declines is None:
         declines = np.linspace(0.0, 1.0, 21)
-    if protocol.uses_book_aggregates():
-        valuation = protocol.valuation()
-        prices = valuation.prices
-        thresholds = valuation.thresholds
-        curves: dict[str, list] = {}
-        for symbol in symbols:
-            column = valuation.collateral_value_column(symbol.upper())
-            if column is None:
-                holders = []
-            else:
-                holders = valuation.positions(np.flatnonzero(valuation.has_debt & (column > 0.0)))
-            curves[symbol.upper()] = sensitivity_curve(holders, symbol, prices, thresholds, declines)
-        return PlatformSensitivity(platform=protocol.name, curves=curves)
-    prices = protocol.prices()
-    thresholds = protocol.liquidation_thresholds()
-    positions = protocol.positions_with_debt()
-    curves = sensitivity_surface(positions, symbols, prices, thresholds, declines)
+    valuation = protocol.valuation()
+    prices = valuation.prices
+    thresholds = valuation.thresholds
+    curves: dict[str, list] = {}
+    for symbol in symbols:
+        column = valuation.collateral_value_column(symbol.upper())
+        if column is None:
+            holders = []
+        else:
+            holders = valuation.positions(np.flatnonzero(valuation.has_debt & (column > 0.0)))
+        curves[symbol.upper()] = sensitivity_curve(holders, symbol, prices, thresholds, declines)
     return PlatformSensitivity(platform=protocol.name, curves=curves)
 
 

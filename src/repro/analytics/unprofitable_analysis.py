@@ -44,21 +44,16 @@ def platform_unprofitable(
 ) -> UnprofitableCell:
     """Evaluate unprofitable opportunities on one platform snapshot.
 
-    With book aggregates on (the default), the candidate set comes from the
-    block's shared :class:`~repro.core.position_book.BookValuation` margin
-    prefilter instead of a full position walk; every flagged row is still
-    confirmed with the scalar health factor, so the cell is bit-identical
-    to the legacy sweep.
+    The candidate set comes from the block's shared
+    :class:`~repro.core.position_book.BookValuation` margin prefilter
+    instead of a full position walk; every flagged row is still confirmed
+    with the scalar health factor, so the cell is bit-identical to a sweep
+    over every indebted position.
     """
-    if protocol.uses_book_aggregates():
-        valuation = protocol.valuation()
-        prices = valuation.prices
-        thresholds = valuation.thresholds
-        candidates = valuation.positions(valuation.candidate_rows())
-    else:
-        prices = protocol.prices()
-        thresholds = protocol.liquidation_thresholds()
-        candidates = protocol.positions_with_debt()
+    valuation = protocol.valuation()
+    prices = valuation.prices
+    thresholds = valuation.thresholds
+    candidates = valuation.positions(valuation.candidate_rows())
     liquidatable = 0
     unprofitable = 0
     unprofitable_collateral = 0.0

@@ -16,8 +16,8 @@ runs.  Two implementations ship, selected by :class:`WorkerConfig`:
     threads at once (the service supervisor does).
 
 Both produce byte-identical :class:`~repro.campaigns.store.RunStore`
-files: every run is independently seeded and ``reset_run_state()``
-rewinds global counters per run, so a warm worker carries nothing from
+files: every run is independently seeded and its world's chain mints
+its own addresses and tx hashes, so a warm worker carries nothing from
 one run into the next.
 
 The protocol exists so tests can substitute fakes; :class:`WorkerConfig`
@@ -150,9 +150,9 @@ class SerialBackend:
     workers = 1
 
     def __init__(self) -> None:
-        # execute_job mutates process-global state (telemetry install,
-        # runtime_state resets): one lock keeps concurrent callers — the
-        # service's worker slots — from interleaving runs.
+        # execute_job mutates process-global state (the telemetry install
+        # and the worker bookkeeping): one lock keeps concurrent callers —
+        # the service's worker slots — from interleaving runs.
         self._lock = threading.Lock()
 
     def run(self, jobs: Sequence[RunJob]) -> Iterator[RunOutcome]:

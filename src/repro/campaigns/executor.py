@@ -28,7 +28,6 @@ from typing import TYPE_CHECKING, Callable
 from ..experiments.runner import run_json
 from ..observers.probes import LiquidationRecorder, MetricsAccumulator
 from ..observers.sinks import JsonlSink
-from ..runtime_state import reset_run_state
 from ..serialize import to_jsonable
 from ..telemetry import runtime as telemetry_runtime
 from ..telemetry.clock import perf_seconds
@@ -203,6 +202,11 @@ def execute_job(job: RunJob, on_lines: LineSink | None = None) -> RunOutcome:
     instead of raised, so one pathological run cannot abort a campaign (the
     other workers' completed runs are already durable in the store).
 
+    Nothing is reset before the run: its world's chain mints the run's
+    addresses and tx hashes, so they do not depend on the runs the process
+    executed before, and serial and pooled execution write byte-identical
+    files.
+
     When ``job.sample_below`` is set and ``on_lines`` is given, the run
     also streams (see :func:`_stream_probes`): its JSONL lines reach
     ``on_lines`` in chunks, the last of them once the simulation completes.
@@ -217,11 +221,6 @@ def execute_job(job: RunJob, on_lines: LineSink | None = None) -> RunOutcome:
     """
     worker_name, task_index, idle_seconds = _worker_begin()
     started = perf_seconds()
-    # Module-global mutable state (address/tx-hash counters and anything
-    # else in the runtime_state registry) is rewound so a run's identifier
-    # sequences are independent of how many runs the process executed before
-    # it — serial and pooled execution then produce byte-identical files.
-    reset_run_state()
     telemetry = Telemetry(name=job.run.run_id) if job.collect_telemetry else None
     scope = telemetry_runtime.enabled(telemetry) if telemetry else nullcontext()
     stream = _LineChunks(on_lines) if on_lines is not None and job.sample_below is not None else None

@@ -30,9 +30,9 @@ from .types import (
     from_gwei,
     gwei,
     hours_to_blocks,
+    address_of,
     make_address,
-    make_tx_hash,
-    reset_id_counters,
+    tx_hash_of,
 )
 
 __all__ = [
@@ -62,8 +62,8 @@ __all__ = [
     "from_gwei",
     "gwei",
     "hours_to_blocks",
+    "address_of",
     "make_address",
-    "make_tx_hash",
     "moving_average",
-    "reset_id_counters",
+    "tx_hash_of",
 ]

@@ -24,7 +24,7 @@ from .events import EventFilter, EventLog, EventStore
 from .gas import GasMarket
 from .mempool import Mempool
 from .transaction import Receipt, Transaction, TransactionReverted, TxKind, TxStatus
-from .types import Address, DEFAULT_BLOCK_GAS_LIMIT, SECONDS_PER_BLOCK, reserve_hash_ids
+from .types import Address, DEFAULT_BLOCK_GAS_LIMIT, SECONDS_PER_BLOCK, address_of
 
 
 @dataclass
@@ -54,6 +54,12 @@ class Blockchain:
     The chain owns the mempool, the gas market, the event store and the
     archive of state snapshots.  Protocol contracts hold a reference to the
     chain so they can emit events and read the current block number.
+
+    It also owns its world's identity: the address and transaction-hash id
+    sequences, both starting at 1.  Every address in a world comes from
+    :meth:`new_address`, and every transaction the chain builds (and every
+    background-fill entry) takes the next hash id, so a world's addresses
+    and hashes depend on that world alone.
     """
 
     def __init__(self, config: ChainConfig | None = None, gas_market: GasMarket | None = None) -> None:
@@ -71,6 +77,23 @@ class Blockchain:
         self._log_index = 0
         self._executing_block: int | None = None
         self._block_receipts: list[Receipt] | None = None
+        self._next_address_id = 1
+        self._next_hash_id = 1
+
+    # ------------------------------------------------------------------ #
+    # Identity
+    # ------------------------------------------------------------------ #
+    def new_address(self, label: str = "") -> Address:
+        """Mint the next address of this chain's sequence."""
+        n = self._next_address_id
+        self._next_address_id = n + 1
+        return address_of(n, label)
+
+    def reserve_hash_ids(self, n: int = 1) -> int:
+        """Reserve the next ``n`` transaction-hash ids; return the first."""
+        first = self._next_hash_id
+        self._next_hash_id = first + n
+        return first
 
     # ------------------------------------------------------------------ #
     # Chain head information
@@ -117,6 +140,7 @@ class Blockchain:
             sender=sender,
             gas_price=gas_price,
             gas_limit=gas_limit,
+            hash_id=self.reserve_hash_ids(),
             action=action,
             kind=kind,
             metadata=metadata or {},
@@ -132,10 +156,10 @@ class Blockchain:
         only trace it leaves is its gas price in
         :attr:`~repro.chain.block.Block.fill_gas_prices`, so it is never
         built as a :class:`Transaction`.  Each entry still takes one id
-        from the hash sequence, as a transaction would, so later
+        from this chain's hash sequence, as a transaction would, so later
         transaction hashes do not depend on how the fill is represented.
         """
-        reserve_hash_ids(len(gas_prices))
+        self.reserve_hash_ids(len(gas_prices))
         self.mempool.submit_fill(gas_prices, gas_limit, self._current_block)
 
     def mine_block(self) -> Block:
@@ -245,6 +269,7 @@ class Blockchain:
             sender=sender,
             gas_price=self.gas_market.base_gas_price_wei if gas_price is None else gas_price,
             gas_limit=gas_limit,
+            hash_id=self.reserve_hash_ids(),
             action=action,
             kind=kind,
             metadata=metadata or {},
@@ -258,9 +283,14 @@ class Blockchain:
     # Events
     # ------------------------------------------------------------------ #
     def emit_event(self, name: str, emitter: Address, data: dict[str, Any], tx_hash: str = "") -> None:
-        """Record an EVM-style log emitted by a contract at the current block."""
+        """Record an EVM-style log emitted by a contract at the current block.
+
+        ``data`` is archived as the log's payload as it is, not copied: the
+        caller hands it over (every caller passes a fresh literal) and must
+        not mutate it afterwards.
+        """
         block_number = self._executing_block if self._executing_block is not None else self._current_block
-        self.events.append(name, emitter, block_number, tx_hash, self._log_index, dict(data))
+        self.events.append(name, emitter, block_number, tx_hash, self._log_index, data)
         self._log_index += 1
 
     def emit_events(

@@ -14,7 +14,7 @@ import enum
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
-from .types import Address, GWEI, next_hash_id, tx_hash_of
+from .types import Address, GWEI, tx_hash_of
 
 
 class TxStatus(enum.Enum):
@@ -62,6 +62,10 @@ class Transaction:
     gas_limit:
         Upper bound of gas the sender is willing to consume; also the amount
         the mempool reserves when packing blocks.
+    hash_id:
+        The id the building chain reserved from its own hash sequence
+        (:meth:`~repro.chain.chain.Blockchain.reserve_hash_ids`);
+        :attr:`tx_hash` is derived from it on first read.
     action:
         A zero-argument callable executed when the transaction is included in
         a block.  It returns an arbitrary result and may raise
@@ -74,18 +78,15 @@ class Transaction:
         by analytics and tests.  Every executed transaction gets a receipt
         carrying a copy; background fill is not a transaction at all (see
         :meth:`~repro.chain.chain.Blockchain.submit_fill`).
-    hash_id:
-        The id reserved from the process-wide hash sequence at construction;
-        :attr:`tx_hash` is derived from it on first read.
     """
 
     sender: Address
     gas_price: int
     gas_limit: int
+    hash_id: int
     action: Optional[Callable[[], Any]] = None
     kind: TxKind = TxKind.OTHER
     metadata: dict[str, Any] = field(default_factory=dict)
-    hash_id: int = field(default_factory=next_hash_id)
     submitted_block: int = 0
     status: TxStatus = TxStatus.PENDING
     _tx_hash: str | None = field(default=None, init=False, repr=False, compare=False)
@@ -94,8 +95,8 @@ class Transaction:
     def tx_hash(self) -> str:
         """The transaction hash, computed on first read.
 
-        Ids are reserved in construction order, so every hash string is the
-        one an eager hash at construction would have produced; transactions
+        The hash is a pure function of :attr:`hash_id`, so it is the string
+        an eager hash at construction would have produced; transactions
         whose hash nobody reads never pay for the sha256.
         """
         tx_hash = self._tx_hash

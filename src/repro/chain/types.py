@@ -5,6 +5,11 @@ analytics pipeline (the paper's "custom client", cf. Figure 3) can be written
 against the same abstractions a real archive node exposes: addresses,
 transaction hashes, gas quantities and block numbers.
 
+Identity is world-owned: each :class:`~repro.chain.chain.Blockchain` mints
+its world's addresses and transaction-hash ids from its own sequences,
+through the pure :func:`address_of` and :func:`tx_hash_of`, so two worlds
+built in one process never affect each other's identifiers.
+
 All monetary *token* amounts in the simulator are plain ``float`` token units
 (e.g. 1.5 ETH, 4_200.0 USDC).  USD valuations are always derived through an
 oracle at a specific block, never stored on the objects themselves, matching
@@ -18,8 +23,6 @@ from __future__ import annotations
 import hashlib
 import itertools
 from dataclasses import dataclass
-
-from ..runtime_state import register_reset
 
 #: Number of wei in one gwei.  Gas prices throughout the simulator are
 #: expressed in gwei, as in Figure 6 of the paper.
@@ -56,8 +59,8 @@ BLOCKS_PER_DAY = 86_400 // SECONDS_PER_BLOCK  # 6646
 POST_LIQUIDATION_WINDOW = 1_440
 
 
-_address_counter = itertools.count(1)
-_hash_counter = itertools.count(1)
+#: Ids behind :func:`make_address`, for addresses made outside any world.
+_loose_address_ids = itertools.count(1)
 
 
 @dataclass(frozen=True, order=True)
@@ -82,66 +85,36 @@ class Address:
         return f"{self.value[:6]}…{self.value[-4:]}"
 
 
-def make_address(label: str = "") -> Address:
-    """Create a fresh, deterministic :class:`Address`.
+def address_of(n: int, label: str = "") -> Address:
+    """The ``n``-th address of an id sequence, a pure function of its arguments.
 
-    Addresses are derived from a process-wide counter hashed through sha256,
-    so repeated calls yield unique but reproducible-looking identifiers.  The
-    *sequence* of addresses is deterministic within a run but the simulator
-    never relies on their numeric content.
+    A world's chain mints its addresses through this function
+    (:meth:`~repro.chain.chain.Blockchain.new_address`), so a world's
+    addresses depend on that world alone.
     """
-    seed = f"address:{next(_address_counter)}:{label}"
+    seed = f"address:{n}:{label}"
     digest = hashlib.sha256(seed.encode()).hexdigest()[:40]
     return Address(value="0x" + digest, label=label)
 
 
-def next_hash_id() -> int:
-    """Reserve the next transaction-hash id of the process-wide sequence."""
-    return next(_hash_counter)
+def make_address(label: str = "") -> Address:
+    """A fresh address for code outside any world (unit tests, examples).
 
-
-def reserve_hash_ids(n: int) -> None:
-    """Reserve the next ``n`` ids of the hash sequence without using them.
-
-    Background fill takes one id per entry, as a
-    :class:`~repro.chain.transaction.Transaction` would, so transaction
-    hashes do not depend on whether traffic is built as transactions or
-    as fill.
+    It draws from a process-wide sequence, so its value depends on how many
+    were made before; everything inside a world takes its address from the
+    world's chain instead.
     """
-    global _hash_counter
-    if n > 0:
-        _hash_counter = itertools.count(next(_hash_counter) + n)
+    return address_of(next(_loose_address_ids), label)
 
 
 def tx_hash_of(hash_id: int, payload: str = "") -> str:
     """The transaction-hash-like identifier of a reserved ``hash_id``.
 
     A pure function of its arguments: a hash computed long after its id was
-    reserved (even after :func:`reset_id_counters`) is the same string.
+    reserved is the same string.
     """
     seed = f"tx:{hash_id}:{payload}"
     return "0x" + hashlib.sha256(seed.encode()).hexdigest()
-
-
-def make_tx_hash(payload: str = "") -> str:
-    """Create a fresh transaction-hash-like identifier."""
-    return tx_hash_of(next_hash_id(), payload)
-
-
-def reset_id_counters() -> None:
-    """Reset the global address / hash counters.
-
-    Registered with :mod:`repro.runtime_state` so every campaign run starts
-    its identifier sequences from 1 regardless of process history — the
-    serial-vs-parallel byte-identity contract.  Tests asserting on
-    deterministic identifier sequences call it directly.
-    """
-    global _address_counter, _hash_counter
-    _address_counter = itertools.count(1)
-    _hash_counter = itertools.count(1)
-
-
-register_reset("repro.chain.types.id_counters", reset_id_counters)
 
 
 def blocks_to_hours(n_blocks: int | float) -> float:

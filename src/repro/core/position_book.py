@@ -359,8 +359,8 @@ class BookValuation:
         row order — the same accumulation chain as
         ``sum(position.total_collateral_usd(prices) for position in
         positions.values())``.  The explicit ``0.0`` start (mirrored by the
-        scalar walks) keeps the all-empty-book edge case a float on both
-        backends instead of ``sum``'s int ``0``.
+        scalar walks) keeps the all-empty-book edge case a float instead of
+        ``sum``'s int ``0``.
         """
         collateral, _, _ = self._pinned_rows()
         return sum(collateral.tolist(), 0.0)

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from ..analytics.reporting import format_table
 from ..analytics.common import pinned_sum, usd
 from ..chain.chain import Blockchain, ChainConfig
-from ..chain.types import make_address
 from ..core.optimal_strategy import (
     SimplePosition,
     StrategyOutcome,
@@ -120,7 +119,7 @@ def _build_compound_fork() -> tuple[CompoundProtocol, PriceOracle]:
         markets={"DAI": LIQUIDATION_THRESHOLD, "USDC": LIQUIDATION_THRESHOLD, "ETH": 0.75},
         liquidation_spread=LIQUIDATION_SPREAD,
     )
-    borrower = make_address("case-study-borrower")
+    borrower = chain.new_address("case-study-borrower")
     position = compound.position_of(borrower)
     position.add_collateral("DAI", COLLATERAL_DAI)
     position.add_collateral("USDC", COLLATERAL_USDC)
@@ -138,7 +137,7 @@ def _execute_strategy(name: str, repay_plan_usd: list[float]) -> StrategyExecuti
     # The liquidator first performs the oracle price update (Section 5.2.2).
     oracle.post_price("DAI", DAI_PRICE_AFTER)
     borrower = next(iter(compound.positions))
-    liquidator = make_address(f"case-study-liquidator-{name}")
+    liquidator = compound.chain.new_address(f"case-study-liquidator-{name}")
     dai = compound.registry.get("DAI")
     repays: list[float] = []
     received_usd = 0.0

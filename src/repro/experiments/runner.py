@@ -18,10 +18,10 @@ from dataclasses import dataclass
 from typing import Any, Callable
 
 from ..analytics.records import LiquidationRecord
+from ..scenarios.builder import ScenarioBuilder
 from ..serialize import to_jsonable
 from ..simulation.config import ScenarioConfig
 from ..simulation.engine import SimulationResult
-from ..simulation.scenarios import run_scenario
 from . import (
     case_study,
     close_factor_ablation,
@@ -257,7 +257,7 @@ def render_all(outputs: dict[str, ExperimentOutput]) -> str:
 
 def main(config: ScenarioConfig | None = None) -> str:
     """Run the scenario, execute every experiment and return the full report."""
-    result = run_scenario(config or ScenarioConfig.small())
+    result = ScenarioBuilder(config or ScenarioConfig.small()).run()
     outputs = run_all(result)
     return render_all(outputs)
 

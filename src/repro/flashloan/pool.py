@@ -48,6 +48,8 @@ class FlashLoanPool:
     token: Token
     fee_rate: float = 0.0009
     chain: Blockchain | None = None
+    #: A world's builder passes one minted by the world's chain; the
+    #: default is for pools built outside any world.
     address: Address = field(default_factory=lambda: make_address("flash-pool"))
 
     def __post_init__(self) -> None:

@@ -21,7 +21,7 @@ from array import array
 from dataclasses import dataclass, field
 
 from ..chain.chain import Blockchain
-from ..chain.types import Address, make_address
+from ..chain.types import Address
 from .feed import PriceFeed
 
 
@@ -54,7 +54,7 @@ class PriceOracle:
         self.chain = chain
         self.feed = feed
         self.config = config or OracleConfig()
-        self.address = address or make_address(self.config.name)
+        self.address = address or chain.new_address(self.config.name)
         #: The posted history, per symbol, as two parallel typed arrays: the
         #: blocks (``array("q")``, ascending, so an archive lookup bisects
         #: them) and the prices (``array("d")``).

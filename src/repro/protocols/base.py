@@ -20,7 +20,7 @@ import numpy as np
 
 from .. import sanitize
 from ..chain.chain import Blockchain
-from ..chain.types import Address, make_address
+from ..chain.types import Address
 from ..core.position import DUST, Position
 from ..core.position_book import BookScan, BookValuation, PositionBook
 from ..core.terminology import LiquidationParams
@@ -155,17 +155,11 @@ class LendingProtocol(abc.ABC):
         self.oracle = oracle
         self.registry = registry
         self.close_factor = close_factor
-        self.address = make_address(name)
+        self.address = chain.new_address(name)
         self.markets: dict[str, MarketConfig] = {}
         self.positions: dict[Address, Position] = {}
         #: Columnar mirror of every position for vectorized health scans.
         self.book = PositionBook()
-        #: ``"vectorized"`` (default) routes aggregate valuations (totals,
-        #: snapshots, utilization, analytics sweeps) through the book's
-        #: :class:`~repro.core.position_book.BookValuation`; ``"scalar"``
-        #: keeps the legacy per-position walks.  Both backends produce
-        #: bit-identical outputs (``tests/test_valuation_equivalence.py``).
-        self.aggregate_backend: str = "vectorized"
         self._valuation_cache: BookValuation | None = None
         self._valuation_key: tuple | None = None
         self._valuation_hits = 0
@@ -288,18 +282,6 @@ class LendingProtocol(abc.ABC):
             self._step_scan = self.book.scan(self.prices(), self.liquidation_thresholds())
             self._step_scan_key = key
         return self._step_scan
-
-    def uses_book_aggregates(self) -> bool:
-        """Whether aggregate valuations run through the book (the default).
-
-        Raises :class:`ValueError` on an unknown :attr:`aggregate_backend`.
-        """
-        backend = self.aggregate_backend
-        if backend == "vectorized":
-            return True
-        if backend == "scalar":
-            return False
-        raise ValueError(f"unknown aggregate backend {backend!r}")
 
     def valuation(self) -> BookValuation:
         """The :class:`BookValuation` of every position at current prices.
@@ -510,11 +492,7 @@ class LendingProtocol(abc.ABC):
         """
         token = self.registry.get(symbol)
         available = token.balance_of(self.address)
-        if self.uses_book_aggregates():
-            borrowed = self.book.debt_total(symbol.upper())
-        else:
-            # repro: lint-ok(SUM002 scalar reference backend: this walk *is* the pinned order)
-            borrowed = sum(position.debt.get(symbol.upper(), 0.0) for position in self.positions.values())
+        borrowed = self.book.debt_total(symbol.upper())
         total = available + borrowed
         if total <= 0:
             return 0.0
@@ -537,13 +515,11 @@ class LendingProtocol(abc.ABC):
     def _accrual_positions(self) -> list[Position]:
         """The positions an accrual sweep must touch.
 
-        With book aggregates on, debt-free positions are skipped via the
-        book's debt columns; ``scale_debts`` is a no-op on every skipped
-        position, so both backends mutate identical state.
+        Debt-free positions are skipped via the book's debt columns;
+        ``scale_debts`` is a no-op on every skipped position, so the sweep
+        mutates the same state as one over every position.
         """
-        if self.uses_book_aggregates():
-            return self.book.positions_with_debt_entries()
-        return list(self.positions.values())
+        return self.book.positions_with_debt_entries()
 
     # ------------------------------------------------------------------ #
     # Aggregates and snapshots
@@ -551,24 +527,14 @@ class LendingProtocol(abc.ABC):
     def total_collateral_usd(self) -> float:
         """Total USD value of collateral locked in the protocol.
 
-        Book-backed (one vectorized pass, pinned reduction) by default;
-        bit-identical to the legacy per-position walk either way.
+        One vectorized pass with a pinned reduction: bit-identical to the
+        per-position walk in insertion order.
         """
-        if self.uses_book_aggregates():
-            return self.valuation().pinned_total_collateral_usd()
-        prices = self.prices()
-        # The 0.0 start keeps the all-empty edge a float, matching the
-        # pinned reduction's JSON token (sum alone would return int 0).
-        # repro: lint-ok(SUM002 scalar reference backend: this walk *is* the pinned order)
-        return sum((position.total_collateral_usd(prices) for position in self.positions.values()), 0.0)
+        return self.valuation().pinned_total_collateral_usd()
 
     def total_debt_usd(self) -> float:
-        """Total USD value of outstanding debt (book-backed by default)."""
-        if self.uses_book_aggregates():
-            return self.valuation().pinned_total_debt_usd()
-        prices = self.prices()
-        # repro: lint-ok(SUM002 scalar reference backend: this walk *is* the pinned order)
-        return sum((position.total_debt_usd(prices) for position in self.positions.values()), 0.0)
+        """Total USD value of outstanding debt (pinned, as the collateral total)."""
+        return self.valuation().pinned_total_debt_usd()
 
     def collateral_volume_usd(self, symbols: Iterable[str] | None = None) -> float:
         """USD value of collateral, optionally restricted to ``symbols``."""
@@ -585,32 +551,22 @@ class LendingProtocol(abc.ABC):
     def snapshot(self) -> dict[str, object]:
         """Archive snapshot of positions and aggregates at the current block.
 
-        With book aggregates on (the default), the totals and every
-        position's health factor come from one shared
+        The totals and every position's health factor come from one shared
         :meth:`valuation` — the price vector is fetched once per snapshot
         instead of once per aggregate — and the pinned accessors keep the
-        archived numbers bit-identical to the scalar walk.  Either way
-        ``"positions"`` is a :class:`SnapshotPositions`: the open
-        positions' rows, kept as columns and read as dicts.
+        archived numbers bit-identical to the per-position walk.
+        ``"positions"`` is a :class:`SnapshotPositions`: the open positions'
+        rows, kept as columns and read as dicts.
         """
-        if self.uses_book_aggregates():
-            valuation = self.valuation()
-            prices = valuation.prices
-            thresholds = valuation.thresholds
-            total_collateral = valuation.pinned_total_collateral_usd()
-            total_debt = valuation.pinned_total_debt_usd()
-            health_factors = valuation.pinned_health_factors()
-            open_rows = np.flatnonzero(valuation.has_debt | valuation.has_collateral)
-            position_at = self.book.position_at
-            valued = ((position_at(row), health_factors[row]) for row in open_rows.tolist())
-        else:
-            prices = self.prices()
-            thresholds = self.liquidation_thresholds()
-            total_collateral = self.total_collateral_usd()
-            total_debt = self.total_debt_usd()
-            valued = (
-                (position, position.health_factor(prices, thresholds)) for position in self.open_positions()
-            )
+        valuation = self.valuation()
+        prices = valuation.prices
+        thresholds = valuation.thresholds
+        total_collateral = valuation.pinned_total_collateral_usd()
+        total_debt = valuation.pinned_total_debt_usd()
+        health_factors = valuation.pinned_health_factors()
+        open_rows = np.flatnonzero(valuation.has_debt | valuation.has_collateral)
+        position_at = self.book.position_at
+        valued = ((position_at(row), health_factors[row]) for row in open_rows.tolist())
         return {
             "block": self.chain.current_block,
             "platform": self.name,

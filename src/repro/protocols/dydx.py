@@ -11,7 +11,7 @@ for dYdX.
 from __future__ import annotations
 
 from ..chain.chain import Blockchain
-from ..chain.types import Address, make_address
+from ..chain.types import Address
 from ..oracle.chainlink import PriceOracle
 from ..tokens.registry import TokenRegistry
 from .base import MarketConfig
@@ -56,7 +56,7 @@ class DydxProtocol(FixedSpreadProtocol):
             close_factor=DYDX_CLOSE_FACTOR,
             inception_block=inception_block,
         )
-        self.insurance_fund: Address = make_address("dYdX-insurance-fund")
+        self.insurance_fund: Address = chain.new_address("dYdX-insurance-fund")
         self._insurance_written_off_usd = 0.0
         for symbol, threshold in (markets or DYDX_MARKETS).items():
             registry.ensure(symbol)
@@ -87,28 +87,16 @@ class DydxProtocol(FixedSpreadProtocol):
         # The columnar book flags CR < 1 candidates (with a safety margin);
         # each is confirmed with the scalar ratio before being written off,
         # so the set matches a scalar sweep over every indebted position.
-        # With book aggregates on, the candidate pass and the written-off
-        # values come from the block's shared (cached) valuation, whose
-        # pinned per-row values are bit-identical to the scalar formulas.
-        if self.uses_book_aggregates():
-            valuation = self.valuation()
-            prices = valuation.prices
-            rows = valuation.under_collateralized_rows()
-            row_values = valuation.pinned_row_values
-        else:
-            prices = self.prices()
-            scan = self.book.scan(prices, self.liquidation_thresholds())
-            rows = scan.under_collateralized_rows()
-            row_values = None
-        for row in rows.tolist():
+        # The candidate pass and the written-off values come from the
+        # block's shared (cached) valuation, whose pinned per-row values are
+        # bit-identical to the scalar formulas.
+        valuation = self.valuation()
+        prices = valuation.prices
+        for row in valuation.under_collateralized_rows().tolist():
             position = self.book.position_at(row)
             if not position.is_under_collateralized(prices):
                 continue
-            if row_values is not None:
-                collateral_usd, debt_usd = row_values(row)
-            else:
-                debt_usd = position.total_debt_usd(prices)
-                collateral_usd = position.total_collateral_usd(prices)
+            collateral_usd, debt_usd = valuation.pinned_row_values(row)
             written_off += debt_usd - collateral_usd
             # The fund absorbs the shortfall: debt and collateral are cleared.
             position.clear()

@@ -1,44 +1,16 @@
-"""Per-run reset registry for module-global mutable state.
+"""A no-op kept for callers that still rewind per-run state.
 
-The serial-vs-parallel byte-identity contract of the campaign executor
-requires every run to start from the same process state no matter how many
-runs the process executed before.  Module-global counters (deterministic
-address/hash sequences in :mod:`repro.chain.types`) are the only such
-state this codebase permits — and each one must register a resetter here
-so :func:`reset_run_state` can rewind all of them in one call at the top
-of every run.  The PKL003 lint rule enforces the registration.
-
-Registration is keyed by a dotted name; re-registering a name replaces the
-previous resetter (modules may be reloaded under test runners).  Resetters
-run in sorted-name order so the reset itself is deterministic.
+Every world's chain owns its address and tx-hash sequences
+(:meth:`~repro.chain.chain.Blockchain.new_address`), so there is no
+process-global run state left to rewind.  :func:`reset_run_state` stays
+only because the repository benchmark's harness imports and calls it; it
+goes once that harness stops doing so.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict
-
-__all__ = ["register_reset", "registered_resets", "reset_run_state"]
-
-_RESETTERS: Dict[str, Callable[[], None]] = {}
-
-
-def register_reset(name: str, fn: Callable[[], None]) -> None:
-    """Register ``fn`` to run on every :func:`reset_run_state` call.
-
-    ``name`` is a dotted identifier for the state being reset, e.g.
-    ``"repro.chain.types.id_counters"``.
-    """
-    if not name:
-        raise ValueError("reset registration needs a non-empty name")
-    _RESETTERS[name] = fn
-
-
-def registered_resets() -> tuple[str, ...]:
-    """The names currently registered, in execution order."""
-    return tuple(sorted(_RESETTERS))
+__all__ = ["reset_run_state"]
 
 
 def reset_run_state() -> None:
-    """Rewind all registered module-global state to its import-time value."""
-    for name in sorted(_RESETTERS):
-        _RESETTERS[name]()
+    """Do nothing: no module-global run state exists."""

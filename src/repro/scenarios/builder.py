@@ -1,7 +1,7 @@
 """The composable scenario builder.
 
-:class:`ScenarioBuilder` decomposes the former monolithic ``build_scenario``
-pipeline into independently overridable component factories::
+:class:`ScenarioBuilder` assembles a world from independently overridable
+component factories::
 
     engine = (
         ScenarioBuilder(ScenarioConfig.small())
@@ -15,10 +15,10 @@ pipeline into independently overridable component factories::
 Every stage — price feed, gas market, chain, oracles, protocols, flash
 loans, AMM, agent population — is a factory taking a :class:`BuildContext`
 (which accumulates the components built so far), so a scenario can swap any
-one layer without forking the rest.  The default factories reproduce the
-paper's calibrated world bit-for-bit: ``build_scenario(config)`` is now a
-thin shim over ``ScenarioBuilder(config).build()`` and a seed-pinned
-equivalence test holds the two paths together.
+one layer without forking the rest.  The default factories build the
+paper's calibrated world.  Every address in the world is minted by the
+world's own chain (``ctx.chain``), in build order, so a world's identifiers
+depend on that world alone.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ from ..amm.pool import ConstantProductPool
 from ..amm.router import AmmRouter
 from ..chain.chain import Blockchain, ChainConfig
 from ..chain.gas import GasMarket, GasMarketConfig
-from ..chain.types import make_address
 from ..flashloan.pool import FlashLoanPool, FlashLoanProvider
 from ..oracle.chainlink import OracleConfig, PriceOracle
 from ..oracle.feed import PriceFeed
@@ -229,7 +228,7 @@ def default_flash_loans(ctx: BuildContext) -> FlashLoanProvider:
     """Flash-loan pools on Aave V1/V2 and dYdX (Table 4's venues)."""
     chain, registry = ctx.chain, ctx.registry
     provider = FlashLoanProvider()
-    funder = make_address("flash-loan-lp")
+    funder = chain.new_address("flash-loan-lp")
     pools = [
         ("dYdX", "DAI", 0.0, 400_000_000.0),
         ("dYdX", "USDC", 0.0, 400_000_000.0),
@@ -242,7 +241,9 @@ def default_flash_loans(ctx: BuildContext) -> FlashLoanProvider:
     ]
     for platform, symbol, fee, amount in pools:
         token = registry.ensure(symbol)
-        pool = FlashLoanPool(platform=platform, token=token, fee_rate=fee, chain=chain)
+        pool = FlashLoanPool(
+            platform=platform, token=token, fee_rate=fee, chain=chain, address=chain.new_address("flash-pool")
+        )
         token.mint(funder, amount)
         pool.fund(funder, amount)
         provider.register(pool)
@@ -254,7 +255,7 @@ def default_amm(ctx: BuildContext) -> AmmRouter:
     chain, registry, feed = ctx.chain, ctx.registry, ctx.feed
     start_block = ctx.config.start_block
     router = AmmRouter()
-    lp = make_address("amm-lp")
+    lp = chain.new_address("amm-lp")
     pairs = [("ETH", "DAI", 60_000_000.0), ("ETH", "USDC", 60_000_000.0), ("WBTC", "DAI", 30_000_000.0)]
     for symbol_a, symbol_b, usd_depth in pairs:
         token_a = registry.ensure(symbol_a)
@@ -265,7 +266,9 @@ def default_amm(ctx: BuildContext) -> AmmRouter:
         amount_b = usd_depth / 2.0 / price_b
         token_a.mint(lp, amount_a)
         token_b.mint(lp, amount_b)
-        pool = ConstantProductPool(token_a=token_a, token_b=token_b, chain=chain)
+        pool = ConstantProductPool(
+            token_a=token_a, token_b=token_b, chain=chain, address=chain.new_address("amm-pool")
+        )
         pool.add_liquidity(lp, amount_a, amount_b)
         router.register(pool)
     return router
@@ -273,7 +276,7 @@ def default_amm(ctx: BuildContext) -> AmmRouter:
 
 def default_market_maker(ctx: BuildContext) -> MarketMaker:
     """The OTC market maker agents trade against."""
-    return MarketMaker(oracle=ctx.oracle, registry=ctx.registry)
+    return MarketMaker(oracle=ctx.oracle, registry=ctx.registry, address=ctx.chain.new_address("market-maker"))
 
 
 def _borrower_profiles(

@@ -227,8 +227,7 @@ class AuctionReconfig(Incident):
 def default_incidents(config: ScenarioConfig) -> tuple[Incident, ...]:
     """The paper's calibrated incident set, derived from ``config.incidents``.
 
-    Reproduces exactly what the legacy ``build_scenario`` pipeline hardcoded:
-    the March 2020 crash-plus-congestion, the February 2021 drawdown, the
+    The March 2020 crash-plus-congestion, the February 2021 drawdown, the
     November 2020 Compound DAI oracle irregularity, and MakerDAO's subsequent
     auction reconfiguration.
     """

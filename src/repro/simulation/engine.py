@@ -34,7 +34,7 @@ constructed — and probe-attached runs are bit-identical to bare runs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from typing import Callable
 
 import numpy as np
 
@@ -42,7 +42,7 @@ from .. import sanitize
 from ..agents.borrower import plan_agents
 from ..amm.router import AmmRouter
 from ..chain.chain import Blockchain
-from ..chain.types import Address, make_address
+from ..chain.types import Address
 from ..core.position import Position
 from ..flashloan.pool import FlashLoanProvider
 from ..observers import events as sim_events
@@ -200,15 +200,16 @@ class SimulationEngine:
         self.protocol_oracles = protocol_oracles or {}
         self.flash_loans = flash_loans or FlashLoanProvider()
         self.amm = amm or AmmRouter()
-        self.market_maker = market_maker or MarketMaker(oracle=oracle, registry=registry)
+        self.market_maker = market_maker or MarketMaker(
+            oracle=oracle, registry=registry, address=chain.new_address("market-maker")
+        )
         #: Every agent, in acting order.  Write it only through
-        #: :meth:`add_agent` / :meth:`add_agents`, which rebuild the plan.
+        #: :meth:`add_agent`, which rebuilds the plan.
         self.agents: list = []
         #: What the agents phase calls: the agents, with each contiguous run
         #: of borrowers folded into one cohort; built lazily.
         self._agent_plan: list | None = None
         self.scheduled_events: list[ScheduledEvent] = []
-        self._aggregate_backend: str = "vectorized"
         #: The typed event stream.  Attach probes with :meth:`attach_probe`;
         #: with none attached every emission site is skipped entirely.
         self.bus = ObserverBus()
@@ -226,10 +227,10 @@ class SimulationEngine:
         self._event_cursor = 0
         self._record_normalizers: tuple | None = None
         self._complete_probes: list[Probe] = []
-        # Background fill has no sender, but its address is still allocated:
-        # the address sequence, and every address after it, stays the one
-        # the golden fingerprints pin.
-        make_address("background-traffic")
+        # Background fill has no sender, but its address is still minted:
+        # the chain's address sequence, and every address after it, stays
+        # the one the golden fingerprints pin.
+        chain.new_address("background-traffic")
         self._fixed_spread_cache: list[LiquidationOpportunity] | None = None
         self._makerdao_cache: list[Address] | None = None
         self._protocols_by_name: dict[str, LendingProtocol] = {}
@@ -238,13 +239,12 @@ class SimulationEngine:
     # Wiring
     # ------------------------------------------------------------------ #
     def add_agent(self, agent) -> None:
-        """Register one agent; it acts from the next step on."""
-        self.agents.append(agent)
-        self._agent_plan = None
+        """Register one agent; it acts from the next step on.
 
-    def add_agents(self, agents: Iterable) -> None:
-        """Register several agents."""
-        self.agents.extend(agents)
+        Joining mints the agent's address from the world's chain.
+        """
+        agent.address = self.chain.new_address(agent.label)
+        self.agents.append(agent)
         self._agent_plan = None
 
     def schedule(self, block: int, name: str, action: Callable[["SimulationEngine"], None]) -> None:
@@ -315,35 +315,6 @@ class SimulationEngine:
     def fixed_spread_protocols(self) -> list[FixedSpreadProtocol]:
         """Protocols using the atomic fixed spread mechanism."""
         return [protocol for protocol in self.protocols if isinstance(protocol, FixedSpreadProtocol)]
-
-    @property
-    def aggregate_backend(self) -> str:
-        """How the protocols compute aggregate valuations (totals,
-        snapshots, utilization, analytics sweeps): ``"vectorized"``
-        (default) routes them through each protocol's columnar book,
-        ``"scalar"`` keeps the legacy per-position walks.  Both backends
-        produce bit-identical runs and reports
-        (``tests/test_valuation_equivalence.py``).  Setting it propagates to
-        every protocol, so analytics over the finished
-        :class:`SimulationResult` follow the same backend.
-        """
-        return self._aggregate_backend
-
-    @aggregate_backend.setter
-    def aggregate_backend(self, backend: str) -> None:
-        self._aggregate_backend = backend
-        self._push_aggregate_backend()
-
-    def _push_aggregate_backend(self) -> None:
-        """Propagate the engine's backend choice to every protocol.
-
-        Called on assignment and again at the start of every :meth:`run`:
-        protocols appended or swapped into ``self.protocols`` after the
-        setter ran would otherwise silently keep their own default while
-        the engine property reports something else.
-        """
-        for protocol in self.protocols:
-            protocol.aggregate_backend = self._aggregate_backend
 
     def is_active(self, protocol: LendingProtocol) -> bool:
         """Whether the chain has reached the protocol's inception block."""
@@ -505,7 +476,6 @@ class SimulationEngine:
     def run(self, n_steps: int | None = None) -> SimulationResult:
         """Run until the configured end block (or for ``n_steps`` strides)."""
         remaining = n_steps if n_steps is not None else self.config.n_steps
-        self._push_aggregate_backend()  # cover protocols swapped in since the setter ran
         bus = self.bus if self.bus.active else None
         if bus:
             bus.emit(

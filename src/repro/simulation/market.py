@@ -33,6 +33,8 @@ class MarketMaker:
     oracle: PriceOracle
     registry: TokenRegistry
     slippage: float = 0.001
+    #: A world's builder passes one minted by the world's chain; the
+    #: default is for a market maker built outside any world.
     address: Address = field(default_factory=lambda: make_address("market-maker"))
     inventory_usd: float = 5e10
 

@@ -62,19 +62,25 @@ def mini_engine(flat_feed):
     return make_mini_engine(flat_feed)
 
 
+def join(engine, agent):
+    """Add ``agent`` to ``engine`` (which mints its address) and return it."""
+    engine.add_agent(agent)
+    return agent
+
+
 class TestLenderAndBorrower:
     def test_lender_supplies_liquidity_once(self, mini_engine):
         engine, compound, _ = mini_engine
-        lender = LenderAgent("lender", np.random.default_rng(0), compound, {"DAI": 1_000_000.0})
+        lender = join(engine, LenderAgent("lender", np.random.default_rng(0), compound, {"DAI": 1_000_000.0}))
         lender.act(engine)
         lender.act(engine)
         assert engine.registry.get("DAI").balance_of(compound.address) == pytest.approx(1_000_000.0)
 
     def test_borrower_opens_position_at_target_health(self, mini_engine):
         engine, compound, _ = mini_engine
-        LenderAgent("lender", np.random.default_rng(0), compound, {"DAI": 1_000_000.0}).act(engine)
+        join(engine, LenderAgent("lender", np.random.default_rng(0), compound, {"DAI": 1_000_000.0})).act(engine)
         profile = BorrowerProfile(collateral_symbols=("ETH",), debt_symbol="DAI", collateral_usd=20_000.0, target_health_factor=1.25)
-        borrower = BorrowerAgent("borrower", np.random.default_rng(1), compound, profile)
+        borrower = join(engine, BorrowerAgent("borrower", np.random.default_rng(1), compound, profile))
         borrower.act(engine)
         assert borrower.opened
         health = compound.health_factor(borrower.address)
@@ -82,12 +88,12 @@ class TestLenderAndBorrower:
 
     def test_attentive_borrower_tops_up_after_price_drop(self, mini_engine):
         engine, compound, _ = mini_engine
-        LenderAgent("lender", np.random.default_rng(0), compound, {"DAI": 1_000_000.0}).act(engine)
+        join(engine, LenderAgent("lender", np.random.default_rng(0), compound, {"DAI": 1_000_000.0})).act(engine)
         profile = BorrowerProfile(
             collateral_symbols=("ETH",), debt_symbol="DAI", collateral_usd=20_000.0,
             target_health_factor=1.2, attentive=True, topup_trigger=1.1,
         )
-        borrower = BorrowerAgent("borrower", np.random.default_rng(1), compound, profile)
+        borrower = join(engine, BorrowerAgent("borrower", np.random.default_rng(1), compound, profile))
         borrower.act(engine)
         engine.oracle.post_price("ETH", 1_700.0)
         borrower.act(engine)
@@ -95,12 +101,12 @@ class TestLenderAndBorrower:
 
     def test_inattentive_borrower_never_tops_up(self, mini_engine):
         engine, compound, _ = mini_engine
-        LenderAgent("lender", np.random.default_rng(0), compound, {"DAI": 1_000_000.0}).act(engine)
+        join(engine, LenderAgent("lender", np.random.default_rng(0), compound, {"DAI": 1_000_000.0})).act(engine)
         profile = BorrowerProfile(
             collateral_symbols=("ETH",), debt_symbol="DAI", collateral_usd=20_000.0,
             target_health_factor=1.1, attentive=False,
         )
-        borrower = BorrowerAgent("borrower", np.random.default_rng(1), compound, profile)
+        borrower = join(engine, BorrowerAgent("borrower", np.random.default_rng(1), compound, profile))
         borrower.act(engine)
         engine.oracle.post_price("ETH", 1_600.0)
         borrower.act(engine)
@@ -109,9 +115,9 @@ class TestLenderAndBorrower:
 
 class TestLiquidator:
     def _open_unhealthy_position(self, engine, compound):
-        LenderAgent("lender", np.random.default_rng(0), compound, {"DAI": 1_000_000.0}).act(engine)
+        join(engine, LenderAgent("lender", np.random.default_rng(0), compound, {"DAI": 1_000_000.0})).act(engine)
         profile = BorrowerProfile(collateral_symbols=("ETH",), debt_symbol="DAI", collateral_usd=50_000.0, target_health_factor=1.05, attentive=False)
-        borrower = BorrowerAgent("victim", np.random.default_rng(1), compound, profile)
+        borrower = join(engine, BorrowerAgent("victim", np.random.default_rng(1), compound, profile))
         borrower.act(engine)
         engine.oracle.post_price("ETH", 1_800.0)
         return borrower
@@ -120,7 +126,7 @@ class TestLiquidator:
         engine, compound, _ = mini_engine
         borrower = self._open_unhealthy_position(engine, compound)
         profile = LiquidatorProfile(detection_probability=1.0, flash_loan_probability=0.0, min_profit_margin=1.0)
-        liquidator = LiquidatorAgent("bot", np.random.default_rng(2), profile)
+        liquidator = join(engine, LiquidatorAgent("bot", np.random.default_rng(2), profile))
         liquidator.act(engine)
         assert liquidator.liquidations_attempted == 1
         block = engine.chain.mine_block()
@@ -132,18 +138,18 @@ class TestLiquidator:
         engine, compound, _ = mini_engine
         self._open_unhealthy_position(engine, compound)
         profile = LiquidatorProfile(detection_probability=1.0, flash_loan_probability=1.0, min_profit_margin=1.0)
-        LiquidatorAgent("flash-bot", np.random.default_rng(3), profile).act(engine)
+        join(engine, LiquidatorAgent("flash-bot", np.random.default_rng(3), profile)).act(engine)
         engine.chain.mine_block()
         assert len(engine.chain.events.by_name("FlashLoan")) == 1
         assert len(engine.chain.events.by_name("LiquidateBorrow")) == 1
 
     def test_liquidator_skips_unprofitable_opportunities(self, mini_engine):
         engine, compound, _ = mini_engine
-        LenderAgent("lender", np.random.default_rng(0), compound, {"DAI": 1_000_000.0}).act(engine)
+        join(engine, LenderAgent("lender", np.random.default_rng(0), compound, {"DAI": 1_000_000.0})).act(engine)
         profile = BorrowerProfile(collateral_symbols=("ETH",), debt_symbol="DAI", collateral_usd=30.0, target_health_factor=1.05, attentive=False)
-        BorrowerAgent("dust", np.random.default_rng(1), compound, profile).act(engine)
+        join(engine, BorrowerAgent("dust", np.random.default_rng(1), compound, profile)).act(engine)
         engine.oracle.post_price("ETH", 1_800.0)
-        bot = LiquidatorAgent("bot", np.random.default_rng(2), LiquidatorProfile(detection_probability=1.0, min_profit_margin=1.5))
+        bot = join(engine, LiquidatorAgent("bot", np.random.default_rng(2), LiquidatorProfile(detection_probability=1.0, min_profit_margin=1.5)))
         bot.act(engine)
         assert bot.liquidations_attempted == 0
 
@@ -151,8 +157,8 @@ class TestLiquidator:
         engine, compound, _ = mini_engine
         self._open_unhealthy_position(engine, compound)
         profile = LiquidatorProfile(detection_probability=1.0, flash_loan_probability=0.0, min_profit_margin=1.0)
-        LiquidatorAgent("bot-a", np.random.default_rng(4), profile).act(engine)
-        LiquidatorAgent("bot-b", np.random.default_rng(5), profile).act(engine)
+        join(engine, LiquidatorAgent("bot-a", np.random.default_rng(4), profile)).act(engine)
+        join(engine, LiquidatorAgent("bot-b", np.random.default_rng(5), profile)).act(engine)
         block = engine.chain.mine_block()
         liquidation_receipts = [r for r in block.receipts if r.kind.value == "liquidation"]
         assert len(liquidation_receipts) == 2
@@ -172,10 +178,10 @@ class TestKeeper:
     def test_keeper_bites_bids_and_deals(self, mini_engine):
         engine, _, makerdao = mini_engine
         self._open_unsafe_vault(engine, makerdao)
-        keeper = AuctionKeeperAgent(
+        keeper = join(engine, AuctionKeeperAgent(
             "keeper", np.random.default_rng(6), makerdao,
             KeeperProfile(detection_probability=1.0, offline_during_congestion=False, finalize_delay_probability=0.0),
-        )
+        ))
         for _ in range(12):
             keeper.act(engine)
             engine.step_index += 1
@@ -191,10 +197,10 @@ class TestKeeper:
         engine, _, makerdao = mini_engine
         self._open_unsafe_vault(engine, makerdao)
         engine.chain.gas_market.trigger_congestion(10)
-        keeper = AuctionKeeperAgent(
+        keeper = join(engine, AuctionKeeperAgent(
             "keeper", np.random.default_rng(7), makerdao,
             KeeperProfile(detection_probability=1.0, offline_during_congestion=True),
-        )
+        ))
         keeper.act(engine)
         assert len(engine.chain.mempool) == 0
 
@@ -210,5 +216,5 @@ class TestArbitrageur:
         pool = ConstantProductPool(token_a=eth, token_b=dai)
         pool.add_liquidity(lp, 100.0, 150_000.0)
         engine.amm.register(pool)
-        ArbitrageurAgent("arb", np.random.default_rng(8)).act(engine)
+        join(engine, ArbitrageurAgent("arb", np.random.default_rng(8))).act(engine)
         assert pool.spot_price("ETH") == pytest.approx(2_000.0, rel=0.02)

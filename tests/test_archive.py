@@ -6,7 +6,7 @@
   A batch of posts is stored as payload columns, and its views equal the
   dicts one ``emit_event`` per post stores.
 * Snapshot positions are columns too: their rows equal the dicts the
-  archive stored per open position, on both aggregate backends.
+  archive stored per open position.
 * What the archive retains per oracle post and per snapshot row is
   bounded (traced bytes, not RSS, so the bound holds on any host).
 * Background fill is a lane of the mempool: slot-only entries that pack,
@@ -14,13 +14,15 @@
   exactly as transactions with the same bids would, and leave only their
   gas price on the block; the block median, its gas used and the
   executed-transaction count still cover it.
-* Transaction hashes are computed on first read from an id reserved at
-  construction, so they are the strings eager hashing produced.
+* Transaction hashes are computed on first read from an id the building
+  chain reserved from its own sequence, so they are the strings eager
+  hashing produced, whatever other chains do meanwhile.
 """
 
 from __future__ import annotations
 
 import gc
+import itertools
 import json
 import math
 import tracemalloc
@@ -35,12 +37,11 @@ from repro.chain.events import EventFilter, EventLog
 from repro.chain.mempool import Mempool
 from repro.chain.transaction import Transaction, TxKind, TxStatus
 from repro.chain import events as events_module
-from repro.chain.types import gwei, make_address, make_tx_hash, reset_id_counters, tx_hash_of
+from repro.chain.types import gwei, make_address, tx_hash_of
 from repro.observers.events import BlockMined
 from repro.oracle import chainlink as chainlink_module
 from repro.protocols import base as protocols_base
 from repro.protocols.base import SnapshotPositions
-from repro.runtime_state import reset_run_state
 from repro.scenarios import get as get_scenario
 from repro.serialize import to_jsonable
 
@@ -73,14 +74,15 @@ class TestEventViews:
         assert all(isinstance(view, EventLog) for view in views)
 
     def test_view_data_is_the_stored_copy(self):
+        """The archive's one copy of a payload is the dict the emitter
+        handed over: it is stored, not copied, and every view shares it."""
         chain = Blockchain()
         payload = {"x": 1}
         chain.emit_event("Ping", ALICE, payload)
-        payload["x"] = 2  # the emitter's dict is copied at emission
         (view,) = chain.events.by_name("Ping")
-        assert view.data == {"x": 1}
-        # Every view of the log shares the one stored dict.
-        assert next(iter(chain.events)).data is view.data
+        assert view.data is payload
+        assert next(iter(chain.events)).data is payload
+        assert chain.events.since(0)[0].data is payload
 
     def test_empty_and_unknown_names(self):
         chain = Blockchain()
@@ -228,7 +230,6 @@ def old_rows(protocol) -> list[dict]:
 class TestSnapshotPositions:
     @pytest.fixture(scope="class")
     def protocol(self):
-        reset_run_state()
         engine = get_scenario("small").build(seed=3)
         protocol = engine.protocols[0]
         book = [
@@ -253,13 +254,8 @@ class TestSnapshotPositions:
                 (position.add_collateral if side == "collateral" else position.add_debt)(symbol, amount)
         return protocol
 
-    @pytest.mark.parametrize("backend", ["vectorized", "scalar"])
-    def test_rows_equal_the_old_rows(self, protocol, backend):
-        protocol.aggregate_backend = backend
-        try:
-            positions = protocol.snapshot()["positions"]
-        finally:
-            protocol.aggregate_backend = "vectorized"
+    def test_rows_equal_the_old_rows(self, protocol):
+        positions = protocol.snapshot()["positions"]
         expected = old_rows(protocol)
         assert isinstance(positions, SnapshotPositions)
         assert len(positions) == len(expected) == 4
@@ -311,7 +307,6 @@ def traced_bytes(snapshot: tracemalloc.Snapshot, *modules) -> int:
 
 
 def test_archive_retains_few_bytes_per_post_and_snapshot_row():
-    reset_run_state()
     builder = get_scenario("small").builder(seed=3)
     config = builder.config
     builder.config = config.with_overrides(end_block=config.start_block + 120 * config.blocks_per_step)
@@ -378,7 +373,6 @@ class TestBackgroundFill:
         assert marked.status is TxStatus.SUCCESS
 
     def test_block_mined_counts_every_executed_transaction(self):
-        reset_run_state()
         builder = get_scenario("small").builder(5)
         config = builder.config
         builder.config = config.with_overrides(end_block=config.start_block + 20 * config.blocks_per_step)
@@ -496,16 +490,17 @@ class TestFillLane:
         assert pool.pending == []
 
     def test_a_transaction_after_fill_keeps_its_hash(self):
-        reset_id_counters()
+        plain = Blockchain()
         for _ in range(40):  # the same fill as plain transactions
-            Transaction(sender=TRAFFIC, gas_price=gwei(1.0), gas_limit=21_000)
-        expected = make_tx().tx_hash
-        reset_id_counters()
+            plain.submit_call(TRAFFIC, None, gas_price=gwei(1.0), gas_limit=21_000)
+        expected = plain.submit_call(ALICE, None, gas_price=gwei(1.0), gas_limit=21_000).tx_hash
         chain = Blockchain()
         chain.submit_fill([gwei(1.0)] * 40, gas_limit=21_000)
-        tx = make_tx()
+        tx = chain.submit_call(ALICE, None, gas_price=gwei(1.0), gas_limit=21_000)
         assert tx.hash_id == 41
         assert tx.tx_hash == expected
+        # The fill reserved ids on its own chain only.
+        assert Blockchain().submit_call(ALICE, None, gas_price=gwei(1.0), gas_limit=21_000).hash_id == 1
 
 
 def replay_pool(script, *, as_transactions: bool) -> list[tuple]:
@@ -521,12 +516,14 @@ def replay_pool(script, *, as_transactions: bool) -> list[tuple]:
     for block, (txs, fill, min_price) in enumerate(script):
         before = len(pool)
         for index, (price, gas) in enumerate(txs):
-            tx = Transaction(sender=ALICE, gas_price=price, gas_limit=gas, metadata={"label": (block, index)})
+            tx = Transaction(
+                sender=ALICE, gas_price=price, gas_limit=gas, hash_id=next(_hash_ids), metadata={"label": (block, index)}
+            )
             submitted[(block, index)] = tx
             pool.submit(tx, block)
         if as_transactions:
             for price in fill:
-                pool.submit(Transaction(sender=TRAFFIC, gas_price=price, gas_limit=21_000), block)
+                pool.submit(Transaction(sender=TRAFFIC, gas_price=price, gas_limit=21_000, hash_id=next(_hash_ids)), block)
         else:
             pool.submit_fill(fill, 21_000, block)
         evicted = before + len(txs) + len(fill) - len(pool)
@@ -546,37 +543,48 @@ def replay_pool(script, *, as_transactions: bool) -> list[tuple]:
 # --------------------------------------------------------------------- #
 # Lazy transaction hashes
 # --------------------------------------------------------------------- #
+#: Hash ids for transactions built by hand, outside any chain.
+_hash_ids = itertools.count(1)
+
+
 def make_tx(price: float = 1.0) -> Transaction:
-    return Transaction(sender=ALICE, gas_price=gwei(price), gas_limit=21_000)
+    return Transaction(sender=ALICE, gas_price=gwei(price), gas_limit=21_000, hash_id=next(_hash_ids))
+
+
+def submit_plain(chain: Blockchain) -> Transaction:
+    return chain.submit_call(ALICE, None, gas_price=gwei(1.0), gas_limit=21_000)
 
 
 class TestLazyHashes:
     def test_mixed_reads_give_the_eager_strings(self):
-        reset_run_state()
-        eager = [make_tx_hash() for _ in range(6)]
-        reset_run_state()
-        txs = [make_tx() for _ in range(6)]
-        # Read out of order and skip some: ids were reserved at construction.
+        chain = Blockchain()
+        txs = [submit_plain(chain) for _ in range(6)]
+        eager = [tx_hash_of(hash_id) for hash_id in range(1, 7)]
+        # Read out of order and skip some: ids were reserved when the chain
+        # built each transaction.
         assert txs[4].tx_hash == eager[4]
         assert txs[1].tx_hash == eager[1]
         assert txs[5].tx_hash == eager[5]
         assert [tx.hash_id for tx in txs] == [1, 2, 3, 4, 5, 6]
-        assert make_tx_hash() == tx_hash_of(7)
+        assert [tx.tx_hash for tx in txs] == eager
+        assert chain.reserve_hash_ids() == 7
 
     def test_hash_read_after_counter_reset_is_unchanged(self):
-        reset_id_counters()
-        eager = [make_tx_hash() for _ in range(3)]
-        reset_id_counters()
-        make_tx(), make_tx()
-        late = make_tx()
-        reset_id_counters()
-        make_tx()  # takes id 1 again; ``late`` keeps its own id
-        assert late.tx_hash == eager[2]
-        assert late.tx_hash == late.tx_hash
+        """Another chain's hash ids start again from 1; a hash of the first
+        chain read afterwards is still its own."""
+        first = Blockchain()
+        submit_plain(first), submit_plain(first)
+        late = submit_plain(first)
+        other = Blockchain()
+        assert submit_plain(other).hash_id == 1  # its own sequence; ``late`` keeps its id
+        other.submit_fill([gwei(1.0)] * 5, gas_limit=21_000)
+        assert late.hash_id == 3
+        assert late.tx_hash == tx_hash_of(3)
+        assert submit_plain(first).hash_id == 4
 
     def test_submit_returns_the_hash_and_receipts_carry_it(self):
         chain = Blockchain()
-        tx = make_tx(5.0)
+        tx = Transaction(sender=ALICE, gas_price=gwei(5.0), gas_limit=21_000, hash_id=chain.reserve_hash_ids())
         assert chain.submit(tx) == tx.tx_hash
         (receipt,) = chain.mine_block().receipts
         assert receipt.tx_hash == tx.tx_hash == tx_hash_of(tx.hash_id)

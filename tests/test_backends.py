@@ -28,7 +28,6 @@ from repro.campaigns import (
 from repro.campaigns.executor import RunJob, execute_job
 from repro.chain.types import make_address
 from repro.cli import main
-from repro.runtime_state import reset_run_state
 from repro.service import ServiceConfig, ServiceSupervisor
 
 #: Strides kept when truncating a scenario's window for cheap runs.
@@ -142,33 +141,23 @@ def test_all_backends_byte_identical_for_every_registered_scenario(tmp_path):
 
 
 def test_warm_execution_leaves_id_counters_exactly_reset(tmp_path):
-    """After a run re-executed in the same process — a warm worker's shape —
-    ``reset_run_state`` must restore the global id counters to the same
-    point as after a single run: the task-to-task isolation the persistent
-    runtime depends on."""
-    spec = tiny_spec()
+    """A run re-executed in the same process — a warm worker's shape —
+    writes the same store bytes as its first execution, identifiers
+    included, with nothing rewound in between: each world's chain starts
+    its own address and tx-hash counters at 1, the task-to-task isolation
+    the persistent runtime depends on."""
+    spec = tiny_spec(experiments=("table1", "table7"))
     run = spec.runs()[0]
-    job = RunJob(
-        store_root=str(tmp_path / "a"),
-        campaign=spec.campaign,
-        run=run,
-        experiments=spec.experiments,
-    )
-    outcome = execute_job(job)
-    assert outcome.error is None
-    reset_run_state()
-    cold_probe = make_address("probe")
-
-    job2 = RunJob(
-        store_root=str(tmp_path / "b"),
-        campaign=spec.campaign,
-        run=run,
-        experiments=spec.experiments,
-    )
-    assert execute_job(job2).error is None
-    assert execute_job(job2).error is None
-    reset_run_state()
-    assert make_address("probe") == cold_probe
+    written = []
+    for name in ("first", "second", "third"):
+        store = RunStore(tmp_path / name)
+        job = RunJob(store_root=str(store.root), campaign=spec.campaign, run=run, experiments=spec.experiments)
+        assert execute_job(job).error is None
+        written.append(store_bytes(store, spec.campaign))
+        make_address("between-runs")  # process-wide ids outside a world move on
+    assert written[0] and written[1] == written[0] and written[2] == written[0]
+    # The files carry addresses and tx hashes, so the comparison covers them.
+    assert any(b"0x" in payload for payload in written[0].values())
 
 
 # --------------------------------------------------------------------- #

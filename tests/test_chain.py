@@ -1,5 +1,7 @@
 """Unit tests for the chain substrate: blocks, mempool, gas market, events."""
 
+import itertools
+
 import pytest
 
 from repro.chain.chain import Blockchain, ChainConfig
@@ -11,9 +13,14 @@ from repro.chain.types import GWEI, blocks_to_hours, gwei, hours_to_blocks, make
 
 ALICE = make_address("alice")
 
+#: Hash ids for transactions built by hand, outside any chain.
+_hash_ids = itertools.count(1)
+
 
 def make_tx(gas_price_gwei: float, gas_limit: int = 100_000, action=None) -> Transaction:
-    return Transaction(sender=ALICE, gas_price=gwei(gas_price_gwei), gas_limit=gas_limit, action=action)
+    return Transaction(
+        sender=ALICE, gas_price=gwei(gas_price_gwei), gas_limit=gas_limit, hash_id=next(_hash_ids), action=action
+    )
 
 
 class TestUnits:

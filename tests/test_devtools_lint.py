@@ -148,37 +148,32 @@ class TestSummationRule:
 
 
 # --------------------------------------------------------------------- #
-# PKL003 — picklable payloads, reset-registered counters
+# PKL003 — picklable payloads
 # --------------------------------------------------------------------- #
 class TestPicklingRule:
-    def test_flags_unregistered_counter_and_pool_lambda(self, tmp_path):
+    def test_flags_pool_and_spec_lambdas(self, tmp_path):
         _, report = lint_tree(
             tmp_path,
             {
                 "repro/campaigns/bad.py": (
-                    "import itertools\n"
-                    "_ids = itertools.count(1)\n"
                     "def run_all(pool, jobs):\n"
                     "    return pool.imap_unordered(lambda job: job, jobs)\n"
+                    "def spec():\n"
+                    "    return RunSpec(scenario=lambda: 'small')\n"
                 )
             },
         )
         assert codes(report) == ["PKL003", "PKL003"]
-        assert "_ids" in report.violations[0].message
-        assert "lambda" in report.violations[1].message
+        assert "pool.imap_unordered" in report.violations[0].message
+        assert "RunSpec" in report.violations[1].message
 
-    def test_registered_counter_passes_everywhere(self, tmp_path):
+    def test_module_level_functions_pass(self, tmp_path):
         _, report = lint_tree(
             tmp_path,
             {
-                "repro/chain/ids.py": (
-                    "import itertools\n"
-                    "from ..runtime_state import register_reset\n"
-                    "_ids = itertools.count(1)\n"
-                    "def _reset():\n"
-                    "    global _ids\n"
-                    "    _ids = itertools.count(1)\n"
-                    'register_reset("repro.chain.ids", _reset)\n'
+                "repro/campaigns/good.py": (
+                    "def run_all(pool, jobs):\n"
+                    "    return pool.imap_unordered(execute_job, jobs)\n"
                 )
             },
         )

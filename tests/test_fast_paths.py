@@ -173,6 +173,7 @@ def open_borrower(protocol, label: str, debt: float) -> BorrowerAgent:
     a top-up trigger of 1.08."""
     profile = BorrowerProfile(topup_trigger=1.08)
     borrower = BorrowerAgent(label, np.random.default_rng(0), protocol, profile)
+    borrower.address = protocol.chain.new_address(label)
     position = protocol.position_of(borrower.address)
     position.add_collateral("ETH", 1.0)
     position.add_debt("DAI", debt)
@@ -181,7 +182,9 @@ def open_borrower(protocol, label: str, debt: float) -> BorrowerAgent:
 
 
 def unopened_borrower(protocol, label: str, entry_step: int) -> BorrowerAgent:
-    return BorrowerAgent(label, np.random.default_rng(0), protocol, BorrowerProfile(entry_step=entry_step))
+    borrower = BorrowerAgent(label, np.random.default_rng(0), protocol, BorrowerProfile(entry_step=entry_step))
+    borrower.address = protocol.chain.new_address(label)
+    return borrower
 
 
 def scalar_hf(borrower: BorrowerAgent) -> float:

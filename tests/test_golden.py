@@ -27,6 +27,10 @@ short one ends before any borrower tops up its collateral; the late one
 covers the first top-ups (stride 139 in ``paper-full``, 158 in ``small``)
 and the stress incidents at strides 206, 250 and 312.
 
+Worlds own their identity (each chain mints its addresses and tx hashes),
+so nothing is rewound between runs, and two worlds built in one process and
+stepped alternately must each still match their own fingerprints.
+
 Regenerate only on an intended behaviour change, and say so in the change
 log::
 
@@ -43,7 +47,6 @@ import pytest
 
 from repro import scenarios
 from repro.experiments.runner import run_one
-from repro.runtime_state import reset_run_state
 from repro.serialize import to_jsonable
 
 GOLDEN = Path(__file__).parent / "golden" / "fingerprints.json"
@@ -66,19 +69,17 @@ def canonical_hash(obj) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def run_truncated(name: str, strides: int):
-    reset_run_state()
+def truncated_builder(name: str, strides: int):
     builder = scenarios.get(name).builder(SEED)
     config = builder.config
     builder.config = config.with_overrides(
         end_block=min(config.end_block, config.start_block + strides * config.blocks_per_step)
     )
-    return builder.run()
+    return builder
 
 
-def fingerprints(name: str, strides: int = STRIDES) -> dict[str, str]:
-    """The per-component hashes of one truncated run of ``name``."""
-    result = run_truncated(name, strides)
+def fingerprints(result) -> dict[str, str]:
+    """The per-component hashes of one finished run."""
     chain = result.chain
     events = [
         (event.name, event.emitter.value, event.block_number, event.tx_hash, event.log_index, event.data)
@@ -119,7 +120,7 @@ def window(golden: dict, key: str | None) -> dict:
 
 
 def check_window(name: str, request, key: str | None, strides: int) -> None:
-    actual = fingerprints(name, strides)
+    actual = fingerprints(truncated_builder(name, strides).run())
     if request.config.getoption("--update-golden", default=False):
         golden = load_golden()
         section = window(golden, key)
@@ -153,3 +154,30 @@ def test_every_registered_scenario_is_pinned():
     golden = load_golden()
     for key in (None, LATE):
         assert sorted(window(golden, key).get("scenarios", {})) == sorted(scenarios.names())
+
+
+def test_interleaved_worlds_match_their_golden_fingerprints():
+    """Two worlds built in one process, then stepped alternately with no
+    reset anywhere, each leave exactly their own committed fingerprints."""
+    names = ("paper-medium", "small")
+    engines = [truncated_builder(name, STRIDES).build() for name in names]
+    pending = list(engines)
+    while pending:
+        for engine in list(pending):
+            if engine.chain.current_block > engine.config.end_block:
+                pending.remove(engine)
+            else:
+                engine.step()
+    expected = window(load_golden(), None)["scenarios"]
+    for name, engine in zip(names, engines):
+        actual = fingerprints(engine.run(0))
+        changed = [component for component in COMPONENTS if actual[component] != expected[name][component]]
+        assert not changed, f"{name}: {', '.join(changed)} differ when stepped alongside another world"
+        # No fingerprint covers tx hashes: compare them with a lone run's.
+        alone = truncated_builder(name, STRIDES).run()
+        assert receipt_hashes(engine.chain) == receipt_hashes(alone.chain)
+        assert receipt_hashes(alone.chain)
+
+
+def receipt_hashes(chain) -> list[str]:
+    return [receipt.tx_hash for block in chain.blocks for receipt in block.receipts]

@@ -22,7 +22,6 @@ import pytest
 
 from repro import scenarios
 from repro.analytics.records import extract_liquidations
-from repro.chain.types import reset_id_counters
 from repro.cli import main as cli_main
 from repro.observers import (
     BlockMined,
@@ -53,7 +52,6 @@ def truncated_builder(name: str, seed: int = SEED, strides: int = STRIDES):
 
 def run_probed(name: str, *, strides: int = STRIDES):
     """One truncated run with the standard probe set attached."""
-    reset_id_counters()
     builder = truncated_builder(name, strides=strides)
     builder.with_probes(
         lambda engine: LiquidationRecorder(),
@@ -86,7 +84,6 @@ def test_streamed_records_equal_posthoc_crawl(name):
 
 
 def test_result_records_fall_back_to_crawl_without_probe():
-    reset_id_counters()
     result = truncated_builder("small").run()
     assert result.engine.bus.active is False
     assert result.records == extract_liquidations(result)
@@ -97,7 +94,6 @@ def test_result_records_fall_back_to_crawl_without_probe():
 # --------------------------------------------------------------------- #
 @pytest.mark.parametrize("name", ["small", "march-2020-only"])
 def test_probed_runs_are_bit_identical_to_bare_runs(name):
-    reset_id_counters()
     bare = truncated_builder(name).run()
     engine, probed = run_probed(name)
     assert event_fingerprint(probed) == event_fingerprint(bare)
@@ -140,7 +136,6 @@ class CollectingProbe:
 
 
 def test_step_event_ordering_and_finalize():
-    reset_id_counters()
     engine = truncated_builder("small", strides=6).build()
     probe = engine.attach_probe(CollectingProbe())
     engine.run()
@@ -163,7 +158,6 @@ def test_step_event_ordering_and_finalize():
 def test_probe_attached_mid_run_catches_up_on_liquidations():
     # The streaming cursor lags while the bus is inactive; the first active
     # drain translates the backlog, so a late probe still sees everything.
-    reset_id_counters()
     engine = truncated_builder("small").build()
     engine.run(n_steps=30)
     recorder = engine.attach_probe(LiquidationRecorder())
@@ -180,7 +174,6 @@ def test_partial_recorder_never_backs_result_records():
     # A probe active from step 0 advances the streaming cursor every stride;
     # a recorder attached later misses the early liquidation logs and must
     # NOT be used as the source of result.records.
-    reset_id_counters()
     engine = truncated_builder("march-2020-only").build()
     engine.attach_probe(CollectingProbe())  # keeps the bus (and cursor) hot
     engine.run(n_steps=30)
@@ -207,7 +200,6 @@ def test_detach_and_find():
 
 def test_jsonl_sink_streams_valid_json(tmp_path):
     path = tmp_path / "events.jsonl"
-    reset_id_counters()
     builder = truncated_builder("small", strides=8)
     builder.with_probes(lambda engine: JsonlSink(path))
     builder.run()
@@ -224,7 +216,6 @@ def test_jsonl_sink_appends_across_runs(tmp_path):
     # finalize() closes a path-backed sink; a second run() of the same
     # engine must append to the stream, not truncate the first segment.
     path = tmp_path / "two-runs.jsonl"
-    reset_id_counters()
     engine = truncated_builder("small", strides=12).build()
     engine.attach_probe(JsonlSink(path))
     engine.run(n_steps=6)
@@ -239,7 +230,6 @@ def test_jsonl_sink_appends_across_runs(tmp_path):
 
 def test_jsonl_sink_kind_filter(tmp_path):
     path = tmp_path / "filtered.jsonl"
-    reset_id_counters()
     builder = truncated_builder("small", strides=8)
     builder.with_probes(lambda engine: JsonlSink(path, kinds={"BlockMined"}))
     builder.run()
@@ -277,7 +267,6 @@ def test_liquidation_settled_payload_carries_record_fields():
 # End-of-run snapshot dedup (satellite fix)
 # --------------------------------------------------------------------- #
 def test_rerun_does_not_duplicate_final_snapshot():
-    reset_id_counters()
     engine = truncated_builder("small", strides=8).build()
     engine.run()
     snapshots = list(engine.chain.snapshot_blocks)
@@ -295,7 +284,6 @@ def test_rerun_does_not_duplicate_final_snapshot():
 # Batched quote step (satellite)
 # --------------------------------------------------------------------- #
 def test_quote_opportunities_matches_per_candidate_quotes():
-    reset_id_counters()
     engine = truncated_builder("march-2020-only").build()
     engine.run(n_steps=STRIDES)
     compared = 0
@@ -397,7 +385,6 @@ def test_interest_accrual_triggers_watcher_rescan():
 
 
 def test_interest_accrued_events_appear_in_stream():
-    reset_id_counters()
     engine = truncated_builder("small", strides=25).build()
     probe = engine.attach_probe(CollectingProbe())
     engine.run()

@@ -23,7 +23,7 @@ from repro import sanitize, scenarios
 from repro.agents import BorrowerAgent
 from repro.chain.mempool import Mempool
 from repro.chain.transaction import Transaction
-from repro.chain.types import make_address, reset_id_counters
+from repro.chain.types import make_address
 from repro.serialize import to_jsonable
 from repro.simulation.engine import SimulationEngine
 
@@ -33,8 +33,7 @@ STRIDES = 30
 SEED = 31
 
 
-def run_scenario(name: str, *, sanitized: bool):
-    reset_id_counters()
+def run_world(name: str, *, sanitized: bool):
     builder = scenarios.get(name).builder(seed=SEED)
     config = builder.config
     end_block = min(config.end_block, config.start_block + STRIDES * config.blocks_per_step)
@@ -67,8 +66,8 @@ def fingerprint(result) -> str:
 
 @pytest.mark.parametrize("name", scenarios.names())
 def test_sanitized_runs_are_bit_identical(name):
-    bare = run_scenario(name, sanitized=False)
-    sanitized = run_scenario(name, sanitized=True)
+    bare = run_world(name, sanitized=False)
+    sanitized = run_world(name, sanitized=True)
     assert fingerprint(sanitized) == fingerprint(bare)
 
 
@@ -108,7 +107,6 @@ class TestSwitch:
 # --------------------------------------------------------------------- #
 def run_small():
     """A 'small'-scenario engine *after* a short run, so positions exist."""
-    reset_id_counters()
     builder = scenarios.get("small").builder(seed=SEED)
     config = builder.config
     builder.config = config.with_overrides(
@@ -210,7 +208,6 @@ class TestScanCrossCheck:
             bad_debt_candidates.append(sum(1 for position in candidates if not position.collateral))
 
         monkeypatch.setattr(SimulationEngine, "_cross_check_scan", counting)
-        reset_id_counters()
         builder = scenarios.get("double-crash-stress").builder(seed=2)
         config = builder.config
         builder.config = config.with_overrides(end_block=config.start_block + 260 * config.blocks_per_step)
@@ -267,7 +264,9 @@ class TestMempoolInvariants:
         pool = Mempool()
         sender = make_address("spammer")
         for i in range(n):
-            pool.submit(Transaction(sender=sender, gas_price=(i + 1) * 10**9, gas_limit=21_000), current_block=1)
+            pool.submit(
+                Transaction(sender=sender, gas_price=(i + 1) * 10**9, gas_limit=21_000, hash_id=i + 1), current_block=1
+            )
         return pool
 
     def test_clean_pool_passes(self):

@@ -22,7 +22,6 @@ import pytest
 
 from repro import scenarios
 from repro.analytics.records import extract_liquidations
-from repro.chain.types import reset_id_counters
 
 #: Number of block strides each truncated equivalence run covers.
 STRIDES = 45
@@ -31,10 +30,6 @@ SEED = 17
 
 
 def build(name: str, strides: int):
-    # Addresses and tx hashes come from process-wide counters; reset them so
-    # both runs mint identical identifiers (same trick the campaign executor
-    # uses for byte-identical store files).
-    reset_id_counters()
     builder = scenarios.get(name).builder(seed=SEED)
     config = builder.config
     end_block = min(config.end_block, config.start_block + strides * config.blocks_per_step)
@@ -42,7 +37,7 @@ def build(name: str, strides: int):
     return builder.build()
 
 
-def run_scenario(name: str, *, reference: bool):
+def run_world(name: str, *, reference: bool):
     engine = build(name, STRIDES)
     if reference:
         engine._liquidatable_candidates = (
@@ -60,8 +55,8 @@ def event_fingerprint(result):
 
 @pytest.mark.parametrize("name", scenarios.names())
 def test_backends_replay_identically(name):
-    scalar = run_scenario(name, reference=True)
-    vectorized = run_scenario(name, reference=False)
+    scalar = run_world(name, reference=True)
+    vectorized = run_world(name, reference=False)
     assert event_fingerprint(vectorized) == event_fingerprint(scalar)
     assert len(extract_liquidations(vectorized)) == len(extract_liquidations(scalar))
     assert vectorized.final_block == scalar.final_block

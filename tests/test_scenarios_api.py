@@ -2,11 +2,9 @@
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro import scenarios
-from repro.analytics.records import extract_liquidations
 from repro.experiments.runner import EXPERIMENT_IDS, run_all, run_one
 from repro.scenarios import (
     AuctionReconfig,
@@ -20,7 +18,6 @@ from repro.scenarios import (
     register_scenario,
 )
 from repro.simulation.config import ScenarioConfig
-from repro.simulation.scenarios import build_price_feed
 
 
 def tiny_config(seed: int = 3) -> ScenarioConfig:
@@ -121,13 +118,6 @@ class TestScenarioBuilder:
         assert builder.with_population(liquidators=3) is builder
         assert builder.without_incidents() is builder
 
-    def test_default_feed_matches_legacy_build_price_feed(self):
-        config = ScenarioConfig.small(seed=9)
-        new = ScenarioBuilder(config).build_feed()
-        legacy = build_price_feed(config)
-        for symbol in ("ETH", "WBTC", "DAI"):
-            np.testing.assert_allclose(new.series[symbol], legacy.series[symbol])
-
     def test_without_incidents_schedules_nothing_and_smooths_the_feed(self):
         config = ScenarioConfig.small(seed=9)
         builder = ScenarioBuilder(config).without_incidents()
@@ -178,15 +168,6 @@ class TestScenarioBuilder:
 
 
 class TestLegacyEquivalence:
-    def test_builder_reproduces_legacy_small_run(self, small_result, small_records):
-        """Seed-pinned equivalence: the builder path must replay the legacy
-        `build_scenario(ScenarioConfig.small())` world exactly."""
-        engine = ScenarioBuilder(ScenarioConfig.small(seed=11)).build()
-        result = engine.run()
-        assert len(extract_liquidations(result)) == len(small_records)
-        assert result.final_block == small_result.final_block
-        assert len(result.chain.events) == len(small_result.chain.events)
-
     def test_registry_small_is_the_legacy_small_preset(self):
         builder = scenarios.get("small").builder(seed=11)
         assert builder.config == ScenarioConfig.small(seed=11)

@@ -55,7 +55,6 @@ from repro.observers.events import (
     StepStarted,
 )
 from repro.observers.sinks import JsonlSink
-from repro.runtime_state import reset_run_state
 from repro.service import (
     AlertEngine,
     AlertPolicy,
@@ -463,7 +462,6 @@ def test_service_worker_store_artifacts_are_bit_identical(name, tmp_path, servic
     assert len(messages) == forwarded.count("\n")
     # ...and exactly what the same two probes write in-process.
     in_process = io.StringIO()
-    reset_run_state()
     spec.builder().with_probes(
         lambda engine: JsonlSink(in_process),
         lambda engine: HealthSampleProbe(in_process, engine.protocols, sample_below=sample_below),

@@ -19,7 +19,6 @@ import pytest
 
 from repro import scenarios
 from repro.analytics.records import extract_liquidations
-from repro.chain.types import reset_id_counters
 from repro.serialize import to_jsonable
 from repro.telemetry import (
     MetricsRegistry,
@@ -43,9 +42,8 @@ STRIDES = 30
 SEED = 23
 
 
-def run_scenario(name: str, telemetered: bool):
+def run_world(name: str, telemetered: bool):
     """One truncated scenario run; returns ``(result, telemetry_or_None)``."""
-    reset_id_counters()
     builder = scenarios.get(name).builder(seed=SEED)
     config = builder.config
     end_block = min(config.end_block, config.start_block + STRIDES * config.blocks_per_step)
@@ -70,8 +68,8 @@ def event_fingerprint(result):
 class TestBitIdentity:
     @pytest.mark.parametrize("name", scenarios.names())
     def test_telemetry_on_and_off_replay_identically(self, name):
-        bare, _ = run_scenario(name, telemetered=False)
-        traced, telemetry = run_scenario(name, telemetered=True)
+        bare, _ = run_world(name, telemetered=False)
+        traced, telemetry = run_world(name, telemetered=True)
 
         assert event_fingerprint(traced) == event_fingerprint(bare)
         assert to_jsonable(extract_liquidations(traced)) == to_jsonable(
