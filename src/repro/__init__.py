@@ -17,7 +17,8 @@ The package is organised in layers:
 * :mod:`repro.observers` — the streaming observer API: typed
   :class:`~repro.observers.events.SimEvent` s published by the engine's
   bus, consumed live by probes (liquidation recording, health-factor
-  watching, per-step metrics, JSONL sinks).
+  sampling, per-step metrics, JSONL sinks), plus the one tiered alert
+  policy behind both ``repro watch`` and ``repro serve``.
 * :mod:`repro.analytics` — the measurement pipeline (the paper's "custom
   client").
 * :mod:`repro.experiments` — one harness per table and figure of the paper.

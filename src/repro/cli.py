@@ -15,7 +15,8 @@ subsystem::
 ``run`` builds one scenario through
 :class:`~repro.scenarios.ScenarioBuilder`, simulates it, and renders the
 requested table/figure reports to stdout (or ``--output``).  ``watch`` is
-the live monitoring loop: it streams at-risk positions, settled
+the live monitoring loop: it streams tiered health alerts (the
+:class:`~repro.observers.alerts.AlertPolicy` that ``serve`` applies), settled
 liquidations and fired incidents to stdout while the world advances
 (optionally teeing the full typed event stream to ``--jsonl``).  ``sweep``
 fans a multi-seed campaign out over a worker pool, persisting every run to
@@ -69,7 +70,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run_parser.add_argument("--output", default=None, metavar="FILE", help="write the report to FILE instead of stdout")
 
     watch_parser = sub.add_parser(
-        "watch", help="live-monitor a scenario: stream at-risk positions and liquidations"
+        "watch", help="live-monitor a scenario: stream tiered health alerts and liquidations"
     )
     watch_parser.add_argument("scenario", nargs="?", default="small", help="registered scenario name")
     watch_parser.add_argument("--seed", type=int, default=None, help="override the scenario's seed")
@@ -78,7 +79,7 @@ def _build_parser() -> argparse.ArgumentParser:
         type=float,
         default=1.05,
         metavar="HF",
-        help="alert when a position's health factor drops below HF (default: 1.05)",
+        help="warn when a position's health factor drops below HF, critical below min(HF, 1.0) (default: 1.05)",
     )
     watch_parser.add_argument(
         "--follow", action="store_true", help="also print one progress line per block stride"
@@ -387,7 +388,7 @@ def _cmd_watch(args: argparse.Namespace) -> int:
     _status(
         f"watching {definition.name!r} (seed {config.seed}): "
         f"blocks {config.start_block:,} – {config.end_block:,}, "
-        f"alerting below HF {args.hf_below}"
+        f"warning below HF {args.hf_below}, critical below HF {min(1.0, args.hf_below)}"
     )
     jsonl = sys.stdout if args.jsonl == "-" else args.jsonl
     # With the JSON stream on stdout, narration moves to stderr so the
@@ -419,7 +420,8 @@ def _cmd_watch(args: argparse.Namespace) -> int:
     finished = "watch interrupted" if summary.interrupted else "watch finished"
     _status(
         f"{finished} at block {summary.result.final_block:,} in "
-        f"{time.perf_counter() - started:.1f}s: {summary.alerts} at-risk alerts, "
+        f"{time.perf_counter() - started:.1f}s: {len(summary.alerts)} alerts "
+        f"({sum(alert.tier == 'critical' for alert in summary.alerts)} critical), "
         f"{summary.liquidations} liquidations{streamed}"
     )
     return 0

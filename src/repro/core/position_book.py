@@ -141,7 +141,7 @@ class BookValuation:
     Built by :meth:`PositionBook.valuation` (and cached per block by
     :meth:`repro.protocols.base.LendingProtocol.valuation`), this is the
     single vectorized pass behind the protocol totals, snapshots, analytics
-    sweeps and the :class:`~repro.observers.probes.HealthFactorWatcher`.
+    sweeps and the :class:`~repro.observers.probes.HealthSampler`.
 
     Two tiers of results are exposed:
 

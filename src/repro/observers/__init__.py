@@ -10,8 +10,11 @@ into a *stream* you consume as the world advances:
   :class:`~repro.simulation.engine.SimulationEngine` carries, plus the
   two-method :class:`Probe` protocol (``on_event`` / ``finalize``);
 * :mod:`repro.observers.probes` — built-in probes:
-  :class:`LiquidationRecorder`, :class:`HealthFactorWatcher`,
+  :class:`LiquidationRecorder`, :class:`HealthSampler`,
   :class:`MetricsAccumulator`;
+* :mod:`repro.observers.alerts` — the tiered alert policy
+  (:class:`AlertPolicy`, :class:`AlertEngine`) that turns health samples
+  into alerts under both ``repro watch`` and ``repro serve``;
 * :mod:`repro.observers.sinks` — :class:`JsonlSink`, streaming events as
   JSON lines;
 * :mod:`repro.observers.watch` — the live monitoring loop behind
@@ -50,10 +53,9 @@ from .events import (
 )
 
 __all__ = [
-    "AtRiskAlert",
     "AuctionDealt",
     "BlockMined",
-    "HealthFactorWatcher",
+    "HealthSampler",
     "IncidentFired",
     "InterestAccrued",
     "JsonlSink",
@@ -68,17 +70,14 @@ __all__ = [
     "SimEvent",
     "SnapshotTaken",
     "StepStarted",
-    "run_metrics",
     "watch_run",
 ]
 
 #: Lazily resolved attributes → their defining submodule.
 _LAZY = {
-    "AtRiskAlert": "probes",
-    "HealthFactorWatcher": "probes",
+    "HealthSampler": "probes",
     "LiquidationRecorder": "probes",
     "MetricsAccumulator": "probes",
-    "run_metrics": "probes",
     "JsonlSink": "sinks",
     "watch_run": "watch",
 }

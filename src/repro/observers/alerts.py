@@ -1,10 +1,9 @@
-"""Tiered health-factor alerting with production semantics.
+"""Tiered health-factor alerting: the one alert policy of ``watch`` and ``serve``.
 
-The per-run :class:`~repro.observers.probes.HealthFactorWatcher` alerts once
-per threshold entry — right for a console narration, too chatty and too flat
-for a fleet of concurrent runs.  The service's :class:`AlertEngine` consumes
-the health-factor *samples* streamed by every worker and applies the
-liquidation-alerter semantics the ROADMAP cites:
+An :class:`AlertEngine` folds the samples a
+:class:`~repro.observers.probes.HealthSampler` takes — in-process under
+``repro watch``, decoded from the workers' ``hf_sample`` lines under
+``repro serve`` — into alerts with liquidation-alerter semantics:
 
 * **tiers** — ``warning`` below :attr:`AlertPolicy.warning_hf`, ``critical``
   below :attr:`AlertPolicy.critical_hf` (liquidatable territory);
@@ -27,6 +26,10 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import asdict, dataclass
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from .probes import HealthSample
 
 __all__ = ["Alert", "AlertEngine", "AlertPolicy", "TIERS"]
 
@@ -58,6 +61,12 @@ class AlertPolicy:
             )
         if self.cooldown_blocks < 0 or self.deterioration_window_blocks < 0:
             raise ValueError("cooldown and deterioration windows must be >= 0")
+
+    @property
+    def sample_below(self) -> float:
+        """The sampling threshold: a margin above the warning tier, so the
+        engine sees positions approaching the tiers, not only inside them."""
+        return max(self.warning_hf + 0.05, 1.1)
 
     def describe(self) -> dict:
         """The policy as a JSON-ready dict (served under ``/alerts``)."""
@@ -95,21 +104,13 @@ class AlertEngine:
         self._last: dict[tuple[str, str, str, str], tuple[int, float]] = {}
         self._cooldown_until: dict[tuple[tuple[str, str, str, str], str], int] = {}
 
-    def observe(
-        self,
-        *,
-        job_id: str,
-        run_id: str,
-        platform: str,
-        owner: str,
-        health_factor: float,
-        debt_usd: float,
-        block_number: int,
-    ) -> list[Alert]:
-        """Fold one sample in; returns the alerts it raised (possibly none)."""
+    def observe(self, sample: "HealthSample", *, job_id: str, run_id: str) -> list[Alert]:
+        """Fold one sample of run ``(job_id, run_id)`` in; returns the alerts
+        it raised (possibly none)."""
         policy = self.policy
         self.samples_seen += 1
-        key = (job_id, run_id, platform, owner)
+        health_factor, block_number = sample.health_factor, sample.block_number
+        key = (job_id, run_id, sample.platform, sample.owner)
         previous = self._last.get(key)
         self._last[key] = (block_number, health_factor)
 
@@ -141,13 +142,13 @@ class AlertEngine:
         alert = Alert(
             job_id=job_id,
             run_id=run_id,
-            platform=platform,
-            owner=owner,
+            platform=sample.platform,
+            owner=sample.owner,
             tier=tier,
             reason=reason,
             health_factor=health_factor,
             previous_health_factor=previous[1] if previous is not None else None,
-            debt_usd=debt_usd,
+            debt_usd=sample.debt_usd,
             block_number=block_number,
         )
         self.alerts.append(alert)

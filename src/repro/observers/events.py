@@ -113,8 +113,8 @@ class InterestAccrued(SimEvent):
     """Interest accrual ran on the active protocols this stride.
 
     Accrual scales outstanding debts, so health factors can cross below an
-    alert threshold without any oracle price moving — watchers treat this
-    as a whole-book rescan trigger.
+    alert threshold without any oracle price moving — the health sampler
+    treats this as a whole-book rescan trigger.
     """
 
     protocols: tuple[str, ...]

@@ -7,11 +7,12 @@ stream incrementally, replacing a post-hoc crawl of the finished chain:
   :class:`~repro.analytics.records.LiquidationRecord` list that
   :func:`~repro.analytics.records.extract_liquidations` would crawl after the
   run (field-for-field equal, proven by test);
-* :class:`HealthFactorWatcher` — the real-time monitoring loop: tracks which
-  asset prices moved this stride and rescans only the protocols whose
-  columnar :class:`~repro.core.position_book.PositionBook` holds a
-  price-dirtied column, alerting on positions whose health factor drops
-  below a threshold;
+* :class:`HealthSampler` — the one health-factor rescan: tracks which asset
+  prices moved (and which protocols accrued) this stride, rescans only the
+  protocols whose columnar :class:`~repro.core.position_book.PositionBook`
+  holds a dirtied column, and hands every position below a threshold to a
+  callback — the :class:`~repro.observers.alerts.AlertEngine` of
+  ``repro watch``, or the ``hf_sample`` lines of ``repro serve``;
 * :class:`MetricsAccumulator` — incremental per-step aggregates (liquidation
   counts and USD totals, blocks, incidents, price updates…) that campaign
   workers persist without re-crawling the chain.
@@ -23,8 +24,7 @@ bit-identical to bare runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterable
+from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple
 
 import numpy as np
 
@@ -45,7 +45,6 @@ from .events import (
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..protocols.base import LendingProtocol
-    from ..simulation.engine import SimulationResult
 
 
 class LiquidationRecorder:
@@ -89,22 +88,21 @@ class LiquidationRecorder:
         self._records.sort(key=lambda record: record.block_number)
 
 
-@dataclass(frozen=True)
-class AtRiskAlert:
-    """One position crossing below the watch threshold."""
+class HealthSample(NamedTuple):
+    """One position below the sampling threshold at one rescan."""
 
-    step_index: int
-    block_number: int
     platform: str
     owner: str
     health_factor: float
     debt_usd: float
+    block_number: int
+    step_index: int
 
 
-class HealthFactorWatcher:
-    """Alerts on positions whose health factor drops below a threshold.
+class HealthSampler:
+    """Samples every position whose health factor is below ``sample_below``.
 
-    The watcher collects the symbols whose oracle price changed during the
+    The sampler collects the symbols whose oracle price changed during the
     stride (:class:`PriceUpdated` events) and, once the stride's block is
     mined, rescans *only* the protocols whose position book carries one of
     those price-dirtied asset columns.  Prices are not the only thing that
@@ -116,13 +114,16 @@ class HealthFactorWatcher:
     so watching a whole multi-protocol world stays cheap even at production
     position counts.
 
-    ``on_alert`` (if given) is called live for every position *entering* the
-    at-risk set; positions already below the threshold do not re-alert until
-    they recover above it first.
+    Every position below the threshold reaches ``on_sample`` on every
+    rescan, as a :class:`HealthSample`.  Turning repeated samples into
+    alerts (tiers, cooldowns, rapid deterioration) is the consumer's job: an
+    :class:`~repro.observers.alerts.AlertEngine`, in-process under
+    ``repro watch`` and fed from the workers' ``hf_sample`` lines under
+    ``repro serve``.
     """
 
     #: Health factors move only on price changes, accrual and mining; the
-    #: lifecycle/report events carry nothing a watcher reacts to.
+    #: lifecycle/report events carry nothing a sampler reacts to.
     IGNORED_EVENTS = (
         AuctionDealt,
         IncidentFired,
@@ -136,21 +137,14 @@ class HealthFactorWatcher:
     def __init__(
         self,
         protocols: Iterable["LendingProtocol"],
-        hf_below: float = 1.05,
-        on_alert: Callable[[AtRiskAlert], None] | None = None,
+        sample_below: float,
+        on_sample: Callable[[HealthSample], None],
     ) -> None:
         self.protocols = list(protocols)
-        self.hf_below = float(hf_below)
-        self.on_alert = on_alert
-        self.alerts: list[AtRiskAlert] = []
-        self._at_risk: set[tuple[str, str]] = set()
+        self.sample_below = float(sample_below)
+        self.on_sample = on_sample
         self._dirty_symbols: set[str] = set()
         self._accrued_protocols: set[str] = set()
-
-    @property
-    def at_risk(self) -> frozenset[tuple[str, str]]:
-        """The ``(platform, owner)`` pairs currently below the threshold."""
-        return frozenset(self._at_risk)
 
     def on_event(self, event: SimEvent) -> None:
         if isinstance(event, PriceUpdated):
@@ -172,49 +166,36 @@ class HealthFactorWatcher:
                 continue
             # The block's shared aggregate valuation: when the engine also
             # snapshots or scans this block, the sync + vectorized pass is
-            # paid once and the watcher's sweep rides the cache.  The
-            # flagged rows are read straight from the fast arrays — no
-            # per-row scalar confirmation, alerts are not seed-pinned.
+            # paid once and the sweep rides the cache.  The flagged rows are
+            # read straight from the fast arrays — no per-row scalar
+            # confirmation, samples are not seed-pinned.
             valuation = protocol.valuation()
             health = valuation.health_factors()
-            current: set[tuple[str, str]] = set()
-            for row in np.flatnonzero(health < self.hf_below).tolist():
-                position = valuation.book.position_at(row)
-                key = (protocol.name, position.owner.value)
-                current.add(key)
-                if key in self._at_risk:
-                    continue
-                alert = AtRiskAlert(
-                    step_index=event.step_index,
-                    block_number=event.block_number,
-                    platform=protocol.name,
-                    owner=position.owner.value,
-                    health_factor=float(health[row]),
-                    debt_usd=float(valuation.debt_usd[row]),
+            for row in np.flatnonzero(health < self.sample_below).tolist():
+                self.on_sample(
+                    HealthSample(
+                        platform=protocol.name,
+                        owner=valuation.book.position_at(row).owner.value,
+                        health_factor=float(health[row]),
+                        debt_usd=float(valuation.debt_usd[row]),
+                        block_number=event.block_number,
+                        step_index=event.step_index,
+                    )
                 )
-                self.alerts.append(alert)
-                if self.on_alert is not None:
-                    self.on_alert(alert)
-            # Recovered positions leave the set so a relapse re-alerts.
-            self._at_risk = {
-                key for key in self._at_risk if key[0] != protocol.name
-            } | current
 
     def finalize(self) -> None:
-        """Nothing to seal; alerts were delivered live."""
+        """Nothing to seal; samples were delivered live."""
 
 
 class MetricsAccumulator:
     """Incremental per-step aggregates of one run.
 
     The resulting :attr:`metrics` dict is what campaign workers persist into
-    the run manifest, replacing a post-hoc re-crawl.  For a completed run
-    without this probe, :func:`run_metrics` computes the same aggregates
-    from the archive: the liquidation tally from the post-hoc records, the
-    auction counts from the ``Deal`` logs.  ``price_updates`` is the one
-    field the post-hoc shim cannot scope to the run: it is the event store's
-    ``AnswerUpdated`` count, which includes scenario-construction posts,
-    while this probe counts the run's ``PriceUpdated`` events.
+    the run manifest, and what :attr:`SimulationResult.metrics
+    <repro.simulation.engine.SimulationResult.metrics>` returns; there is no
+    post-hoc substitute.  ``price_updates`` counts the run's
+    :class:`PriceUpdated` events, so the oracle posts made while the
+    scenario was built are not in it.
     """
 
     #: Accrual strides and run lifecycle markers add no per-step aggregate;
@@ -230,7 +211,13 @@ class MetricsAccumulator:
         self.snapshots = 0
         self.auctions_dealt = 0
         self.auctions_settled = 0
-        self._liquidations = _LiquidationTally()
+        self.liquidations = 0
+        self.repaid_usd = 0.0
+        self.collateral_usd = 0.0
+        self.profit_usd = 0.0
+        self.flash_loans = 0
+        self.unprofitable = 0
+        self.by_platform: dict[str, int] = {}
 
     def on_event(self, event: SimEvent) -> None:
         if isinstance(event, StepStarted):
@@ -239,7 +226,16 @@ class MetricsAccumulator:
             self.blocks += 1
             self.final_block = event.block_number
         elif isinstance(event, LiquidationSettled):
-            self._liquidations.add(event.record)
+            record = event.record
+            self.liquidations += 1
+            self.repaid_usd += record.repaid_usd
+            self.collateral_usd += record.collateral_usd
+            self.profit_usd += record.profit_usd
+            if record.used_flash_loan:
+                self.flash_loans += 1
+            if not record.is_profitable:
+                self.unprofitable += 1
+            self.by_platform[record.platform] = self.by_platform.get(record.platform, 0) + 1
         elif isinstance(event, AuctionDealt):
             self.auctions_dealt += 1
             if event.winner is not None:
@@ -265,67 +261,14 @@ class MetricsAccumulator:
             "price_updates": self.price_updates,
             "snapshots": self.snapshots,
             "auctions": {"dealt": self.auctions_dealt, "settled": self.auctions_settled},
-            "liquidations": self._liquidations.as_dict(),
+            "liquidations": {
+                "count": self.liquidations,
+                "repaid_usd": self.repaid_usd,
+                "collateral_usd": self.collateral_usd,
+                "profit_usd": self.profit_usd,
+                "flash_loans": self.flash_loans,
+                "unprofitable": self.unprofitable,
+                "by_platform": dict(sorted(self.by_platform.items())),
+            },
         }
 
-
-class _LiquidationTally:
-    """Shared liquidation aggregates of the streamed and post-hoc metrics."""
-
-    def __init__(self) -> None:
-        self.count = 0
-        self.repaid_usd = 0.0
-        self.collateral_usd = 0.0
-        self.profit_usd = 0.0
-        self.flash_loans = 0
-        self.unprofitable = 0
-        self.by_platform: dict[str, int] = {}
-
-    def add(self, record: LiquidationRecord) -> None:
-        self.count += 1
-        self.repaid_usd += record.repaid_usd
-        self.collateral_usd += record.collateral_usd
-        self.profit_usd += record.profit_usd
-        if record.used_flash_loan:
-            self.flash_loans += 1
-        if not record.is_profitable:
-            self.unprofitable += 1
-        self.by_platform[record.platform] = self.by_platform.get(record.platform, 0) + 1
-
-    def as_dict(self) -> dict:
-        return {
-            "count": self.count,
-            "repaid_usd": self.repaid_usd,
-            "collateral_usd": self.collateral_usd,
-            "profit_usd": self.profit_usd,
-            "flash_loans": self.flash_loans,
-            "unprofitable": self.unprofitable,
-            "by_platform": dict(sorted(self.by_platform.items())),
-        }
-
-
-def run_metrics(result: "SimulationResult") -> dict:
-    """Post-hoc shim: the :class:`MetricsAccumulator` aggregates from a
-    finished run's archive.
-
-    Matches the streamed metrics field-for-field on a fresh single-``run()``
-    engine, except ``price_updates`` (see :class:`MetricsAccumulator`).
-    """
-    engine = result.engine
-    tally = _LiquidationTally()
-    for record in result.records:
-        tally.add(record)
-    deals = result.chain.events.by_name("Deal")
-    return {
-        "steps": engine.step_index,
-        "blocks": len(result.chain.blocks),
-        "final_block": result.final_block,
-        "incidents_fired": sum(1 for event in engine.scheduled_events if event.fired),
-        "price_updates": result.chain.events.count("AnswerUpdated"),
-        "snapshots": len(result.chain.snapshot_blocks),
-        "auctions": {
-            "dealt": len(deals),
-            "settled": sum(1 for deal in deals if deal.data.get("winner")),
-        },
-        "liquidations": tally.as_dict(),
-    }

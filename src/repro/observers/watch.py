@@ -2,11 +2,12 @@
 
 This is the ``liquidation-alerter`` workload from the ROADMAP: build a
 scenario, attach streaming probes, and narrate the run as it advances —
-at-risk positions the moment their health factor crosses below the watch
-threshold, liquidations and auction deals the moment they settle, incidents
-as they fire.  The loop drives the ordinary :meth:`SimulationEngine.run`,
-so a watched run is bit-identical to a bare one; all output comes from
-passive probes.
+tiered health alerts the moment the :class:`~repro.observers.alerts.AlertEngine`
+of ``repro serve`` raises them from a :class:`~repro.observers.probes.HealthSampler`,
+liquidations and auction deals the moment they settle, incidents as they
+fire.  The loop drives the ordinary :meth:`SimulationEngine.run`, so a
+watched run is bit-identical to a bare one; all output comes from passive
+probes.
 """
 
 from __future__ import annotations
@@ -27,7 +28,8 @@ from .events import (
     SnapshotTaken,
     StepStarted,
 )
-from .probes import AtRiskAlert, HealthFactorWatcher, LiquidationRecorder, MetricsAccumulator
+from .alerts import Alert, AlertEngine, AlertPolicy
+from .probes import HealthSample, HealthSampler, LiquidationRecorder
 from .sinks import JsonlSink
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -41,7 +43,8 @@ class WatchSummary:
 
     result: "SimulationResult"
     liquidations: int
-    alerts: int
+    #: Every alert raised, in order (the engine's own log is a ring buffer).
+    alerts: list[Alert]
     events_streamed: int | None  # None when no JSONL sink was attached
     #: True when the run was cut short (Ctrl-C or a closed output pipe);
     #: probes were still finalized, so the JSONL stream is flushed and valid.
@@ -109,8 +112,8 @@ def watch_run(
     Parameters
     ----------
     hf_below:
-        At-risk threshold: a position alerts when its health factor drops
-        below this value (1.0 means "already liquidatable").
+        The policy's warning tier; its critical tier is ``min(1.0,
+        hf_below)`` (1.0 means "already liquidatable").
     follow:
         Also emit one progress line per block stride.
     jsonl:
@@ -130,18 +133,22 @@ def watch_run(
     was seen up to the interrupt with ``interrupted=True``.
     """
     engine = builder.build()
+    policy = AlertPolicy(warning_hf=hf_below, critical_hf=min(1.0, hf_below))
+    alert_engine = AlertEngine(policy)
+    run_id = f"seed-{builder.config.seed}"
+    alerts: list[Alert] = []
 
-    def alert(entry: AtRiskAlert) -> None:
-        emit(
-            f"[block {entry.block_number:>10,}] AT RISK     {entry.platform:<9} "
-            f"{entry.owner}: HF {entry.health_factor:.4f}, debt {entry.debt_usd:,.0f} USD"
-        )
+    def observe(sample: HealthSample) -> None:
+        for alert in alert_engine.observe(sample, job_id="watch", run_id=run_id):
+            alerts.append(alert)
+            emit(
+                f"[block {alert.block_number:>10,}] {alert.tier.upper():<11} {alert.platform:<9} "
+                f"{alert.owner}: HF {alert.health_factor:.4f}, debt {alert.debt_usd:,.0f} USD "
+                f"({alert.reason})"
+            )
 
     recorder = engine.attach_probe(LiquidationRecorder())
-    watcher = engine.attach_probe(
-        HealthFactorWatcher(engine.protocols, hf_below=hf_below, on_alert=alert)
-    )
-    engine.attach_probe(MetricsAccumulator())
+    engine.attach_probe(HealthSampler(engine.protocols, policy.sample_below, observe))
     sink = engine.attach_probe(JsonlSink(jsonl)) if jsonl is not None else None
     engine.attach_probe(_ConsoleNarrator(emit, follow))
 
@@ -181,7 +188,7 @@ def watch_run(
     return WatchSummary(
         result=result,
         liquidations=len(recorder.records),
-        alerts=len(watcher.alerts),
+        alerts=alerts,
         events_streamed=sink.events_written if sink is not None else None,
         interrupted=interrupted,
         metrics_port=bound_port if server is not None else None,

@@ -288,7 +288,7 @@ class LendingProtocol(abc.ABC):
 
         Cached per :meth:`_price_key` (block, oracle, oracle price version)
         and book revision: within one block, the snapshot providers, the analytics sweeps and the
-        health-factor watcher all share a single sync + vectorized pass
+        health-factor sampler all share a single sync + vectorized pass
         instead of refetching prices and revaluing the book each time.
         Any position mutation (book revision), posted price (oracle
         version), replaced oracle or block advance invalidates the cache, so a hit is
@@ -370,7 +370,7 @@ class LendingProtocol(abc.ABC):
         products) of :meth:`step_scan` rather than the full
         :meth:`valuation` materialization: the per-stride opportunity scan
         runs on *every* block, while the aggregate consumers that amortize a
-        shared valuation (snapshots, analytics, the watcher) only run on some.
+        shared valuation (snapshots, analytics, the health sampler) only run on some.
         """
         scan = self.step_scan()
         prices = self.prices()

@@ -623,7 +623,7 @@ class ScenarioBuilder:
 
             builder.with_probes(
                 lambda engine: LiquidationRecorder(),
-                lambda engine: HealthFactorWatcher(engine.protocols, hf_below=1.1),
+                lambda engine: HealthSampler(engine.protocols, 1.1, on_sample=print),
             )
 
         Factories (rather than instances) keep the builder reusable: every

@@ -10,7 +10,7 @@ One process, three planes:
   ahead of its outcome, and the parent decodes them live: typed events
   fold into per-run progress (:class:`RunProgress`) and the aggregate
   dashboard metrics; ``hf_sample`` lines feed the tiered
-  :class:`~repro.service.alerts.AlertEngine`.  Single runs and sweep runs
+  :class:`~repro.observers.alerts.AlertEngine`.  Single runs and sweep runs
   take the same path.
 * **control** — job submission via :meth:`ServiceSupervisor.submit`
   (thread-safe; the HTTP ``POST /jobs`` route calls it from a server
@@ -38,6 +38,7 @@ from typing import Any
 from ..campaigns.backends import PersistentBackend, WorkerConfig
 from ..campaigns.executor import RunJob, RunOutcome
 from ..campaigns.store import RunStore
+from ..observers.alerts import TIERS, AlertEngine, AlertPolicy
 from ..observers.events import (
     AuctionDealt,
     BlockMined,
@@ -51,11 +52,10 @@ from ..observers.events import (
     SnapshotTaken,
     StepStarted,
 )
+from ..observers.probes import HealthSample
 from ..telemetry.http import MetricsServer
 from ..telemetry.metrics import MetricsRegistry
-from .alerts import AlertEngine, AlertPolicy, TIERS
 from .jobs import JobRecord, RunState, ServiceJournal, SubmissionError, expand_job
-from .probes import DEFAULT_SAMPLE_BELOW
 from .signals import TERMINATION_SIGNALS
 from .transport import EventStreamDecoder
 
@@ -73,9 +73,6 @@ class ServiceConfig:
     #: Persistent worker processes, and runs executing at once.
     workers: int = 4
     policy: AlertPolicy = field(default_factory=AlertPolicy)
-    #: Worker-side sampling threshold; defaults to a margin above the
-    #: warning tier so deterioration is visible before a tier is crossed.
-    sample_below: float | None = None
     #: Seconds in-flight runs get to finish after a drain begins before the
     #: workers are terminated (0 terminates immediately).
     drain_timeout: float = 30.0
@@ -85,9 +82,8 @@ class ServiceConfig:
 
     @property
     def effective_sample_below(self) -> float:
-        if self.sample_below is not None:
-            return self.sample_below
-        return max(self.policy.warning_hf + 0.05, DEFAULT_SAMPLE_BELOW)
+        """The workers' sampling threshold: :attr:`AlertPolicy.sample_below`."""
+        return self.policy.sample_below
 
 
 class RunProgress:
@@ -577,13 +573,9 @@ class ServiceSupervisor:
             self._m_samples.inc()
             with self._lock:
                 raised = self.alerts.observe(
+                    HealthSample(**{field: message[field] for field in HealthSample._fields}),
                     job_id=record.job_id,
                     run_id=run_state.spec.run_id,
-                    platform=message["platform"],
-                    owner=message["owner"],
-                    health_factor=message["health_factor"],
-                    debt_usd=message["debt_usd"],
-                    block_number=message["block_number"],
                 )
             run_state.alerts += len(raised)
             for alert in raised:

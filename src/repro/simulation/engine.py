@@ -87,10 +87,11 @@ class SimulationResult:
     """Handle to everything an analytics pass needs after a run.
 
     The normalised liquidation records and the per-run aggregates are
-    exposed as :attr:`records` and :attr:`metrics`.  Both prefer the
-    streaming probes when they were attached (zero extra work at read time)
-    and fall back to the legacy post-hoc crawl of the archive otherwise, so
-    every existing caller keeps working unchanged.
+    exposed as :attr:`records` and :attr:`metrics`.  Records prefer the
+    streaming recorder when one was attached (zero extra work at read time)
+    and fall back to the post-hoc crawl of the archive otherwise; metrics
+    exist only as streamed, and reading them without a complete
+    :class:`~repro.observers.probes.MetricsAccumulator` raises.
     """
 
     engine: "SimulationEngine"
@@ -133,16 +134,16 @@ class SimulationResult:
     def metrics(self) -> dict:
         """Per-run aggregates (counts, USD totals, blocks, incidents…).
 
-        Backed by the attached :class:`~repro.observers.probes.MetricsAccumulator`
-        when one streamed the run; otherwise recomputed from the archive via
-        :func:`~repro.observers.probes.run_metrics`.
+        Read from a :class:`~repro.observers.probes.MetricsAccumulator`
+        attached before the first step; raises :class:`RuntimeError` without
+        one, since no post-hoc count scopes ``price_updates`` to the run.
         """
-        from ..observers.probes import MetricsAccumulator, run_metrics
+        from ..observers.probes import MetricsAccumulator
 
         accumulator = self._complete_probe(MetricsAccumulator)
-        if accumulator is not None:
-            return accumulator.metrics
-        return run_metrics(self)
+        if accumulator is None:
+            raise RuntimeError("SimulationResult.metrics needs a MetricsAccumulator attached before the first step")
+        return accumulator.metrics
 
     @property
     def chain(self) -> Blockchain:
@@ -263,8 +264,8 @@ class SimulationEngine:
         event stream, and :attr:`SimulationResult.records` /
         :attr:`SimulationResult.metrics` may be backed by it.  A probe
         attached later has missed events — it still receives the backlog of
-        liquidation logs through the streaming cursor, but it is never used
-        as a substitute for the post-hoc crawl.
+        liquidation logs through the streaming cursor, but it never backs
+        either property.
         """
         if self._event_cursor == 0 and self.step_index == 0:
             self._complete_probes.append(probe)

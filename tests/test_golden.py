@@ -16,6 +16,8 @@ Hashed per scenario, each as its own entry so a failure names the layer:
   archive snapshot;
 * ``blocks`` — per mined block: number, gas used, median gas price and the
   number of executed transactions;
+* ``receipts`` — per mined block: number and the tx hash of every receipt
+  (the events carry no tx hash, so this is what pins the chain's hash ids);
 * ``table1`` / ``table2`` — the Table 1 and Table 2 JSON payloads.
 
 Canonical JSON means sorted keys, no whitespace and Python's shortest
@@ -60,7 +62,7 @@ LATE = "late"
 
 SEED = 5
 
-COMPONENTS = ("events", "records", "snapshots", "blocks", "table1", "table2")
+COMPONENTS = ("events", "records", "snapshots", "blocks", "receipts", "table1", "table2")
 
 
 def canonical_hash(obj) -> str:
@@ -96,12 +98,14 @@ def fingerprints(result) -> dict[str, str]:
         (block.number, block.gas_used, block.median_gas_price, len(block.receipts) + len(block.fill_gas_prices))
         for block in chain.blocks
     ]
+    receipts = [(block.number, [receipt.tx_hash for receipt in block.receipts]) for block in chain.blocks]
     records = result.records
     parts = {
         "events": events,
         "records": records,
         "snapshots": snapshots,
         "blocks": blocks,
+        "receipts": receipts,
         "table1": run_one(result, "table1", records).json_payload(),
         "table2": run_one(result, "table2", records).json_payload(),
     }
@@ -173,11 +177,5 @@ def test_interleaved_worlds_match_their_golden_fingerprints():
         actual = fingerprints(engine.run(0))
         changed = [component for component in COMPONENTS if actual[component] != expected[name][component]]
         assert not changed, f"{name}: {', '.join(changed)} differ when stepped alongside another world"
-        # No fingerprint covers tx hashes: compare them with a lone run's.
-        alone = truncated_builder(name, STRIDES).run()
-        assert receipt_hashes(engine.chain) == receipt_hashes(alone.chain)
-        assert receipt_hashes(alone.chain)
-
-
-def receipt_hashes(chain) -> list[str]:
-    return [receipt.tx_hash for block in chain.blocks for receipt in block.receipts]
+        # The receipts component pins tx hashes only where there are some.
+        assert any(block.receipts for block in engine.chain.blocks)

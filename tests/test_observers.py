@@ -1,6 +1,6 @@
 """The streaming observer API: equivalence, bit-identity and mechanics.
 
-The acceptance contract of the observer bus is threefold:
+The acceptance contract of the observer bus is fourfold:
 
 1. *passivity* — seed-pinned runs with probes attached are bit-identical to
    bare runs (same chain events, blocks, liquidations);
@@ -8,7 +8,10 @@ The acceptance contract of the observer bus is threefold:
    records a :class:`LiquidationRecorder` streams during the run equal
    ``extract_liquidations(result)`` field-for-field;
 3. *liveness* — ``repro watch`` narrates a run and exits cleanly at the end
-   block.
+   block;
+4. *one health model* — ``repro watch`` raises exactly the alerts the
+   service's :class:`AlertEngine` raises from the ``hf_sample`` lines of the
+   same world.
 
 Scenario windows are truncated the same way ``repro run --end-block`` does
 so the full registry matrix stays test-suite friendly.
@@ -16,6 +19,7 @@ so the full registry matrix stays test-suite friendly.
 
 from __future__ import annotations
 
+import io
 import json
 
 import pytest
@@ -25,7 +29,7 @@ from repro.analytics.records import extract_liquidations
 from repro.cli import main as cli_main
 from repro.observers import (
     BlockMined,
-    HealthFactorWatcher,
+    HealthSampler,
     JsonlSink,
     LiquidationRecorder,
     LiquidationSettled,
@@ -33,8 +37,12 @@ from repro.observers import (
     ObserverBus,
     StepStarted,
 )
-from repro.observers.events import RunCompleted, RunStarted, SimEvent
-from repro.observers.probes import run_metrics
+from repro.observers.alerts import AlertEngine, AlertPolicy
+from repro.observers.events import InterestAccrued, RunCompleted, RunStarted, SimEvent
+from repro.observers.probes import HealthSample
+from repro.observers.watch import watch_run
+from repro.service.probes import HealthSampleProbe
+from repro.service.transport import EventStreamDecoder
 
 #: Number of block strides each truncated run covers.
 STRIDES = 45
@@ -56,10 +64,55 @@ def run_probed(name: str, *, strides: int = STRIDES):
     builder.with_probes(
         lambda engine: LiquidationRecorder(),
         lambda engine: MetricsAccumulator(),
-        lambda engine: HealthFactorWatcher(engine.protocols, hf_below=1.1),
+        lambda engine: HealthSampler(engine.protocols, 1.1, on_sample=lambda sample: None),
     )
     engine = builder.build()
     return engine, engine.run()
+
+
+def run_metrics(result) -> dict:
+    """Oracle for :class:`MetricsAccumulator`: its aggregates recomputed from
+    a finished run's archive.
+
+    Matches the streamed metrics field-for-field on a fresh single-``run()``
+    engine, except ``price_updates``: the archive's ``AnswerUpdated`` count
+    also holds the oracle posts made while the scenario was built.
+    """
+    engine = result.engine
+    records = extract_liquidations(result)
+    by_platform: dict[str, int] = {}
+    for record in records:
+        by_platform[record.platform] = by_platform.get(record.platform, 0) + 1
+    deals = result.chain.events.by_name("Deal")
+    return {
+        "steps": engine.step_index,
+        "blocks": len(result.chain.blocks),
+        "final_block": result.final_block,
+        "incidents_fired": sum(1 for event in engine.scheduled_events if event.fired),
+        "price_updates": result.chain.events.count("AnswerUpdated"),
+        "snapshots": len(result.chain.snapshot_blocks),
+        "auctions": {
+            "dealt": len(deals),
+            "settled": sum(1 for deal in deals if deal.data.get("winner")),
+        },
+        "liquidations": {
+            "count": len(records),
+            "repaid_usd": fsum_in_order(record.repaid_usd for record in records),
+            "collateral_usd": fsum_in_order(record.collateral_usd for record in records),
+            "profit_usd": fsum_in_order(record.profit_usd for record in records),
+            "flash_loans": sum(1 for record in records if record.used_flash_loan),
+            "unprofitable": sum(1 for record in records if not record.is_profitable),
+            "by_platform": dict(sorted(by_platform.items())),
+        },
+    }
+
+
+def fsum_in_order(values) -> float:
+    """Left-to-right float sum, the stream's accumulation order."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
 
 
 def event_fingerprint(result):
@@ -87,6 +140,9 @@ def test_result_records_fall_back_to_crawl_without_probe():
     result = truncated_builder("small").run()
     assert result.engine.bus.active is False
     assert result.records == extract_liquidations(result)
+    # Metrics have no post-hoc fallback: without an accumulator they raise.
+    with pytest.raises(RuntimeError, match="MetricsAccumulator"):
+        result.metrics
 
 
 # --------------------------------------------------------------------- #
@@ -239,16 +295,75 @@ def test_jsonl_sink_kind_filter(tmp_path):
 
 
 def test_health_factor_watcher_alerts_and_recovers():
-    engine, result = run_probed("march-2020-only")
-    watcher = engine.bus.find(HealthFactorWatcher)
-    assert watcher.alerts, "a crash window must produce at-risk positions"
-    for alert in watcher.alerts:
-        assert alert.health_factor < 1.1
-        assert alert.platform in {p.name for p in engine.protocols}
-    # Entering alerts are unique until the position recovers: no immediate
-    # duplicates of the same (platform, owner) in consecutive scans.
-    seen_pairs = [(alert.platform, alert.owner, alert.step_index) for alert in watcher.alerts]
-    assert len(seen_pairs) == len(set(seen_pairs))
+    # The sampler re-samples a position on every rescan while it stays below
+    # the threshold and drops it once it recovers; the policy alerts once per
+    # tier within its cooldown and escalates to critical on a relapse.
+    chain, protocol, owner, position = one_position_world()  # HF ≈ 1.067
+    samples = []
+    sampler = HealthSampler([protocol], 1.1, samples.append)
+    alerts = AlertEngine(AlertPolicy(warning_hf=1.1, critical_hf=1.0, deterioration_drop=10.0))
+    raised = []
+
+    def rescan(step: int) -> int:
+        before = len(samples)
+        sampler.on_event(InterestAccrued(step, chain.current_block, protocols=(protocol.name,)))
+        sampler.on_event(BlockMined(step, chain.current_block, 0, 0, 1))
+        for sample in samples[before:]:
+            raised.extend(alerts.observe(sample, job_id="test", run_id="test"))
+        return len(samples) - before
+
+    assert rescan(0) == 1
+    assert rescan(1) == 1  # still below: sampled again, the cooldown holds the alert
+    assert [alert.tier for alert in raised] == ["warning"]
+    position.add_collateral("ETH", 1.0)  # HF ≈ 2.13: recovered
+    assert rescan(2) == 0
+    position.scale_debts({"DAI": 2.2})  # HF ≈ 0.97: liquidatable
+    assert rescan(3) == 1
+    assert [(alert.owner, alert.tier) for alert in raised] == [
+        (owner.value, "warning"),
+        (owner.value, "critical"),
+    ]
+    assert all(sample.health_factor < 1.1 for sample in samples)
+
+
+@pytest.mark.parametrize("hf_below", [1.1, 0.95])
+def test_watch_alerts_equal_service_alerts_from_hf_sample_lines(hf_below):
+    # One health model: the alerts `repro watch` raises in-process are the
+    # ones the service's engine raises from the same world's hf_sample lines.
+    policy = AlertPolicy(warning_hf=hf_below, critical_hf=min(1.0, hf_below))
+    summary = watch_run(truncated_builder("march-2020-only"), hf_below=hf_below, emit=lambda line: None)
+    watched = [(a.platform, a.owner, a.tier, a.reason, a.block_number) for a in summary.alerts]
+
+    lines = io.StringIO()
+    truncated_builder("march-2020-only").with_probes(
+        lambda engine: HealthSampleProbe(lines, engine.protocols, sample_below=policy.sample_below)
+    ).run()
+    decoder = EventStreamDecoder()
+    messages = list(decoder.feed(lines.getvalue())) + list(decoder.flush())
+    assert messages and all(message["service"] == "hf_sample" for message in messages)
+    service = AlertEngine(policy)
+    served = [
+        alert
+        for message in messages
+        for alert in service.observe(
+            HealthSample(**{field: message[field] for field in HealthSample._fields}),
+            job_id="job-0001",
+            run_id="run",
+        )
+    ]
+    assert watched == [(a.platform, a.owner, a.tier, a.reason, a.block_number) for a in served]
+    tiers = [tier for _, _, tier, _, _ in watched]
+    assert "critical" in tiers
+    if hf_below < 1.0:
+        # Both tiers sit at HF: a level below it is critical at once, and
+        # only a rapid fall from above it can raise a warning.
+        assert all(
+            tier == "critical" for _, _, tier, reason, _ in watched if reason == "threshold"
+        )
+    else:
+        assert "warning" in tiers
+    for alert in summary.alerts:
+        assert alert.reason == "rapid-deterioration" or alert.health_factor < hf_below
 
 
 def test_liquidation_settled_payload_carries_record_fields():
@@ -350,14 +465,11 @@ def test_watch_cli_unknown_scenario(capsys):
 # --------------------------------------------------------------------- #
 # Accrual-driven rescans
 # --------------------------------------------------------------------- #
-def test_interest_accrual_triggers_watcher_rescan():
-    # Accrual scales debts without a price move; the watcher must rescan the
-    # accruing protocols even on a stride with no PriceUpdated events.
-    from repro.observers.events import BlockMined as BlockMinedEvent
-    from repro.observers.events import InterestAccrued
-    from repro.protocols.aave import make_aave_v2
+def one_position_world():
+    """An Aave V2 market at fixed prices holding one position at HF ≈ 1.067."""
     from repro.chain.chain import Blockchain
     from repro.chain.types import make_address
+    from repro.protocols.aave import make_aave_v2
     from repro.tokens.registry import TokenRegistry
 
     class FixedOracle:
@@ -365,31 +477,34 @@ def test_interest_accrual_triggers_watcher_rescan():
             return {"ETH": 2_000.0, "DAI": 1.0}.get(symbol.upper(), 1.0)
 
     chain = Blockchain()
-    registry = TokenRegistry()
-    protocol = make_aave_v2(chain, FixedOracle(), registry)
+    protocol = make_aave_v2(chain, FixedOracle(), TokenRegistry())
     owner = make_address("accrual-victim")
     position = protocol.position_of(owner)
     position.add_collateral("ETH", 1.0)
-    position.add_debt("DAI", 1_500.0)  # HF = 2000*0.8/1500 ≈ 1.067
+    position.add_debt("DAI", 1_500.0)  # HF = 2000*0.8/1500
+    return chain, protocol, owner, position
 
-    watcher = HealthFactorWatcher([protocol], hf_below=1.05)
-    mined = BlockMinedEvent(0, chain.current_block, 0, 0, 1)
-    watcher.on_event(mined)
-    assert watcher.alerts == []  # nothing dirty yet → no scan, no alert
+
+def test_interest_accrual_triggers_watcher_rescan():
+    # Accrual scales debts without a price move; the sampler must rescan the
+    # accruing protocols even on a stride with no PriceUpdated events.
+    chain, protocol, owner, position = one_position_world()
+    samples = []
+    sampler = HealthSampler([protocol], 1.05, samples.append)
+    sampler.on_event(BlockMined(0, chain.current_block, 0, 0, 1))
+    assert samples == []  # nothing dirty yet → no scan, no sample
 
     # Interest pushes the debt past the threshold; no price moved.
     position.scale_debts({"DAI": 1.03})  # HF ≈ 1.035
-    watcher.on_event(InterestAccrued(1, chain.current_block, protocols=(protocol.name,)))
-    watcher.on_event(BlockMinedEvent(1, chain.current_block, 0, 0, 1))
-    assert [(a.platform, a.owner) for a in watcher.alerts] == [(protocol.name, owner.value)]
+    sampler.on_event(InterestAccrued(1, chain.current_block, protocols=(protocol.name,)))
+    sampler.on_event(BlockMined(1, chain.current_block, 0, 0, 1))
+    assert [(sample.platform, sample.owner) for sample in samples] == [(protocol.name, owner.value)]
 
 
 def test_interest_accrued_events_appear_in_stream():
     engine = truncated_builder("small", strides=25).build()
     probe = engine.attach_probe(CollectingProbe())
     engine.run()
-    from repro.observers.events import InterestAccrued
-
     accruals = [event for event in probe.events if isinstance(event, InterestAccrued)]
     # interest_accrual_every_steps=20 → steps 0 and 20 accrue in 26 strides.
     assert len(accruals) == 2

@@ -27,6 +27,8 @@ from repro.chain.types import make_address
 from repro.serialize import to_jsonable
 from repro.simulation.engine import SimulationEngine
 
+from test_observers import run_metrics
+
 #: Number of block strides each truncated bit-identity run covers.
 STRIDES = 30
 
@@ -56,7 +58,7 @@ def fingerprint(result) -> str:
                 ],
                 "snapshots": {str(block): chain.snapshot_at(block) for block in chain.snapshot_blocks},
                 "records": result.records,
-                "metrics": result.metrics,
+                "metrics": run_metrics(result),
                 "final_block": result.final_block,
             }
         ),

@@ -54,6 +54,7 @@ from repro.observers.events import (
     SnapshotTaken,
     StepStarted,
 )
+from repro.observers.probes import HealthSample
 from repro.observers.sinks import JsonlSink
 from repro.service import (
     AlertEngine,
@@ -255,13 +256,9 @@ def test_pipe_backpressure_throttles_producer_without_losing_events():
 
 def sample(engine: AlertEngine, *, hf: float, block: int, owner: str = "0xa", platform: str = "Aave"):
     return engine.observe(
+        HealthSample(platform, owner, health_factor=hf, debt_usd=1_000.0, block_number=block, step_index=0),
         job_id="job-0001",
         run_id="base-seed000",
-        platform=platform,
-        owner=owner,
-        health_factor=hf,
-        debt_usd=1_000.0,
-        block_number=block,
     )
 
 
@@ -316,6 +313,12 @@ def test_slow_drift_is_not_rapid_deterioration():
     engine = AlertEngine(AlertPolicy(deterioration_window_blocks=2_400, deterioration_drop=0.05))
     assert sample(engine, hf=1.30, block=100) == []
     assert sample(engine, hf=1.20, block=50_000) == []  # same drop, far outside the window
+
+
+def test_sampling_threshold_sits_above_the_warning_tier():
+    assert AlertPolicy().sample_below == 1.1
+    assert AlertPolicy(warning_hf=1.2).sample_below == pytest.approx(1.25)
+    assert ServiceConfig(policy=AlertPolicy(warning_hf=1.2)).effective_sample_below == pytest.approx(1.25)
 
 
 def test_alert_policy_validation():
