@@ -2,9 +2,10 @@
 
 Not a paper artefact: this measures what the ``repro serve`` supervisor adds
 over one-at-a-time execution.  Four truncated ``small`` runs are executed
-twice through the full service path — worker subprocess per run, JSONL pipe
-transport, parent-side event folding and alerting — once with a single
-worker slot and once with four, into throwaway stores.  The speedup is
+twice through the full service path — persistent worker processes, event
+folding in the worker, progress chunks over the result queue, parent-side
+alerting — once with a single worker slot and once with four, into
+throwaway stores.  The speedup is
 printed for comparison across machines; no floor is asserted (interpreter
 start-up dominates on tiny windows and single-core runners can be slower
 concurrently).

@@ -59,14 +59,12 @@ def monthly_collateral_volume(
         snapshot = chain.snapshot_at(block_number)
         month = month_of_block(chain, block_number)
         for platform, platform_snapshot in snapshot.items():
-            positions = platform_snapshot.get("positions", [])
-            prices = platform_snapshot.get("prices", {})
+            positions = platform_snapshot["positions"]
+            price = platform_snapshot["prices"].get(collateral_symbol, 0.0)
             volume = 0.0
-            for position in positions:
-                if debt_symbol not in position.get("debt", {}):
-                    continue
-                collateral_amount = position.get("collateral", {}).get(collateral_symbol, 0.0)
-                volume += collateral_amount * prices.get(collateral_symbol, 0.0)
+            # Summed left to right in row order: the report bytes depend on it.
+            for collateral_amount in positions.collateral_of_debtors(debt_symbol, collateral_symbol):
+                volume += collateral_amount * price
             sums[platform][month] += volume
             counts[platform][month] += 1
     averages: dict[str, dict[str, float]] = {}

@@ -10,7 +10,7 @@ runs.  Two implementations ship, selected by :class:`WorkerConfig`:
 ``persistent``
     Long-lived worker processes started once and reused across campaigns
     and service jobs.  Jobs go to the least-loaded worker; outcomes (and
-    the JSONL lines of streaming jobs) come back over one shared result
+    the progress chunks of streaming jobs) come back over one shared result
     queue, where a collector thread routes them to the dispatching caller.
     That makes :meth:`PersistentBackend.run` safe to call from several
     threads at once (the service supervisor does).
@@ -36,7 +36,7 @@ import threading
 from dataclasses import dataclass
 from typing import Any, Iterator, Mapping, Protocol, Sequence, runtime_checkable
 
-from .executor import _WORKER_STATE, LineSink, RunJob, RunOutcome, execute_job
+from .executor import _WORKER_STATE, ProgressChunk, ProgressSink, RunJob, RunOutcome, execute_job
 
 __all__ = [
     "ExecutionBackend",
@@ -179,8 +179,9 @@ def persistent_worker_main(task_queue, result_queue) -> None:
     """One long-lived worker process: pull jobs, execute, report.
 
     Runs until the ``None`` sentinel arrives.  Every message on the result
-    queue is ``(run key, payload)``: a streaming job's JSONL chunks (``str``)
-    first, then its :class:`RunOutcome`.  One producer per worker keeps them
+    queue is ``(run key, payload)``: a streaming job's
+    :class:`~repro.campaigns.executor.ProgressChunk` s first, then its
+    :class:`RunOutcome`.  One producer per worker keeps them
     in that order.
     """
     _WORKER_STATE.clear()
@@ -191,7 +192,7 @@ def persistent_worker_main(task_queue, result_queue) -> None:
         key = _run_key(job)
         # execute_job captures run failures as outcome.error, so one
         # pathological run cannot take the worker down with it.
-        outcome = execute_job(job, lambda text: result_queue.put((key, text)))
+        outcome = execute_job(job, lambda chunk: result_queue.put((key, chunk)))
         result_queue.put((key, outcome))
 
 
@@ -334,9 +335,9 @@ class PersistentBackend:
             return
         yield from self._receive(self._dispatch(jobs), len(jobs), None)
 
-    def execute_one(self, job: RunJob, on_lines: LineSink | None = None) -> RunOutcome:
-        """Execute one run; a streaming job's JSONL chunks go to ``on_lines`` first."""
-        for outcome in self._receive(self._dispatch([job]), 1, on_lines):
+    def execute_one(self, job: RunJob, on_progress: ProgressSink | None = None) -> RunOutcome:
+        """Execute one run; a streaming job's progress chunks go to ``on_progress`` first."""
+        for outcome in self._receive(self._dispatch([job]), 1, on_progress):
             return outcome
         raise RuntimeError("backend produced no outcome")  # pragma: no cover
 
@@ -363,16 +364,15 @@ class PersistentBackend:
         return sink
 
     @staticmethod
-    def _receive(sink: queue.Queue, count: int, on_lines: LineSink | None) -> Iterator[RunOutcome]:
-        """Yield ``count`` outcomes off ``sink``, handing line chunks to ``on_lines``."""
+    def _receive(sink: queue.Queue, count: int, on_progress: ProgressSink | None) -> Iterator[RunOutcome]:
+        """Yield ``count`` outcomes off ``sink``, handing progress chunks to ``on_progress``."""
         while count:
             _key, message = sink.get()
-            if isinstance(message, str):
-                if on_lines is not None:
-                    on_lines(message)
-                continue
-            count -= 1
-            yield message
+            if isinstance(message, RunOutcome):
+                count -= 1
+                yield message
+            elif on_progress is not None:
+                on_progress(message)
 
     # -------------------------------------------------------------- #
     # Collection
@@ -391,7 +391,7 @@ class PersistentBackend:
                 return
             self._deliver(*item)
 
-    def _deliver(self, key: RunKey, message: RunOutcome | str) -> None:
+    def _deliver(self, key: RunKey, message: RunOutcome | ProgressChunk) -> None:
         with self._lock:
             entry = self._pending.get(key)
             if entry is None:

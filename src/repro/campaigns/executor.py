@@ -12,10 +12,12 @@ into the store.  Because every run is independently seeded and the store
 serialises deterministically, serial and parallel execution produce
 byte-identical per-run files.
 
-A job with a ``sample_below`` threshold also *streams*: the run's typed
-events and its below-threshold health-factor samples leave the worker as
-JSONL chunks (the service's live view of a run), without touching the
-store contract — the streaming probes are passive.
+A job with a ``sample_below`` threshold also *streams* (the service's live
+view of a run): a :class:`ProgressProbe` folds the run's typed events into
+progress counters inside the worker and buffers its below-threshold
+health-factor samples, and both leave the worker as picklable
+:class:`ProgressChunk` s, without touching the store contract — the probe
+is passive.
 """
 
 from __future__ import annotations
@@ -23,11 +25,23 @@ from __future__ import annotations
 import multiprocessing
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Callable, Iterable
 
 from ..experiments.runner import run_json
-from ..observers.probes import LiquidationRecorder, MetricsAccumulator
-from ..observers.sinks import JsonlSink
+from ..observers.events import (
+    AuctionDealt,
+    BlockMined,
+    IncidentFired,
+    InterestAccrued,
+    LiquidationSettled,
+    PriceUpdated,
+    RunCompleted,
+    RunStarted,
+    SimEvent,
+    SnapshotTaken,
+    StepStarted,
+)
+from ..observers.probes import HealthSample, HealthSampler, LiquidationRecorder, MetricsAccumulator
 from ..serialize import to_jsonable
 from ..telemetry import runtime as telemetry_runtime
 from ..telemetry.clock import perf_seconds
@@ -36,11 +50,14 @@ from .spec import CampaignSpec, RunSpec
 from .store import RunStore
 
 if TYPE_CHECKING:
+    from ..protocols.base import LendingProtocol
     from .backends import ExecutionBackend, WorkerConfig
 
 __all__ = [
     "CampaignExecutor",
     "CampaignResult",
+    "ProgressChunk",
+    "ProgressProbe",
     "RunJob",
     "execute_job",
 ]
@@ -48,13 +65,10 @@ __all__ = [
 #: Progress callback: ``(done, total, run_id, status, elapsed_seconds)``.
 ProgressCallback = Callable[[int, int, str, str, float], None]
 
-#: Receives a streaming run's JSONL output, several whole lines at a time.
-LineSink = Callable[[str], None]
-
-#: A streaming run hands its lines on this many at a time (and the rest when
-#: the run completes): one message per chunk, not per event, crosses the
-#: process boundary.
-STREAM_CHUNK_LINES = 256
+#: A streaming run hands its progress on every this many folded events and
+#: health samples (and the rest when the run completes): one message per
+#: chunk, not per event, crosses the process boundary.
+STREAM_CHUNK_ITEMS = 256
 
 
 def _status_of(outcome: RunOutcome) -> str:
@@ -158,44 +172,116 @@ def _valuation_cache_stats(snapshot: dict[str, float]) -> dict:
     }
 
 
-class _LineChunks:
-    """A write-only text handle passing the lines written to it on in chunks.
+@dataclass(frozen=True)
+class ProgressChunk:
+    """A streaming run's progress since its previous chunk.
 
-    The streaming probes write one whole line per call.
+    The counters are deltas, ``last_block`` is the run's latest mined block
+    so far (0 before the first), and ``samples`` are the health samples
+    taken since the previous chunk, in order.  Every field is a plain
+    picklable value: chunks cross the worker pipe as they are.
     """
 
-    def __init__(self, on_lines: LineSink) -> None:
-        self._on_lines = on_lines
-        self._lines: list[str] = []
-
-    def write(self, text: str) -> int:
-        self._lines.append(text)
-        if len(self._lines) >= STREAM_CHUNK_LINES:
-            self.flush()
-        return len(text)
-
-    def flush(self) -> None:
-        if self._lines:
-            self._on_lines("".join(self._lines))
-            self._lines = []
+    events: dict[str, int]  # event kind -> count
+    steps: int
+    blocks: int
+    last_block: int
+    liquidations: int
+    incidents: int
+    samples: tuple[HealthSample, ...]
 
 
-def _stream_probes(sample_below: float, handle) -> tuple:
-    """The probe factories of a streaming run, both writing to ``handle``.
+#: Receives a streaming run's progress, one chunk at a time.
+ProgressSink = Callable[[ProgressChunk], None]
 
-    A :class:`~repro.observers.sinks.JsonlSink` carries every typed event;
-    a :class:`~repro.service.probes.HealthSampleProbe` interleaves an
-    ``hf_sample`` line per position below ``sample_below`` on each rescan.
+
+class ProgressProbe:
+    """Folds a streaming run into the progress a service job reports.
+
+    Counts the run's events by kind, its steps, blocks, liquidations and
+    incidents and its last mined block, and buffers the samples of a plain
+    :class:`~repro.observers.probes.HealthSampler` (every position below
+    ``sample_below`` on each rescan), in order.  Every
+    :data:`STREAM_CHUNK_ITEMS` folded events and samples, and once at
+    :meth:`finalize`, it hands what it folded to ``on_progress`` as one
+    :class:`ProgressChunk`.
     """
-    from ..service.probes import HealthSampleProbe  # the service imports this module
 
-    return (
-        lambda engine: JsonlSink(handle),
-        lambda engine: HealthSampleProbe(handle, engine.protocols, sample_below=sample_below),
+    #: Counted by kind only: nothing else in the progress view follows them.
+    IGNORED_EVENTS = (
+        AuctionDealt,
+        InterestAccrued,
+        PriceUpdated,
+        RunCompleted,
+        RunStarted,
+        SnapshotTaken,
     )
 
+    def __init__(
+        self,
+        protocols: Iterable["LendingProtocol"],
+        sample_below: float,
+        on_progress: ProgressSink,
+    ) -> None:
+        self._on_progress = on_progress
+        self._sampler = HealthSampler(protocols, sample_below, self._on_sample)
+        self._last_block = 0
+        self._start_chunk()
 
-def execute_job(job: RunJob, on_lines: LineSink | None = None) -> RunOutcome:
+    def _start_chunk(self) -> None:
+        # Fresh containers per chunk: a handed-on chunk may still be waiting
+        # to be pickled by the queue's feeder thread.
+        self._events: dict[str, int] = {}
+        self._samples: list[HealthSample] = []
+        self._steps = self._blocks = self._liquidations = self._incidents = 0
+        self._items = 0
+
+    def on_event(self, event: SimEvent) -> None:
+        kind = event.kind
+        self._events[kind] = self._events.get(kind, 0) + 1
+        if isinstance(event, StepStarted):
+            self._steps += 1
+        elif isinstance(event, BlockMined):
+            self._blocks += 1
+            self._last_block = event.block_number
+        elif isinstance(event, LiquidationSettled):
+            self._liquidations += 1
+        elif isinstance(event, IncidentFired):
+            self._incidents += 1
+        self._folded()
+        self._sampler.on_event(event)
+
+    def _on_sample(self, sample: HealthSample) -> None:
+        self._samples.append(sample)
+        self._folded()
+
+    def _folded(self) -> None:
+        self._items += 1
+        if self._items >= STREAM_CHUNK_ITEMS:
+            self._hand_on()
+
+    def _hand_on(self) -> None:
+        self._on_progress(
+            ProgressChunk(
+                events=self._events,
+                steps=self._steps,
+                blocks=self._blocks,
+                last_block=self._last_block,
+                liquidations=self._liquidations,
+                incidents=self._incidents,
+                samples=tuple(self._samples),
+            )
+        )
+        self._start_chunk()
+
+    def finalize(self) -> None:
+        """Hand on the rest, so it reaches the service before the outcome."""
+        self._sampler.finalize()
+        if self._items:
+            self._hand_on()
+
+
+def execute_job(job: RunJob, on_progress: ProgressSink | None = None) -> RunOutcome:
     """Execute one run end-to-end and persist it (runs inside workers).
 
     Failures are captured and reported back as the outcome's ``error``
@@ -207,9 +293,10 @@ def execute_job(job: RunJob, on_lines: LineSink | None = None) -> RunOutcome:
     executed before, and serial and pooled execution write byte-identical
     files.
 
-    When ``job.sample_below`` is set and ``on_lines`` is given, the run
-    also streams (see :func:`_stream_probes`): its JSONL lines reach
-    ``on_lines`` in chunks, the last of them once the simulation completes.
+    When ``job.sample_below`` is set and ``on_progress`` is given, the run
+    also streams: a :class:`ProgressProbe` hands its progress to
+    ``on_progress`` in chunks, the last of them once the simulation
+    completes.
 
     When ``job.collect_telemetry`` is set, the worker installs a
     :class:`~repro.telemetry.runtime.Telemetry` for the duration of the run
@@ -223,7 +310,7 @@ def execute_job(job: RunJob, on_lines: LineSink | None = None) -> RunOutcome:
     started = perf_seconds()
     telemetry = Telemetry(name=job.run.run_id) if job.collect_telemetry else None
     scope = telemetry_runtime.enabled(telemetry) if telemetry else nullcontext()
-    stream = _LineChunks(on_lines) if on_lines is not None and job.sample_below is not None else None
+    streaming = on_progress is not None and job.sample_below is not None
     try:
         with scope:
             builder = job.run.builder()
@@ -234,12 +321,16 @@ def execute_job(job: RunJob, on_lines: LineSink | None = None) -> RunOutcome:
             builder.with_probes(
                 lambda engine: LiquidationRecorder(),
                 lambda engine: MetricsAccumulator(),
-                *(_stream_probes(job.sample_below, stream) if stream is not None else ()),
+                *(
+                    (lambda engine: ProgressProbe(engine.protocols, job.sample_below, on_progress),)
+                    if streaming
+                    else ()
+                ),
             )
             with span("job.build"):
                 engine = builder.build()
             with span("job.run"):
-                # The probes flush the stream when the run completes.
+                # The progress probe hands on its last chunk when the run completes.
                 result = engine.run()
             with span("job.reports"):
                 outputs = run_json(result, job.experiments)

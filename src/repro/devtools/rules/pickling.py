@@ -35,10 +35,10 @@ _POOL_METHODS = frozenset(
     }
 )
 
-#: Spec constructors whose field values are persisted / shipped to workers
-#: (``WorkerConfig`` rides inside persistent-worker task payloads and run
-#: manifests).
-_SPEC_CONSTRUCTORS = frozenset({"RunJob", "RunSpec", "CampaignSpec", "WorkerConfig"})
+#: Spec constructors whose field values are persisted / shipped across the
+#: worker pipe (``WorkerConfig`` rides inside persistent-worker task payloads
+#: and run manifests; a streaming run's ``ProgressChunk`` s travel back).
+_SPEC_CONSTRUCTORS = frozenset({"RunJob", "RunSpec", "CampaignSpec", "WorkerConfig", "ProgressChunk"})
 
 
 class PicklableCampaignPayloads(Rule):

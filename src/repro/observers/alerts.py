@@ -2,7 +2,7 @@
 
 An :class:`AlertEngine` folds the samples a
 :class:`~repro.observers.probes.HealthSampler` takes — in-process under
-``repro watch``, decoded from the workers' ``hf_sample`` lines under
+``repro watch``, sent in the workers' progress chunks under
 ``repro serve`` — into alerts with liquidation-alerter semantics:
 
 * **tiers** — ``warning`` below :attr:`AlertPolicy.warning_hf`, ``critical``

@@ -41,11 +41,18 @@ type-checking-only forward reference.
 from __future__ import annotations
 
 import dataclasses
+import functools
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..analytics.records import LiquidationRecord
+
+
+@functools.cache
+def _field_names(cls: type) -> tuple[str, ...]:
+    """A dataclass's field names, in order."""
+    return tuple(field.name for field in dataclasses.fields(cls))
 
 
 @dataclass(slots=True)
@@ -72,8 +79,13 @@ class SimEvent:
         return type(self).__name__
 
     def payload(self) -> dict[str, Any]:
-        """A JSON-safe dict of this event (the :class:`JsonlSink` contract)."""
-        data = dataclasses.asdict(self)
+        """A JSON-safe dict of this event (the :class:`JsonlSink` contract).
+
+        Shallow: the field values themselves, in field order, then
+        ``"event"`` — what ``dataclasses.asdict`` gives for these flat
+        events, without its recursive deep copy.
+        """
+        data = {name: getattr(self, name) for name in _field_names(type(self))}
         data["event"] = self.kind
         return data
 
@@ -154,7 +166,8 @@ class LiquidationSettled(SimEvent):
     record: "LiquidationRecord"
 
     def payload(self) -> dict[str, Any]:
-        data = dataclasses.asdict(self.record)
+        record = self.record
+        data = {name: getattr(record, name) for name in _field_names(type(record))}
         data.update(
             event=self.kind,
             step_index=self.step_index,

@@ -12,7 +12,7 @@ stream incrementally, replacing a post-hoc crawl of the finished chain:
   protocols whose columnar :class:`~repro.core.position_book.PositionBook`
   holds a dirtied column, and hands every position below a threshold to a
   callback — the :class:`~repro.observers.alerts.AlertEngine` of
-  ``repro watch``, or the ``hf_sample`` lines of ``repro serve``;
+  ``repro watch``, or the progress chunks of a ``repro serve`` worker;
 * :class:`MetricsAccumulator` — incremental per-step aggregates (liquidation
   counts and USD totals, blocks, incidents, price updates…) that campaign
   workers persist without re-crawling the chain.
@@ -118,7 +118,7 @@ class HealthSampler:
     rescan, as a :class:`HealthSample`.  Turning repeated samples into
     alerts (tiers, cooldowns, rapid deterioration) is the consumer's job: an
     :class:`~repro.observers.alerts.AlertEngine`, in-process under
-    ``repro watch`` and fed from the workers' ``hf_sample`` lines under
+    ``repro watch`` and fed from the workers' progress chunks under
     ``repro serve``.
     """
 

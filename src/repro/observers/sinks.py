@@ -15,6 +15,10 @@ from typing import IO, Iterable
 
 from .events import SimEvent
 
+#: One shared encoder: ``json.dumps(payload, sort_keys=True)`` without
+#: building an encoder per line.
+_ENCODER = json.JSONEncoder(sort_keys=True)
+
 
 class JsonlSink:
     """Writes every received event as a JSON line.
@@ -51,7 +55,7 @@ class JsonlSink:
             mode = "a" if self._opened_once else "w"
             self._handle = self._path.open(mode, encoding="utf-8")
             self._opened_once = True
-        self._handle.write(json.dumps(event.payload(), sort_keys=True) + "\n")
+        self._handle.write(_ENCODER.encode(event.payload()) + "\n")
         self.events_written += 1
 
     def finalize(self) -> None:

@@ -134,6 +134,22 @@ class SnapshotPositions(Sequence[dict[str, Any]]):
     def __iter__(self) -> Iterator[dict[str, Any]]:
         return map(self._row, range(len(self)))
 
+    def collateral_of_debtors(self, debt_symbol: str, collateral_symbol: str) -> Iterator[float]:
+        """In row order, each row owing ``debt_symbol``: its ``collateral_symbol`` amount.
+
+        The amount is ``row["collateral"].get(collateral_symbol, 0.0)`` of
+        every row with ``debt_symbol`` in ``row["debt"]``, read straight
+        from the columns without building the rows.
+        """
+        amounts = self._amounts
+        for collateral_keys, debt_keys, start in zip(self._collateral_keys, self._debt_keys, self._starts):
+            if debt_symbol not in debt_keys:
+                continue
+            if collateral_symbol in collateral_keys:
+                yield amounts[start + collateral_keys.index(collateral_symbol)]
+            else:
+                yield 0.0
+
 
 class LendingProtocol(abc.ABC):
     """Base class of the four studied lending protocols."""

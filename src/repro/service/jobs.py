@@ -53,12 +53,13 @@ class SubmissionError(ValueError):
 
 @dataclass
 class RunState:
-    """One run of a job: its spec plus live progress from the event stream."""
+    """One run of a job: its spec plus live progress from its worker."""
 
     spec: RunSpec
     status: str = "queued"
     error: str | None = None
-    # Live progress, folded from the streamed events by the supervisor.
+    # Live progress: the run's events as its worker folds them, summed over
+    # the progress chunks the supervisor applies.
     steps: int = 0
     blocks: int = 0
     last_block: int = 0

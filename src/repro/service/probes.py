@@ -1,33 +1,38 @@
-"""Worker-side probes feeding the service's JSONL transport.
+"""The ``hf_sample`` line writer of a health sampler.
 
-These run *inside* the persistent worker, attached to the engine's observer
-bus next to the standard recorder/metrics probes.  Like every probe they are
-passive — they read cached valuations but never mutate the world — so a
-service-executed run stays bit-identical to a standalone one (the store
-equivalence test in ``tests/test_service.py`` pins this for every registered
-scenario).
+The service itself does not use it: its workers fold each run with
+:class:`~repro.campaigns.executor.ProgressProbe` and send the health samples
+as typed values.  :class:`HealthSampleProbe` and its line format stay
+unchanged because ``perfbench``'s traced ``service-stream`` world attaches
+it, next to a :class:`~repro.observers.sinks.JsonlSink`.  Like every probe
+it is passive — it reads cached valuations but never mutates the world.
 """
 
 from __future__ import annotations
 
-from typing import IO, TYPE_CHECKING, Iterable
+import json
+from typing import IO, TYPE_CHECKING, Any, Iterable
 
 from ..observers.alerts import AlertPolicy
 from ..observers.probes import HealthSample, HealthSampler
-from .transport import encode_message
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..protocols.base import LendingProtocol
 
-__all__ = ["HealthSampleProbe"]
+__all__ = ["HealthSampleProbe", "encode_message"]
+
+
+def encode_message(payload: dict[str, Any]) -> str:
+    """One service-message line (same sorted-keys convention as the sink)."""
+    return json.dumps(payload, sort_keys=True) + "\n"
 
 
 class HealthSampleProbe(HealthSampler):
-    """Streams below-threshold health-factor samples to the supervisor.
+    """Writes below-threshold health-factor samples as JSON lines.
 
     The :class:`~repro.observers.probes.HealthSampler` writing each sample
-    as one ``hf_sample`` service line to ``handle``; the parent's
-    :class:`~repro.observers.alerts.AlertEngine` folds them into alerts.
+    as one ``hf_sample`` line (``{"service": "hf_sample", **sample}``) to
+    ``handle``.
     """
 
     def __init__(
@@ -43,5 +48,5 @@ class HealthSampleProbe(HealthSampler):
         self.handle.write(encode_message({"service": "hf_sample", **sample._asdict()}))
 
     def finalize(self) -> None:
-        """Flush so the last strides' samples reach the parent before the outcome."""
+        """Flush so the last strides' samples are written."""
         self.handle.flush()

@@ -6,12 +6,13 @@ One process, three planes:
   each popping a queued run and executing it as a streaming
   :class:`~repro.campaigns.executor.RunJob` on the shared
   :class:`~repro.campaigns.backends.PersistentBackend` (started on the
-  first dispatched run).  Warm workers forward each run's JSONL lines
-  ahead of its outcome, and the parent decodes them live: typed events
-  fold into per-run progress (:class:`RunProgress`) and the aggregate
-  dashboard metrics; ``hf_sample`` lines feed the tiered
-  :class:`~repro.observers.alerts.AlertEngine`.  Single runs and sweep runs
-  take the same path.
+  first dispatched run).  Each worker folds its run's events into progress
+  counters and sends them, with the run's health samples, as
+  :class:`~repro.campaigns.executor.ProgressChunk` s ahead of its outcome;
+  the parent applies each chunk live to the run's state and the aggregate
+  dashboard metrics, and feeds its samples to the tiered
+  :class:`~repro.observers.alerts.AlertEngine` in order.  Single runs and
+  sweep runs take the same path.
 * **control** — job submission via :meth:`ServiceSupervisor.submit`
   (thread-safe; the HTTP ``POST /jobs`` route calls it from a server
   thread) and the journal + run-store resume contract on restart.
@@ -36,28 +37,13 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from ..campaigns.backends import PersistentBackend, WorkerConfig
-from ..campaigns.executor import RunJob, RunOutcome
+from ..campaigns.executor import ProgressChunk, RunJob, RunOutcome
 from ..campaigns.store import RunStore
 from ..observers.alerts import TIERS, AlertEngine, AlertPolicy
-from ..observers.events import (
-    AuctionDealt,
-    BlockMined,
-    IncidentFired,
-    InterestAccrued,
-    LiquidationSettled,
-    PriceUpdated,
-    RunCompleted,
-    RunStarted,
-    SimEvent,
-    SnapshotTaken,
-    StepStarted,
-)
-from ..observers.probes import HealthSample
 from ..telemetry.http import MetricsServer
 from ..telemetry.metrics import MetricsRegistry
 from .jobs import JobRecord, RunState, ServiceJournal, SubmissionError, expand_job
 from .signals import TERMINATION_SIGNALS
-from .transport import EventStreamDecoder
 
 __all__ = ["ServiceConfig", "ServiceSupervisor", "ServiceSummary"]
 
@@ -82,48 +68,11 @@ class ServiceConfig:
 
     @property
     def effective_sample_below(self) -> float:
-        """The workers' sampling threshold: :attr:`AlertPolicy.sample_below`."""
+        """The workers' sampling threshold: :attr:`AlertPolicy.sample_below`.
+
+        Kept as a property because ``perfbench``'s traced service world reads it.
+        """
         return self.policy.sample_below
-
-
-class RunProgress:
-    """Parent-side probe folding one run's decoded events into its state.
-
-    Shaped like a bus probe (``on_event`` / ``finalize``) although it is fed
-    by the stream decoder rather than an in-process bus — the same taxonomy
-    discipline (EVT004) applies: every event kind is either folded into the
-    run's progress or deliberately listed as ignored.
-    """
-
-    #: Lifecycle/bookkeeping events that add nothing to the progress view
-    #: beyond the generic event count.
-    IGNORED_EVENTS = (
-        AuctionDealt,
-        InterestAccrued,
-        PriceUpdated,
-        RunCompleted,
-        RunStarted,
-        SnapshotTaken,
-    )
-
-    def __init__(self, run_state: RunState) -> None:
-        self.run_state = run_state
-
-    def on_event(self, event: SimEvent) -> None:
-        state = self.run_state
-        state.events += 1
-        if isinstance(event, StepStarted):
-            state.steps += 1
-        elif isinstance(event, BlockMined):
-            state.blocks += 1
-            state.last_block = event.block_number
-        elif isinstance(event, LiquidationSettled):
-            state.liquidations += 1
-        elif isinstance(event, IncidentFired):
-            state.incidents += 1
-
-    def finalize(self) -> None:
-        """Nothing to seal; progress is folded live."""
 
 
 @dataclass
@@ -177,7 +126,7 @@ class ServiceSupervisor:
     def _build_metrics(self) -> None:
         registry = self.registry = MetricsRegistry()
         self._m_events = registry.counter(
-            "repro_service_events_total", "Typed events decoded from worker streams", ("kind",)
+            "repro_service_events_total", "Typed events of the runs, counted in the workers", ("kind",)
         )
         self._m_runs = registry.counter(
             "repro_service_runs_total", "Run outcomes", ("status",)
@@ -203,9 +152,6 @@ class ServiceSupervisor:
             "repro_service_queue_depth", "Runs waiting for a worker"
         )
         self._m_jobs = registry.gauge("repro_service_jobs", "Jobs by state", ("state",))
-        self._m_dropped = registry.counter(
-            "repro_service_lines_dropped_total", "Malformed or truncated transport lines"
-        )
 
     def _refresh_job_gauge(self) -> None:
         counts = {state: 0 for state in _JOB_STATES}
@@ -492,10 +438,10 @@ class ServiceSupervisor:
         self._m_peak.set(self.peak_active_runs)
 
     async def _run(self, record: JobRecord, run_state: RunState, emit) -> None:
-        """Execute one run on a persistent worker, folding its stream live.
+        """Execute one run on a persistent worker, applying its progress live.
 
-        ``execute_one`` blocks, so it runs on the dispatch pool; the line
-        chunks it receives hop onto the loop, where they are decoded in
+        ``execute_one`` blocks, so it runs on the dispatch pool; the progress
+        chunks it receives hop onto the loop, where they are applied in
         order ahead of the outcome.
         """
         spec = run_state.spec
@@ -509,13 +455,7 @@ class ServiceSupervisor:
             worker_config=WorkerConfig(backend=backend.name, workers=backend.workers),
             sample_below=self.config.effective_sample_below,
         )
-        decoder = EventStreamDecoder()
-        progress = RunProgress(run_state)
-
-        def feed(text: str) -> None:
-            for message in decoder.feed(text):
-                self._dispatch(record, run_state, progress, message)
-
+        apply = functools.partial(self._apply_progress, record, run_state)
         assert self._loop is not None
         loop = self._loop
         self._set_active(+1)
@@ -523,7 +463,7 @@ class ServiceSupervisor:
             outcome = await loop.run_in_executor(
                 pool,
                 functools.partial(
-                    backend.execute_one, job, lambda text: loop.call_soon_threadsafe(feed, text)
+                    backend.execute_one, job, lambda chunk: loop.call_soon_threadsafe(apply, chunk)
                 ),
             )
         except RuntimeError as error:
@@ -533,10 +473,6 @@ class ServiceSupervisor:
             outcome = RunOutcome(run_id=spec.run_id, elapsed_seconds=0.0, error=str(error))
         finally:
             self._set_active(-1)
-        for message in decoder.flush():
-            self._dispatch(record, run_state, progress, message)
-        if decoder.lines_dropped:
-            self._m_dropped.inc(decoder.lines_dropped)
 
         if outcome.error is not None:
             if self._draining:
@@ -555,31 +491,27 @@ class ServiceSupervisor:
             f"{run_state.alerts} alerts)"
         )
 
-    def _dispatch(
-        self,
-        record: JobRecord,
-        run_state: RunState,
-        progress: RunProgress,
-        message,
-    ) -> None:
-        if isinstance(message, SimEvent):
-            self._m_events.labels(kind=message.kind).inc()
-            if isinstance(message, LiquidationSettled):
-                self._m_liquidations.inc()
-            progress.on_event(message)
-            return
-        kind = message.get("service")
-        if kind == "hf_sample":
-            self._m_samples.inc()
-            with self._lock:
-                raised = self.alerts.observe(
-                    HealthSample(**{field: message[field] for field in HealthSample._fields}),
-                    job_id=record.job_id,
-                    run_id=run_state.spec.run_id,
-                )
-            run_state.alerts += len(raised)
-            for alert in raised:
-                self._m_alerts.labels(tier=alert.tier).inc()
+    def _apply_progress(self, record: JobRecord, run_state: RunState, chunk: ProgressChunk) -> None:
+        run_state.events += sum(chunk.events.values())
+        run_state.steps += chunk.steps
+        run_state.blocks += chunk.blocks
+        run_state.last_block = chunk.last_block
+        run_state.liquidations += chunk.liquidations
+        run_state.incidents += chunk.incidents
+        for kind, count in chunk.events.items():
+            self._m_events.labels(kind=kind).inc(count)
+        self._m_liquidations.inc(chunk.liquidations)
+        self._m_samples.inc(len(chunk.samples))
+        job_id, run_id = record.job_id, run_state.spec.run_id
+        with self._lock:
+            raised = [
+                alert
+                for sample in chunk.samples
+                for alert in self.alerts.observe(sample, job_id=job_id, run_id=run_id)
+            ]
+        run_state.alerts += len(raised)
+        for alert in raised:
+            self._m_alerts.labels(tier=alert.tier).inc()
 
     def _finish_run(
         self, record: JobRecord, run_state: RunState, status: str, error: str | None = None

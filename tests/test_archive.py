@@ -282,6 +282,17 @@ class TestSnapshotPositions:
                 positions[index]
         assert list(protocol.snapshot()["positions"]) == expected
 
+    @pytest.mark.parametrize(
+        "debt_symbol, collateral_symbol",
+        [("DAI", "ETH"), ("USDC", "WBTC"), ("USDT", "LINK"), ("USDT", "BAT"), ("ETH", "ETH")],
+    )
+    def test_collateral_of_debtors_equals_the_row_walk(self, protocol, debt_symbol, collateral_symbol):
+        positions = protocol.snapshot()["positions"]
+        expected = [
+            row["collateral"].get(collateral_symbol, 0.0) for row in positions if debt_symbol in row["debt"]
+        ]
+        assert list(positions.collateral_of_debtors(debt_symbol, collateral_symbol)) == expected
+
     def test_equal_key_tuples_are_shared(self, protocol):
         first, second = protocol.snapshot()["positions"], protocol.snapshot()["positions"]
         assert first._collateral_keys[0] == ("USDC", "ETH")

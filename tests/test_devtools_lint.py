@@ -167,6 +167,15 @@ class TestPicklingRule:
         assert "pool.imap_unordered" in report.violations[0].message
         assert "RunSpec" in report.violations[1].message
 
+    def test_flags_lambdas_in_progress_chunks(self, tmp_path):
+        # A streaming run's progress chunks travel back over the worker pipe.
+        _, report = lint_tree(
+            tmp_path,
+            {"repro/campaigns/bad.py": "def chunk():\n    return ProgressChunk(events=lambda: {})\n"},
+        )
+        assert codes(report) == ["PKL003"]
+        assert "ProgressChunk" in report.violations[0].message
+
     def test_module_level_functions_pass(self, tmp_path):
         _, report = lint_tree(
             tmp_path,

@@ -10,8 +10,8 @@ The acceptance contract of the observer bus is fourfold:
 3. *liveness* — ``repro watch`` narrates a run and exits cleanly at the end
    block;
 4. *one health model* — ``repro watch`` raises exactly the alerts the
-   service's :class:`AlertEngine` raises from the ``hf_sample`` lines of the
-   same world.
+   service's :class:`AlertEngine` raises from the health samples a service
+   worker's progress chunks carry for the same world.
 
 Scenario windows are truncated the same way ``repro run --end-block`` does
 so the full registry matrix stays test-suite friendly.
@@ -19,13 +19,13 @@ so the full registry matrix stays test-suite friendly.
 
 from __future__ import annotations
 
-import io
 import json
 
 import pytest
 
 from repro import scenarios
 from repro.analytics.records import extract_liquidations
+from repro.campaigns.executor import ProgressChunk, ProgressProbe
 from repro.cli import main as cli_main
 from repro.observers import (
     BlockMined,
@@ -41,8 +41,6 @@ from repro.observers.alerts import AlertEngine, AlertPolicy
 from repro.observers.events import InterestAccrued, RunCompleted, RunStarted, SimEvent
 from repro.observers.probes import HealthSample
 from repro.observers.watch import watch_run
-from repro.service.probes import HealthSampleProbe
-from repro.service.transport import EventStreamDecoder
 
 #: Number of block strides each truncated run covers.
 STRIDES = 45
@@ -329,27 +327,23 @@ def test_health_factor_watcher_alerts_and_recovers():
 @pytest.mark.parametrize("hf_below", [1.1, 0.95])
 def test_watch_alerts_equal_service_alerts_from_hf_sample_lines(hf_below):
     # One health model: the alerts `repro watch` raises in-process are the
-    # ones the service's engine raises from the same world's hf_sample lines.
+    # ones the service's engine raises from the samples a service worker's
+    # progress chunks carry for the same world.
     policy = AlertPolicy(warning_hf=hf_below, critical_hf=min(1.0, hf_below))
     summary = watch_run(truncated_builder("march-2020-only"), hf_below=hf_below, emit=lambda line: None)
     watched = [(a.platform, a.owner, a.tier, a.reason, a.block_number) for a in summary.alerts]
 
-    lines = io.StringIO()
+    chunks: list[ProgressChunk] = []
     truncated_builder("march-2020-only").with_probes(
-        lambda engine: HealthSampleProbe(lines, engine.protocols, sample_below=policy.sample_below)
+        lambda engine: ProgressProbe(engine.protocols, policy.sample_below, chunks.append)
     ).run()
-    decoder = EventStreamDecoder()
-    messages = list(decoder.feed(lines.getvalue())) + list(decoder.flush())
-    assert messages and all(message["service"] == "hf_sample" for message in messages)
+    samples = [sample for chunk in chunks for sample in chunk.samples]
+    assert samples and all(type(sample) is HealthSample for sample in samples)
     service = AlertEngine(policy)
     served = [
         alert
-        for message in messages
-        for alert in service.observe(
-            HealthSample(**{field: message[field] for field in HealthSample._fields}),
-            job_id="job-0001",
-            run_id="run",
-        )
+        for sample in samples
+        for alert in service.observe(sample, job_id="job-0001", run_id="run")
     ]
     assert watched == [(a.platform, a.owner, a.tier, a.reason, a.block_number) for a in served]
     tiers = [tier for _, _, tier, _, _ in watched]

@@ -1,18 +1,18 @@
-"""The simulation service: transport, alerting, supervision, and the CLI.
+"""The simulation service: event payloads, alerting, supervision, and the CLI.
 
 Four layers of coverage, cheapest first:
 
-* **transport** — the JSONL pipe contract: every event type of the taxonomy
-  round-trips through its payload line, the incremental decoder survives
-  arbitrary chunk splits, truncated final lines and malformed garbage, and
-  the OS pipe provides back-pressure (a slow consumer throttles the producer
-  instead of losing events);
+* **payloads** — every event type of the taxonomy writes the JSON line of
+  its full field dict (the ``repro watch --jsonl`` contract), and the OS
+  pipe provides back-pressure (a slow consumer throttles the
+  :class:`~repro.observers.sinks.JsonlSink` instead of losing events);
 * **alerts** — tier thresholds, per-position cooldowns, escalation, and
   rapid-deterioration detection, all keyed on simulated blocks (no sleeping);
 * **store equivalence** — the acceptance bar: for every registered scenario,
   a streaming run on a persistent worker produces bit-identical store
   artifacts to a plain in-process :func:`~repro.campaigns.executor.execute_job`,
-  and forwards exactly the lines its probes write in-process;
+  and its progress chunks add up to the same world's events and health
+  samples folded in-process;
 * **supervision** — the asyncio supervisor end to end: concurrent jobs,
   the HTTP surface, journal resume, and ``repro serve`` / ``repro watch``
   under SIGTERM as real subprocesses.
@@ -21,9 +21,12 @@ Four layers of coverage, cheapest first:
 from __future__ import annotations
 
 import asyncio
+import dataclasses
+import hashlib
 import io
 import json
 import os
+import pickle
 import signal
 import subprocess
 import sys
@@ -38,9 +41,10 @@ import pytest
 from repro import scenarios
 from repro.analytics.records import LiquidationRecord
 from repro.campaigns.backends import PersistentBackend, WorkerConfig
-from repro.campaigns.executor import RunJob, execute_job
+from repro.campaigns.executor import STREAM_CHUNK_ITEMS, ProgressChunk, ProgressProbe, RunJob, execute_job
 from repro.campaigns.spec import RunSpec
 from repro.campaigns.store import RunStore
+from repro.observers import events as event_module
 from repro.observers.events import (
     AuctionDealt,
     BlockMined,
@@ -54,21 +58,17 @@ from repro.observers.events import (
     SnapshotTaken,
     StepStarted,
 )
-from repro.observers.probes import HealthSample
+from repro.observers.probes import HealthSample, HealthSampler
 from repro.observers.sinks import JsonlSink
 from repro.service import (
     AlertEngine,
     AlertPolicy,
-    EventStreamDecoder,
     ServiceConfig,
     ServiceJournal,
     ServiceSupervisor,
-    decode_line,
     expand_job,
 )
 from repro.service.jobs import SubmissionError
-from repro.service.probes import HealthSampleProbe
-from repro.service.transport import EVENT_TYPES
 from repro.telemetry.http import MetricsServer
 
 SRC_DIR = str(Path(__file__).resolve().parents[1] / "src")
@@ -93,7 +93,7 @@ def truncated_end_block(name: str) -> int:
 
 
 # --------------------------------------------------------------------- #
-# Transport: round-trip fidelity
+# Event payloads
 # --------------------------------------------------------------------- #
 
 SAMPLE_RECORD = LiquidationRecord(
@@ -136,71 +136,38 @@ SAMPLE_EVENTS: list[SimEvent] = [
 ]
 
 
+#: Every concrete event class of the taxonomy, keyed by its ``kind`` name.
+EVENT_TYPES: dict[str, type[SimEvent]] = {
+    obj.__name__: obj
+    for obj in vars(event_module).values()
+    if isinstance(obj, type) and issubclass(obj, SimEvent) and obj is not SimEvent
+}
+
+
 def test_sample_events_cover_the_whole_taxonomy():
     # Drift guard: extending the taxonomy must extend this suite's samples.
     assert {type(event).__name__ for event in SAMPLE_EVENTS} == set(EVENT_TYPES)
 
 
+def reference_payload(event: SimEvent) -> dict:
+    """The payload as ``dataclasses.asdict`` renders it (a deep copy)."""
+    if isinstance(event, LiquidationSettled):
+        data = dataclasses.asdict(event.record)
+        data.update(event=event.kind, step_index=event.step_index, block_number=event.block_number)
+        return data
+    return {**dataclasses.asdict(event), "event": event.kind}
+
+
 @pytest.mark.parametrize("event", SAMPLE_EVENTS, ids=lambda event: type(event).__name__)
 def test_every_event_type_roundtrips(event):
-    line = json.dumps(event.payload(), sort_keys=True)
-    decoded = decode_line(line)
-    assert type(decoded) is type(event)
-    assert decoded == event
-
-
-def test_service_messages_pass_through_as_dicts():
-    message = {"service": "hf_sample", "platform": "Aave", "health_factor": 1.01}
-    assert decode_line(json.dumps(message)) == message
-
-
-def test_decoder_handles_arbitrary_chunk_splits():
-    stream = "".join(json.dumps(event.payload(), sort_keys=True) + "\n" for event in SAMPLE_EVENTS)
-    for chunk_size in (1, 7, 64, len(stream)):
-        decoder = EventStreamDecoder()
-        decoded = []
-        for start in range(0, len(stream), chunk_size):
-            decoded.extend(decoder.feed(stream[start : start + chunk_size]))
-        decoded.extend(decoder.flush())
-        assert decoded == SAMPLE_EVENTS
-        assert decoder.events_decoded == len(SAMPLE_EVENTS)
-        assert decoder.lines_dropped == 0
-
-
-def test_decoder_recovers_from_truncated_final_line():
-    decoder = EventStreamDecoder()
-    complete = json.dumps(SAMPLE_EVENTS[0].payload(), sort_keys=True) + "\n"
-    truncated = json.dumps(SAMPLE_EVENTS[1].payload(), sort_keys=True)[:25]  # killed mid-write
-    decoded = list(decoder.feed(complete + truncated))
-    decoded.extend(decoder.flush())
-    assert decoded == [SAMPLE_EVENTS[0]]
-    assert decoder.lines_dropped == 1
-    assert decoder.last_dropped == truncated
-
-
-def test_decoder_unterminated_but_complete_tail_still_decodes():
-    # Producer exited between write() and the trailing newline.
-    decoder = EventStreamDecoder()
-    assert list(decoder.feed(json.dumps(SAMPLE_EVENTS[0].payload(), sort_keys=True))) == []
-    assert list(decoder.flush()) == [SAMPLE_EVENTS[0]]
-    assert decoder.lines_dropped == 0
-
-
-def test_decoder_drops_malformed_lines_and_continues():
-    decoder = EventStreamDecoder()
-    good = json.dumps(SAMPLE_EVENTS[3].payload(), sort_keys=True)
-    lines = [
-        "{not json at all",
-        '["a", "json", "array"]',
-        json.dumps({"event": "NoSuchEvent", "step_index": 0, "block_number": 1}),
-        json.dumps({"event": "PriceUpdated", "step_index": 0}),  # missing fields
-        good,
-        "",
-    ]
-    decoded = list(decoder.feed("\n".join(lines) + "\n"))
-    assert decoded == [SAMPLE_EVENTS[3]]
-    assert decoder.lines_dropped == 4
-    assert decoder.events_decoded == 1
+    # The shallow payload writes the same JSON line as the deep-copied one
+    # and parses back to it (tuples come back as lists).
+    handle = io.StringIO()
+    JsonlSink(handle).on_event(event)
+    expected = json.dumps(reference_payload(event), sort_keys=True) + "\n"
+    assert handle.getvalue() == expected
+    assert json.loads(handle.getvalue()) == json.loads(expected)
+    assert list(event.payload()) == list(reference_payload(event))
 
 
 def test_pipe_backpressure_throttles_producer_without_losing_events():
@@ -234,19 +201,12 @@ def test_pipe_backpressure_throttles_producer_without_losing_events():
     # The pipe is full and unread: the producer must be blocked in write().
     assert not writer_done.is_set(), "producer finished against an undrained pipe"
 
-    decoder = EventStreamDecoder()
-    decoded = 0
     with os.fdopen(read_fd, "r", encoding="utf-8") as reader:
-        while True:
-            chunk = reader.read(8192)
-            if not chunk:
-                break
-            decoded += sum(1 for _ in decoder.feed(chunk))
-    decoded += sum(1 for _ in decoder.flush())
+        payloads = [json.loads(line) for line in reader]
     producer.join(timeout=10)
     assert writer_done.is_set()
-    assert decoded == total
-    assert decoder.lines_dropped == 0
+    assert len(payloads) == total
+    assert [payload["step_index"] for payload in payloads] == list(range(total))
 
 
 # --------------------------------------------------------------------- #
@@ -406,6 +366,71 @@ def canonical_manifest(manifest: dict) -> dict:
     return cleaned
 
 
+class EventList:
+    """Collects every event of a run, in order."""
+
+    def __init__(self, events: list[SimEvent]) -> None:
+        self.events = events
+
+    def on_event(self, event: SimEvent) -> None:
+        self.events.append(event)
+
+    def finalize(self) -> None:
+        pass
+
+
+def chunk_items(chunk: ProgressChunk) -> int:
+    return sum(chunk.events.values()) + len(chunk.samples)
+
+
+def fold_chunks(chunks: list[ProgressChunk]) -> dict:
+    """The progress a run's chunks add up to."""
+    kinds: dict[str, int] = {}
+    for chunk in chunks:
+        for kind, count in chunk.events.items():
+            kinds[kind] = kinds.get(kind, 0) + count
+    return {
+        "events": kinds,
+        "steps": sum(chunk.steps for chunk in chunks),
+        "blocks": sum(chunk.blocks for chunk in chunks),
+        "last_block": chunks[-1].last_block,
+        "liquidations": sum(chunk.liquidations for chunk in chunks),
+        "incidents": sum(chunk.incidents for chunk in chunks),
+    }
+
+
+def fold_events(events: list[SimEvent]) -> dict:
+    """The same progress, folded from a run's events in-process."""
+    kinds: dict[str, int] = {}
+    for event in events:
+        kinds[event.kind] = kinds.get(event.kind, 0) + 1
+    return {
+        "events": kinds,
+        "steps": sum(isinstance(event, StepStarted) for event in events),
+        "blocks": sum(isinstance(event, BlockMined) for event in events),
+        "last_block": [event.block_number for event in events if isinstance(event, BlockMined)][-1],
+        "liquidations": sum(isinstance(event, LiquidationSettled) for event in events),
+        "incidents": sum(isinstance(event, IncidentFired) for event in events),
+    }
+
+
+def test_progress_probe_hands_on_chunks_of_fixed_size():
+    chunks: list[ProgressChunk] = []
+    probe = ProgressProbe([], sample_below=1.1, on_progress=chunks.append)
+    for step in range(STREAM_CHUNK_ITEMS + 3):
+        probe.on_event(StepStarted(step_index=step, block_number=9_700_000 + step))
+    assert len(chunks) == 1 and chunk_items(chunks[0]) == STREAM_CHUNK_ITEMS
+    probe.on_event(BlockMined(step_index=0, block_number=9_700_800, n_receipts=0, gas_used=0, base_gas_price_wei=1))
+    probe.finalize()
+    probe.finalize()  # nothing left: no empty chunk
+    assert [chunk_items(chunk) for chunk in chunks] == [STREAM_CHUNK_ITEMS, 4]
+    assert chunks[1].events == {"StepStarted": 3, "BlockMined": 1}
+    assert (chunks[1].steps, chunks[1].blocks, chunks[1].last_block) == (3, 1, 9_700_800)
+    # Each chunk owns its containers: later folding never reaches a sent one.
+    assert chunks[0].events == {"StepStarted": STREAM_CHUNK_ITEMS}
+    assert pickle.loads(pickle.dumps(chunks[1])) == chunks[1]
+
+
 @pytest.fixture(scope="module")
 def service_backend():
     """One warm worker for every scenario, as the service shares it."""
@@ -418,8 +443,8 @@ def test_service_worker_store_artifacts_are_bit_identical(name, tmp_path, servic
     """The acceptance bar: for every registered scenario, a run executed the
     way the service executes it — a streaming job on a persistent worker —
     leaves byte-identical experiment files and an equal manifest (modulo
-    timings) to a plain in-process execution, and forwards exactly the
-    lines its two streaming probes write in-process."""
+    timings) to a plain in-process execution, and its progress chunks add up
+    to the same world's events and health samples folded in-process."""
     spec = RunSpec(
         scenario=name,
         overrides=(("end_block", truncated_end_block(name)),),
@@ -442,7 +467,7 @@ def test_service_worker_store_artifacts_are_bit_identical(name, tmp_path, servic
     )
     assert direct.error is None
 
-    chunks: list[str] = []
+    chunks: list[ProgressChunk] = []
     service_job = RunJob(
         store_root=str(tmp_path / "service"),
         campaign=name,
@@ -455,21 +480,18 @@ def test_service_worker_store_artifacts_are_bit_identical(name, tmp_path, servic
     assert outcome.error is None, outcome.error
     assert outcome.worker == "persistent-0"
 
-    # The forwarded stream must be clean: typed events plus health samples,
-    # nothing dropped...
-    forwarded = "".join(chunks)
-    decoder = EventStreamDecoder()
-    messages = list(decoder.feed(forwarded)) + list(decoder.flush())
-    assert decoder.lines_dropped == 0
-    assert decoder.events_decoded > 0
-    assert len(messages) == forwarded.count("\n")
-    # ...and exactly what the same two probes write in-process.
-    in_process = io.StringIO()
+    # The chunks that crossed the pipe add up to the same world folded
+    # in-process: its events, and an in-process HealthSampler's samples.
+    assert chunks and all(type(chunk) is ProgressChunk for chunk in chunks)
+    assert all(chunk_items(chunk) == STREAM_CHUNK_ITEMS for chunk in chunks[:-1])
+    events: list[SimEvent] = []
+    samples: list[HealthSample] = []
     spec.builder().with_probes(
-        lambda engine: JsonlSink(in_process),
-        lambda engine: HealthSampleProbe(in_process, engine.protocols, sample_below=sample_below),
+        lambda engine: EventList(events),
+        lambda engine: HealthSampler(engine.protocols, sample_below, samples.append),
     ).build().run()
-    assert forwarded.splitlines() == in_process.getvalue().splitlines()
+    assert fold_chunks(chunks) == fold_events(events)
+    assert [sample for chunk in chunks for sample in chunk.samples] == samples
 
     direct_store, service_store = RunStore(tmp_path / "direct"), RunStore(tmp_path / "service")
     for experiment_id in experiments:
@@ -546,6 +568,83 @@ def test_supervisor_runs_concurrent_jobs_and_aggregates_state(tmp_path):
 
     # The journal reached its terminal form: nothing to resume.
     assert ServiceJournal(tmp_path).incomplete_jobs() == []
+
+
+#: What one streaming service job exposes, per scenario: its ``/jobs/<id>``
+#: run-state fields, ``repro_service_events_total`` per kind, the health
+#: samples consumed, the alerts per tier and the sha256 of the ``/alerts``
+#: body (``json.dumps(..., sort_keys=True)``).  ``march-2020-only`` runs
+#: across its crash at block 9,865,000.
+SERVICE_OBSERVABLES = {
+    "small": {
+        "end_block": 9_748_000,
+        "run_state": {
+            "steps": 61, "blocks": 61, "last_block": 9_748_000, "liquidations": 4,
+            "incidents": 0, "events": 2188, "alerts": 26,
+        },
+        "events_total": {
+            "BlockMined": 61, "InterestAccrued": 4, "LiquidationSettled": 4, "PriceUpdated": 2052,
+            "RunCompleted": 1, "RunStarted": 1, "SnapshotTaken": 4, "StepStarted": 61,
+        },
+        "hf_samples_total": 450,
+        "alerts_total": {"warning": 26, "critical": 0},
+        "alerts_sha256": "65335be4bfea1cff09bf088c846b0fdbbe678344dbff5e4f24c4873addfa93b1",
+    },
+    "march-2020-only": {
+        "end_block": 9_900_000,
+        "run_state": {
+            "steps": 251, "blocks": 251, "last_block": 9_900_000, "liquidations": 125,
+            "incidents": 1, "events": 9290, "alerts": 331,
+        },
+        "events_total": {
+            "AuctionDealt": 37, "BlockMined": 251, "IncidentFired": 1, "InterestAccrued": 13,
+            "LiquidationSettled": 125, "PriceUpdated": 8600, "RunCompleted": 1, "RunStarted": 1,
+            "SnapshotTaken": 10, "StepStarted": 251,
+        },
+        "hf_samples_total": 3241,
+        "alerts_total": {"warning": 106, "critical": 225},
+        "alerts_sha256": "d716cfdfcdd10d77c116bda1db8ef2838cb0248019647a816d66fa0d217a3d69",
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(SERVICE_OBSERVABLES))
+def test_service_job_observables_are_pinned(name, tmp_path):
+    """One streaming job on one persistent worker, through the supervisor:
+    its progress, per-kind event counts, samples and alerts are pinned."""
+    expected = SERVICE_OBSERVABLES[name]
+    supervisor = ServiceSupervisor(ServiceConfig(store_root=str(tmp_path), workers=1))
+    supervisor.submit(
+        {
+            "kind": "run",
+            "scenario": name,
+            "seed": SEED,
+            "overrides": {"end_block": expected["end_block"]},
+            "experiments": ["table1"],
+        }
+    )
+    assert serve_until_idle(supervisor).completed_runs == 1
+
+    _, detail = supervisor.jobs_route("job-0001")
+    (run,) = detail["run_states"]
+    assert run["status"] == "completed"
+    assert {field: run[field] for field in expected["run_state"]} == expected["run_state"]
+    series = supervisor.registry.snapshot()
+    events_total = {
+        key.split('kind="', 1)[1].rstrip('"}'): value
+        for key, value in series.items()
+        if key.startswith("repro_service_events_total{")
+    }
+    assert events_total == expected["events_total"]
+    assert series["repro_service_liquidations_total"] == run["liquidations"]
+    assert series["repro_service_hf_samples_total"] == expected["hf_samples_total"]
+    _, alerts = supervisor.alerts_route("")
+    assert alerts["counts"] == expected["alerts_total"]
+    assert {
+        tier: series[f'repro_service_alerts_total{{tier="{tier}"}}'] for tier in expected["alerts_total"]
+    } == expected["alerts_total"]
+    digest = hashlib.sha256(json.dumps(alerts, sort_keys=True).encode()).hexdigest()
+    assert digest == expected["alerts_sha256"]
 
 
 def test_supervisor_resumes_completed_runs_from_the_store(tmp_path):
