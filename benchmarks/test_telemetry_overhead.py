@@ -14,8 +14,10 @@ The telemetry subsystem is only viable if its two promises hold:
 Both runs build identical worlds (each chain mints its own ids) and
 neither attaches probes, so the observer bus stays off in both — its cost
 is bounded separately by ``test_watch_overhead``.  For reference the record also times
-a fully-instrumented run (telemetry **and** the :class:`TelemetryProbe`
-bridging events into metrics), which stacks the bus cost on top.
+a fully-instrumented run (telemetry **and** the run fold, a
+:class:`~repro.observers.probes.MetricsAccumulator`, exposed through the
+registry's :func:`~repro.telemetry.run_families` collector), which stacks the
+bus cost on top.
 
 With ``BENCH_RECORD=1`` the result is written to ``BENCH_telemetry.json``
 at the repo root.  The <3 % overhead ceiling is asserted only under
@@ -33,7 +35,8 @@ from pathlib import Path
 from conftest import write_bench_record
 
 from repro import scenarios
-from repro.telemetry import Telemetry, TelemetryProbe, enabled
+from repro.observers.probes import MetricsAccumulator
+from repro.telemetry import Telemetry, enabled, run_families
 from repro.telemetry.runtime import span
 
 #: Block strides of the timed window (≈ half the `small` scenario).
@@ -56,7 +59,8 @@ def timed_run(mode: str) -> tuple[float, int]:
     """One truncated run; returns ``(seconds, spans_recorded)``.
 
     ``mode``: ``bare`` (telemetry off), ``traced`` (tracer installed), or
-    ``full`` (tracer plus the metrics-bridging probe, bus active).
+    ``full`` (tracer plus the run fold and its registry collector, bus
+    active).
     """
     builder = scenarios.get("small").builder(seed=SEED)
     config = builder.config
@@ -69,16 +73,19 @@ def timed_run(mode: str) -> tuple[float, int]:
         return time.perf_counter() - start, 0
     telemetry = Telemetry(name="bench")
     if mode == "full":
-        engine.attach_probe(TelemetryProbe(telemetry.registry))
+        fold = engine.attach_probe(MetricsAccumulator())
+        telemetry.registry.add_collector(lambda: run_families(fold))
     with enabled(telemetry):
         start = time.perf_counter()
         engine.run()
+        if mode == "full":
+            telemetry.registry.exposition()  # one scrape, as `repro trace --metrics`
         elapsed = time.perf_counter() - start
     return elapsed, len(telemetry.tracer.records)
 
 
 def disabled_span_cost_ns() -> float:
-    """Mean cost of one ``span()`` call while telemetry is uninstalled."""
+    """Mean cost of one ``span()`` call while telemetry is off."""
     start = time.perf_counter_ns()
     for _ in range(MICRO_CALLS):
         with span("engine.step"):

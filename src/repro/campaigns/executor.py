@@ -13,11 +13,10 @@ serialises deterministically, serial and parallel execution produce
 byte-identical per-run files.
 
 A job with a ``sample_below`` threshold also *streams* (the service's live
-view of a run): a :class:`ProgressProbe` folds the run's typed events into
-progress counters inside the worker and buffers its below-threshold
-health-factor samples, and both leave the worker as picklable
-:class:`ProgressChunk` s, without touching the store contract — the probe
-is passive.
+view of a run): its run fold is a :class:`ProgressProbe`, which buffers the
+run's below-threshold health-factor samples and hands its counts on inside
+the worker, and both leave the worker as picklable :class:`ProgressChunk` s,
+without touching the store contract — the probe is passive.
 """
 
 from __future__ import annotations
@@ -28,19 +27,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Iterable
 
 from ..experiments.runner import run_json
-from ..observers.events import (
-    AuctionDealt,
-    BlockMined,
-    IncidentFired,
-    InterestAccrued,
-    LiquidationSettled,
-    PriceUpdated,
-    RunCompleted,
-    RunStarted,
-    SimEvent,
-    SnapshotTaken,
-    StepStarted,
-)
+from ..observers.events import SimEvent
 from ..observers.probes import HealthSample, HealthSampler, LiquidationRecorder, MetricsAccumulator
 from ..serialize import to_jsonable
 from ..telemetry import runtime as telemetry_runtime
@@ -176,18 +163,15 @@ def _valuation_cache_stats(snapshot: dict[str, float]) -> dict:
 class ProgressChunk:
     """A streaming run's progress since its previous chunk.
 
-    The counters are deltas, ``last_block`` is the run's latest mined block
-    so far (0 before the first), and ``samples`` are the health samples
-    taken since the previous chunk, in order.  Every field is a plain
-    picklable value: chunks cross the worker pipe as they are.
+    ``events`` counts the events published since the previous chunk, by
+    kind; ``last_block`` is the run's latest mined block so far (0 before
+    the first), and ``samples`` are the health samples taken since the
+    previous chunk, in order.  Every field is a plain picklable value:
+    chunks cross the worker pipe as they are.
     """
 
     events: dict[str, int]  # event kind -> count
-    steps: int
-    blocks: int
     last_block: int
-    liquidations: int
-    incidents: int
     samples: tuple[HealthSample, ...]
 
 
@@ -195,27 +179,16 @@ class ProgressChunk:
 ProgressSink = Callable[[ProgressChunk], None]
 
 
-class ProgressProbe:
-    """Folds a streaming run into the progress a service job reports.
+class ProgressProbe(MetricsAccumulator):
+    """The run fold of a streaming run, handing its progress on in chunks.
 
-    Counts the run's events by kind, its steps, blocks, liquidations and
-    incidents and its last mined block, and buffers the samples of a plain
-    :class:`~repro.observers.probes.HealthSampler` (every position below
-    ``sample_below`` on each rescan), in order.  Every
+    Folds the run like any :class:`~repro.observers.probes.MetricsAccumulator`
+    and buffers the samples of a plain
+    :class:`~repro.observers.probes.HealthSampler`, in order.  Every
     :data:`STREAM_CHUNK_ITEMS` folded events and samples, and once at
-    :meth:`finalize`, it hands what it folded to ``on_progress`` as one
-    :class:`ProgressChunk`.
+    :meth:`finalize`, it hands the per-kind counts since the previous chunk,
+    the last mined block and the samples on as one :class:`ProgressChunk`.
     """
-
-    #: Counted by kind only: nothing else in the progress view follows them.
-    IGNORED_EVENTS = (
-        AuctionDealt,
-        InterestAccrued,
-        PriceUpdated,
-        RunCompleted,
-        RunStarted,
-        SnapshotTaken,
-    )
 
     def __init__(
         self,
@@ -223,31 +196,15 @@ class ProgressProbe:
         sample_below: float,
         on_progress: ProgressSink,
     ) -> None:
+        super().__init__()
         self._on_progress = on_progress
         self._sampler = HealthSampler(protocols, sample_below, self._on_sample)
-        self._last_block = 0
-        self._start_chunk()
-
-    def _start_chunk(self) -> None:
-        # Fresh containers per chunk: a handed-on chunk may still be waiting
-        # to be pickled by the queue's feeder thread.
-        self._events: dict[str, int] = {}
+        self._handed_on: dict[str, int] = {}
         self._samples: list[HealthSample] = []
-        self._steps = self._blocks = self._liquidations = self._incidents = 0
         self._items = 0
 
     def on_event(self, event: SimEvent) -> None:
-        kind = event.kind
-        self._events[kind] = self._events.get(kind, 0) + 1
-        if isinstance(event, StepStarted):
-            self._steps += 1
-        elif isinstance(event, BlockMined):
-            self._blocks += 1
-            self._last_block = event.block_number
-        elif isinstance(event, LiquidationSettled):
-            self._liquidations += 1
-        elif isinstance(event, IncidentFired):
-            self._incidents += 1
+        super().on_event(event)
         self._folded()
         self._sampler.on_event(event)
 
@@ -261,18 +218,23 @@ class ProgressProbe:
             self._hand_on()
 
     def _hand_on(self) -> None:
+        handed_on = self._handed_on
         self._on_progress(
             ProgressChunk(
-                events=self._events,
-                steps=self._steps,
-                blocks=self._blocks,
-                last_block=self._last_block,
-                liquidations=self._liquidations,
-                incidents=self._incidents,
+                events={
+                    kind: count - handed_on.get(kind, 0)
+                    for kind, count in self.by_kind.items()
+                    if count != handed_on.get(kind, 0)
+                },
+                last_block=self.final_block,
                 samples=tuple(self._samples),
             )
         )
-        self._start_chunk()
+        self._handed_on = dict(self.by_kind)
+        # A fresh list: the handed-on chunk may still be waiting to be
+        # pickled by the queue's feeder thread.
+        self._samples = []
+        self._items = 0
 
     def finalize(self) -> None:
         """Hand on the rest, so it reaches the service before the outcome."""
@@ -294,9 +256,9 @@ def execute_job(job: RunJob, on_progress: ProgressSink | None = None) -> RunOutc
     files.
 
     When ``job.sample_below`` is set and ``on_progress`` is given, the run
-    also streams: a :class:`ProgressProbe` hands its progress to
-    ``on_progress`` in chunks, the last of them once the simulation
-    completes.
+    also streams: its fold is a :class:`ProgressProbe`, which hands its
+    progress to ``on_progress`` in chunks, the last of them once the
+    simulation completes.
 
     When ``job.collect_telemetry`` is set, the worker installs a
     :class:`~repro.telemetry.runtime.Telemetry` for the duration of the run
@@ -314,18 +276,15 @@ def execute_job(job: RunJob, on_progress: ProgressSink | None = None) -> RunOutc
     try:
         with scope:
             builder = job.run.builder()
-            # Stream the liquidation records and the per-step aggregates while
-            # the world advances instead of re-crawling the finished chain:
-            # run_json reads result.records straight off the recorder probe and
-            # the manifest persists the accumulator's metrics.
+            # Stream the liquidation records and the run fold while the world
+            # advances instead of re-crawling the finished chain: run_json
+            # reads result.records straight off the recorder probe and the
+            # manifest persists the fold's metrics.
             builder.with_probes(
                 lambda engine: LiquidationRecorder(),
-                lambda engine: MetricsAccumulator(),
-                *(
-                    (lambda engine: ProgressProbe(engine.protocols, job.sample_below, on_progress),)
-                    if streaming
-                    else ()
-                ),
+                (lambda engine: ProgressProbe(engine.protocols, job.sample_below, on_progress))
+                if streaming
+                else (lambda engine: MetricsAccumulator()),
             )
             with span("job.build"):
                 engine = builder.build()

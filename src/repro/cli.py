@@ -429,7 +429,7 @@ def _cmd_watch(args: argparse.Namespace) -> int:
 
 def _cmd_trace(args: argparse.Namespace) -> int:
     from .observers.probes import LiquidationRecorder, MetricsAccumulator
-    from .telemetry import Telemetry, TelemetryProbe, enabled, render_phase_report
+    from .telemetry import Telemetry, enabled, render_phase_report, run_families
 
     try:
         definition = scenarios.get(args.scenario)
@@ -447,11 +447,9 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     )
 
     telemetry = Telemetry(name=definition.name)
-    builder.with_probes(
-        lambda engine: LiquidationRecorder(),
-        lambda engine: MetricsAccumulator(),
-        lambda engine: TelemetryProbe(telemetry.registry),
-    )
+    fold = MetricsAccumulator()
+    telemetry.registry.add_collector(lambda: run_families(fold))
+    builder.with_probes(lambda engine: LiquidationRecorder(), lambda engine: fold)
     started = time.perf_counter()
     with enabled(telemetry):
         builder.run()

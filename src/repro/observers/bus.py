@@ -48,22 +48,10 @@ class ObserverBus:
         """Whether any probe is attached (the engine's emission gate)."""
         return bool(self._probes)
 
-    @property
-    def probes(self) -> tuple[Probe, ...]:
-        """The attached probes, in attachment order."""
-        return tuple(self._probes)
-
     def attach(self, probe: Probe) -> Probe:
         """Attach ``probe`` and return it (for fluent local use)."""
         self._probes.append(probe)
         return probe
-
-    def detach(self, probe: Probe) -> None:
-        """Detach ``probe`` (no-op when it is not attached)."""
-        try:
-            self._probes.remove(probe)
-        except ValueError:
-            pass
 
     def emit(self, event: "SimEvent") -> None:
         """Publish one event to every probe."""

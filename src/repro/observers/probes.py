@@ -13,9 +13,10 @@ stream incrementally, replacing a post-hoc crawl of the finished chain:
   holds a dirtied column, and hands every position below a threshold to a
   callback — the :class:`~repro.observers.alerts.AlertEngine` of
   ``repro watch``, or the progress chunks of a ``repro serve`` worker;
-* :class:`MetricsAccumulator` — incremental per-step aggregates (liquidation
-  counts and USD totals, blocks, incidents, price updates…) that campaign
-  workers persist without re-crawling the chain.
+* :class:`MetricsAccumulator` — the one fold of a run's events (counts by
+  kind, liquidation counts and USD totals, oracle posts, per-stride gas),
+  behind the run manifest, a service job's progress and the Prometheus run
+  families alike.
 
 Probes are passive: they read engine state but never mutate the world or
 consume engine RNG streams, so seed-pinned runs with probes attached stay
@@ -24,6 +25,7 @@ bit-identical to bare runs.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple
 
 import numpy as np
@@ -188,87 +190,97 @@ class HealthSampler:
 
 
 class MetricsAccumulator:
-    """Incremental per-step aggregates of one run.
+    """The one fold of a run's events: counts and sums, nothing else.
 
-    The resulting :attr:`metrics` dict is what campaign workers persist into
-    the run manifest, and what :attr:`SimulationResult.metrics
-    <repro.simulation.engine.SimulationResult.metrics>` returns; there is no
-    post-hoc substitute.  ``price_updates`` counts the run's
+    The run manifest's :attr:`metrics`, a service worker's progress (the
+    :class:`~repro.campaigns.executor.ProgressProbe` subclass) and the
+    Prometheus run families (:func:`repro.telemetry.families.run_families`)
+    all derive from these counters.  ``price_updates`` counts the run's
     :class:`PriceUpdated` events, so the oracle posts made while the
     scenario was built are not in it.
     """
 
-    #: Accrual strides and run lifecycle markers add no per-step aggregate;
-    #: steps/blocks already delimit the run.
-    IGNORED_EVENTS = (InterestAccrued, RunCompleted, RunStarted)
+    #: Counted by kind only: nothing else in the fold follows them.
+    IGNORED_EVENTS = (IncidentFired, InterestAccrued, RunCompleted, RunStarted, SnapshotTaken)
+
+    #: Upper bounds of the per-stride gas buckets (the last bucket is open).
+    GAS_BUCKETS = (1e6, 5e6, 1e7, 5e7, 1e8, 5e8, 1e9, 5e9)
 
     def __init__(self) -> None:
-        self.steps = 0
-        self.blocks = 0
+        self.by_kind: dict[str, int] = {}
+        self.step_index = 0
         self.final_block = 0
-        self.incidents_fired = 0
-        self.price_updates = 0
-        self.snapshots = 0
-        self.auctions_dealt = 0
-        self.auctions_settled = 0
-        self.liquidations = 0
+        self.price_updates_by_oracle: dict[str, int] = {}
+        #: ``(platform, mechanism) -> settled liquidations``.
+        self.liquidations_by_mechanism: dict[tuple[str, str], int] = {}
         self.repaid_usd = 0.0
         self.collateral_usd = 0.0
         self.profit_usd = 0.0
+        #: Profit with each loss clipped at 0 (a Prometheus counter only rises).
+        self.gain_usd = 0.0
         self.flash_loans = 0
         self.unprofitable = 0
-        self.by_platform: dict[str, int] = {}
+        self.auctions_settled = 0
+        #: Mined strides per :data:`GAS_BUCKETS` bucket, plus one open bucket.
+        self.gas_buckets = [0] * (len(self.GAS_BUCKETS) + 1)
+        self.gas_used = 0.0
 
     def on_event(self, event: SimEvent) -> None:
+        kind = event.kind
+        self.by_kind[kind] = self.by_kind.get(kind, 0) + 1
         if isinstance(event, StepStarted):
-            self.steps += 1
+            self.step_index = event.step_index
         elif isinstance(event, BlockMined):
-            self.blocks += 1
             self.final_block = event.block_number
+            self.gas_used += event.gas_used
+            self.gas_buckets[bisect_left(self.GAS_BUCKETS, event.gas_used)] += 1
+        elif isinstance(event, PriceUpdated):
+            oracle = event.oracle
+            self.price_updates_by_oracle[oracle] = self.price_updates_by_oracle.get(oracle, 0) + 1
         elif isinstance(event, LiquidationSettled):
             record = event.record
-            self.liquidations += 1
+            key = (record.platform, record.mechanism)
+            self.liquidations_by_mechanism[key] = self.liquidations_by_mechanism.get(key, 0) + 1
             self.repaid_usd += record.repaid_usd
             self.collateral_usd += record.collateral_usd
             self.profit_usd += record.profit_usd
+            self.gain_usd += max(record.profit_usd, 0.0)
             if record.used_flash_loan:
                 self.flash_loans += 1
             if not record.is_profitable:
                 self.unprofitable += 1
-            self.by_platform[record.platform] = self.by_platform.get(record.platform, 0) + 1
         elif isinstance(event, AuctionDealt):
-            self.auctions_dealt += 1
             if event.winner is not None:
                 self.auctions_settled += 1
-        elif isinstance(event, PriceUpdated):
-            self.price_updates += 1
-        elif isinstance(event, IncidentFired):
-            self.incidents_fired += 1
-        elif isinstance(event, SnapshotTaken):
-            self.snapshots += 1
 
     def finalize(self) -> None:
-        """Nothing to seal; the aggregates are maintained incrementally."""
+        """Nothing to seal; the counters are maintained incrementally."""
+
+    def count(self, event_type: type[SimEvent]) -> int:
+        """How many events of ``event_type`` the run published so far."""
+        return self.by_kind.get(event_type.__name__, 0)
 
     @property
     def metrics(self) -> dict:
         """The aggregates as a JSON-ready dict (the campaign-store contract)."""
+        by_platform: dict[str, int] = {}
+        for (platform, _), count in self.liquidations_by_mechanism.items():
+            by_platform[platform] = by_platform.get(platform, 0) + count
         return {
-            "steps": self.steps,
-            "blocks": self.blocks,
+            "steps": self.count(StepStarted),
+            "blocks": self.count(BlockMined),
             "final_block": self.final_block,
-            "incidents_fired": self.incidents_fired,
-            "price_updates": self.price_updates,
-            "snapshots": self.snapshots,
-            "auctions": {"dealt": self.auctions_dealt, "settled": self.auctions_settled},
+            "incidents_fired": self.count(IncidentFired),
+            "price_updates": self.count(PriceUpdated),
+            "snapshots": self.count(SnapshotTaken),
+            "auctions": {"dealt": self.count(AuctionDealt), "settled": self.auctions_settled},
             "liquidations": {
-                "count": self.liquidations,
+                "count": self.count(LiquidationSettled),
                 "repaid_usd": self.repaid_usd,
                 "collateral_usd": self.collateral_usd,
                 "profit_usd": self.profit_usd,
                 "flash_loans": self.flash_loans,
                 "unprofitable": self.unprofitable,
-                "by_platform": dict(sorted(self.by_platform.items())),
+                "by_platform": dict(sorted(by_platform.items())),
             },
         }
-

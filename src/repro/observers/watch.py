@@ -29,7 +29,7 @@ from .events import (
     StepStarted,
 )
 from .alerts import Alert, AlertEngine, AlertPolicy
-from .probes import HealthSample, HealthSampler, LiquidationRecorder
+from .probes import HealthSample, HealthSampler, LiquidationRecorder, MetricsAccumulator
 from .sinks import JsonlSink
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -155,10 +155,11 @@ def watch_run(
     server = None
     registry = None
     if metrics_port is not None:
-        from ..telemetry import MetricsRegistry, MetricsServer, TelemetryProbe
+        from ..telemetry import MetricsRegistry, MetricsServer, run_families
 
+        fold = engine.attach_probe(MetricsAccumulator())
         registry = MetricsRegistry()
-        engine.attach_probe(TelemetryProbe(registry))
+        registry.add_collector(lambda: run_families(fold))
         server = MetricsServer(registry, port=metrics_port)
         server.start()
         bound_port = server.port

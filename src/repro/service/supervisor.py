@@ -6,11 +6,12 @@ One process, three planes:
   each popping a queued run and executing it as a streaming
   :class:`~repro.campaigns.executor.RunJob` on the shared
   :class:`~repro.campaigns.backends.PersistentBackend` (started on the
-  first dispatched run).  Each worker folds its run's events into progress
-  counters and sends them, with the run's health samples, as
+  first dispatched run).  Each worker folds its run's events into counts by
+  kind and sends them, with the run's health samples, as
   :class:`~repro.campaigns.executor.ProgressChunk` s ahead of its outcome;
-  the parent applies each chunk live to the run's state and the aggregate
-  dashboard metrics, and feeds its samples to the tiered
+  the parent applies each chunk live to the run's state (steps, blocks,
+  liquidations and incidents are counts of their event kinds) and the
+  aggregate dashboard metrics, and feeds its samples to the tiered
   :class:`~repro.observers.alerts.AlertEngine` in order.  Single runs and
   sweep runs take the same path.
 * **control** — job submission via :meth:`ServiceSupervisor.submit`
@@ -40,6 +41,7 @@ from ..campaigns.backends import PersistentBackend, WorkerConfig
 from ..campaigns.executor import ProgressChunk, RunJob, RunOutcome
 from ..campaigns.store import RunStore
 from ..observers.alerts import TIERS, AlertEngine, AlertPolicy
+from ..observers.events import BlockMined, IncidentFired, LiquidationSettled, StepStarted
 from ..telemetry.http import MetricsServer
 from ..telemetry.metrics import MetricsRegistry
 from .jobs import JobRecord, RunState, ServiceJournal, SubmissionError, expand_job
@@ -492,15 +494,17 @@ class ServiceSupervisor:
         )
 
     def _apply_progress(self, record: JobRecord, run_state: RunState, chunk: ProgressChunk) -> None:
-        run_state.events += sum(chunk.events.values())
-        run_state.steps += chunk.steps
-        run_state.blocks += chunk.blocks
+        events = chunk.events
+        liquidations = events.get(LiquidationSettled.__name__, 0)
+        run_state.events += sum(events.values())
+        run_state.steps += events.get(StepStarted.__name__, 0)
+        run_state.blocks += events.get(BlockMined.__name__, 0)
         run_state.last_block = chunk.last_block
-        run_state.liquidations += chunk.liquidations
-        run_state.incidents += chunk.incidents
-        for kind, count in chunk.events.items():
+        run_state.liquidations += liquidations
+        run_state.incidents += events.get(IncidentFired.__name__, 0)
+        for kind, count in events.items():
             self._m_events.labels(kind=kind).inc(count)
-        self._m_liquidations.inc(chunk.liquidations)
+        self._m_liquidations.inc(liquidations)
         self._m_samples.inc(len(chunk.samples))
         job_id, run_id = record.job_id, run_state.spec.run_id
         with self._lock:

@@ -90,8 +90,10 @@ class SimulationResult:
     exposed as :attr:`records` and :attr:`metrics`.  Records prefer the
     streaming recorder when one was attached (zero extra work at read time)
     and fall back to the post-hoc crawl of the archive otherwise; metrics
-    exist only as streamed, and reading them without a complete
-    :class:`~repro.observers.probes.MetricsAccumulator` raises.
+    exist only as streamed, and reading them without a
+    :class:`~repro.observers.probes.MetricsAccumulator` raises.  Probes
+    attach only before the first step, so an attached probe saw the whole
+    run.
     """
 
     engine: "SimulationEngine"
@@ -111,36 +113,24 @@ class SimulationResult:
             from ..analytics.records import extract_liquidations
             from ..observers.probes import LiquidationRecorder
 
-            recorder = self._complete_probe(LiquidationRecorder)
+            recorder = self.engine.bus.find(LiquidationRecorder)
             if recorder is not None:
                 self._records_cache = recorder.records
             else:
                 self._records_cache = extract_liquidations(self)
         return self._records_cache
 
-    def _complete_probe(self, probe_type: type):
-        """The first attached probe of ``probe_type`` that saw the full run.
-
-        A probe attached after the streaming cursor advanced (because an
-        earlier probe was already consuming the stream) holds partial state
-        and must not substitute for the post-hoc crawl.
-        """
-        for probe in self.engine.bus.probes:
-            if isinstance(probe, probe_type) and self.engine.probe_is_complete(probe):
-                return probe
-        return None
-
     @property
     def metrics(self) -> dict:
         """Per-run aggregates (counts, USD totals, blocks, incidents…).
 
-        Read from a :class:`~repro.observers.probes.MetricsAccumulator`
-        attached before the first step; raises :class:`RuntimeError` without
-        one, since no post-hoc count scopes ``price_updates`` to the run.
+        Read from the run's :class:`~repro.observers.probes.MetricsAccumulator`
+        (or a subclass); raises :class:`RuntimeError` without one, since no
+        post-hoc count scopes ``price_updates`` to the run.
         """
         from ..observers.probes import MetricsAccumulator
 
-        accumulator = self._complete_probe(MetricsAccumulator)
+        accumulator = self.engine.bus.find(MetricsAccumulator)
         if accumulator is None:
             raise RuntimeError("SimulationResult.metrics needs a MetricsAccumulator attached before the first step")
         return accumulator.metrics
@@ -227,7 +217,6 @@ class SimulationEngine:
         #: keeping the streamed records equal to the post-hoc crawl.
         self._event_cursor = 0
         self._record_normalizers: tuple | None = None
-        self._complete_probes: list[Probe] = []
         # Background fill has no sender, but its address is still minted:
         # the chain's address sequence, and every address after it, stays
         # the one the golden fingerprints pin.
@@ -255,25 +244,14 @@ class SimulationEngine:
     def attach_probe(self, probe: Probe) -> Probe:
         """Attach an observer probe to the event bus and return it.
 
-        Probes receive every :class:`~repro.observers.events.SimEvent` from
-        the next step phase on.  They must be passive (no world mutation, no
+        Probes attach before the first step, so every probe observes the
+        run's entire event stream; attaching one later raises
+        :class:`RuntimeError`.  They must be passive (no world mutation, no
         engine-RNG consumption) so instrumented runs stay bit-identical.
-
-        A probe attached before the first step (and before any earlier probe
-        consumed chain logs) is *complete*: it observes the run's entire
-        event stream, and :attr:`SimulationResult.records` /
-        :attr:`SimulationResult.metrics` may be backed by it.  A probe
-        attached later has missed events — it still receives the backlog of
-        liquidation logs through the streaming cursor, but it never backs
-        either property.
         """
-        if self._event_cursor == 0 and self.step_index == 0:
-            self._complete_probes.append(probe)
+        if self.step_index:
+            raise RuntimeError(f"probes attach before the first step; this engine is at step {self.step_index}")
         return self.bus.attach(probe)
-
-    def probe_is_complete(self, probe: Probe) -> bool:
-        """Whether ``probe`` has observed the run's entire event history."""
-        return probe in self._complete_probes
 
     def protocol(self, name: str) -> LendingProtocol:
         """Look up a protocol by name (O(1) on cache hits).
@@ -491,7 +469,6 @@ class SimulationEngine:
             if self.chain.current_block > self.config.end_block:
                 break
             self.step()
-        bus = self.bus if self.bus.active else None  # probes may attach mid-run
         # Final archive capture — unless the pending block is already
         # snapshotted (periodic snapshotting hit it, or a previous run()
         # call ended here), in which case re-capturing is pure waste.
@@ -610,9 +587,9 @@ class SimulationEngine:
         Runs after the stride is mined: every liquidation-bearing log past
         the streaming cursor becomes an :class:`AuctionDealt` and/or a
         :class:`LiquidationSettled` carrying the same normalised record the
-        post-hoc crawl would produce.  With no probe attached the cursor
-        simply lags; the first active drain then catches up, so probes
-        attached mid-run still see the full liquidation history.
+        post-hoc crawl would produce.  The cursor starts at zero, so the
+        first drain also translates the logs of any pre-run setup
+        transactions.
         """
         normalizers = self._record_normalizers
         if normalizers is None:

@@ -10,37 +10,41 @@ bit-identical to bare ones:
 * :mod:`repro.telemetry.spans` — nested wall-clock tracing spans with
   per-phase aggregation and Chrome trace-event JSON export;
 * :mod:`repro.telemetry.runtime` — the on/off switch: :func:`enabled`
-  installs a :class:`Telemetry` instance and the instrumented call sites
+  scopes a :class:`Telemetry` instance and the instrumented call sites
   (engine stride phases, chain packing, position-book sync, valuation
   cache, campaign workers) pick it up through the near-zero-cost
   :func:`span` / :func:`active` helpers;
-* :mod:`repro.telemetry.probe` — :class:`TelemetryProbe`, bridging the
-  typed observer-bus stream into metrics;
+* :mod:`repro.telemetry.families` — :func:`run_families`, a run's
+  Prometheus series read off its
+  :class:`~repro.observers.probes.MetricsAccumulator` at scrape time;
 * :mod:`repro.telemetry.http` — :class:`MetricsServer`, the ``/metrics``
   exposition endpoint behind ``repro watch --metrics-port``.
 
 Quickstart::
 
     from repro import scenarios
-    from repro.telemetry import Telemetry, TelemetryProbe, enabled, render_phase_report
+    from repro.observers.probes import MetricsAccumulator
+    from repro.telemetry import enabled, render_phase_report, run_families
 
     with enabled() as telemetry:
         engine = scenarios.get("small").build(seed=7)
-        engine.attach_probe(TelemetryProbe(telemetry.registry))
+        fold = engine.attach_probe(MetricsAccumulator())
+        telemetry.registry.add_collector(lambda: run_families(fold))
         engine.run()
     print(render_phase_report(telemetry.tracer.records))
+    print(telemetry.registry.exposition())
     telemetry.tracer.write_chrome_trace("trace.json")
 
 or, from the shell::
 
-    repro trace small --chrome-trace trace.json
+    repro trace small --chrome trace.json --metrics
     repro watch small --metrics-port 9464     # then curl :9464/metrics
 """
 
+from .families import run_families
 from .http import MetricsServer
 from .metrics import Counter, Gauge, Histogram, MetricsRegistry
-from .probe import TelemetryProbe
-from .runtime import Telemetry, active, enabled, install, span, uninstall
+from .runtime import Telemetry, active, enabled, span
 from .spans import SpanRecord, Tracer, aggregate_spans, render_phase_report
 
 __all__ = [
@@ -51,13 +55,11 @@ __all__ = [
     "MetricsServer",
     "SpanRecord",
     "Telemetry",
-    "TelemetryProbe",
     "Tracer",
     "active",
     "aggregate_spans",
     "enabled",
-    "install",
     "render_phase_report",
+    "run_families",
     "span",
-    "uninstall",
 ]

@@ -28,9 +28,10 @@ under the GIL).
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Mapping
+from typing import Any, Callable, Iterable
 
 __all__ = [
+    "Collector",
     "Counter",
     "DEFAULT_BUCKETS",
     "Gauge",
@@ -275,14 +276,17 @@ class Histogram(_Family):
             yield f"{self.name}_count{plain} {child.count}"
 
 
+#: Builds instrument families at scrape time (see
+#: :meth:`MetricsRegistry.add_collector`).
+Collector = Callable[[], Iterable[_Family]]
+
+
 class MetricsRegistry:
     """Creates and holds instrument families; renders the exposition text."""
 
     def __init__(self) -> None:
         self._families: dict[str, _Family] = {}
-
-    def __len__(self) -> int:
-        return len(self._families)
+        self._collectors: list[Collector] = []
 
     def _get_or_create(
         self, factory: type, name: str, help: str, labelnames: Iterable[str], **kwargs: Any
@@ -318,6 +322,25 @@ class MetricsRegistry:
         """Get or create a histogram (idempotent per name)."""
         return self._get_or_create(Histogram, name, help, labelnames, buckets=buckets)
 
+    def add_collector(self, collector: Collector) -> None:
+        """Render the families ``collector`` builds on every scrape.
+
+        Lets a value that is already counted elsewhere (a run's fold) be
+        exposed without counting it twice.  A collected family whose name
+        the registry already holds raises on the scrape.
+        """
+        self._collectors.append(collector)
+
+    def _scrape(self) -> list[_Family]:
+        """Every family, held and collected, in name order."""
+        families = dict(self._families)
+        for collector in self._collectors:
+            for family in collector():
+                if family.name in families:
+                    raise ValueError(f"metric {family.name!r} is already registered")
+                families[family.name] = family
+        return [families[name] for name in sorted(families)]
+
     def exposition(self) -> str:
         """The registry in Prometheus text exposition format 0.0.4.
 
@@ -326,8 +349,8 @@ class MetricsRegistry:
         the property the golden test pins down.
         """
         lines: list[str] = []
-        for name in sorted(self._families):
-            family = self._families[name]
+        for family in self._scrape():
+            name = family.name
             if family.help:
                 lines.append(f"# HELP {name} {family.help}")
             lines.append(f"# TYPE {name} {family.kind}")
@@ -342,8 +365,8 @@ class MetricsRegistry:
         manifests.
         """
         out: dict[str, float] = {}
-        for name in sorted(self._families):
-            family = self._families[name]
+        for family in self._scrape():
+            name = family.name
             for child in family._sorted_children():
                 labels = _format_labels(family.labelnames, child.label_values)
                 if isinstance(child, _HistogramChild):

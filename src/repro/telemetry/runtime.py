@@ -1,8 +1,8 @@
 """The run-level telemetry context: one switch, near-zero cost when off.
 
 A :class:`Telemetry` bundles one :class:`~repro.telemetry.metrics.MetricsRegistry`
-and one :class:`~repro.telemetry.spans.Tracer`.  Installing it (via
-:func:`install` / :func:`enabled`) makes it the process's *active* telemetry;
+and one :class:`~repro.telemetry.spans.Tracer`.  Scoping it with
+:func:`enabled` makes it the process's *active* telemetry;
 the instrumented call sites — the engine's stride phases, the chain's block
 packing, the position book's sync, the protocol valuation cache, the campaign
 workers — all consult the active instance through two cheap module-level
@@ -35,9 +35,7 @@ __all__ = [
     "Telemetry",
     "active",
     "enabled",
-    "install",
     "span",
-    "uninstall",
 ]
 
 
@@ -101,19 +99,6 @@ class Telemetry:
 def active() -> Telemetry | None:
     """The installed telemetry, or ``None`` when telemetry is off."""
     return _active
-
-
-def install(telemetry: Telemetry) -> Telemetry:
-    """Make ``telemetry`` the process's active instance and return it."""
-    global _active
-    _active = telemetry
-    return telemetry
-
-
-def uninstall() -> None:
-    """Turn telemetry off (idempotent)."""
-    global _active
-    _active = None
 
 
 @contextmanager

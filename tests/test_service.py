@@ -389,14 +389,7 @@ def fold_chunks(chunks: list[ProgressChunk]) -> dict:
     for chunk in chunks:
         for kind, count in chunk.events.items():
             kinds[kind] = kinds.get(kind, 0) + count
-    return {
-        "events": kinds,
-        "steps": sum(chunk.steps for chunk in chunks),
-        "blocks": sum(chunk.blocks for chunk in chunks),
-        "last_block": chunks[-1].last_block,
-        "liquidations": sum(chunk.liquidations for chunk in chunks),
-        "incidents": sum(chunk.incidents for chunk in chunks),
-    }
+    return {"events": kinds, "last_block": chunks[-1].last_block}
 
 
 def fold_events(events: list[SimEvent]) -> dict:
@@ -406,11 +399,7 @@ def fold_events(events: list[SimEvent]) -> dict:
         kinds[event.kind] = kinds.get(event.kind, 0) + 1
     return {
         "events": kinds,
-        "steps": sum(isinstance(event, StepStarted) for event in events),
-        "blocks": sum(isinstance(event, BlockMined) for event in events),
         "last_block": [event.block_number for event in events if isinstance(event, BlockMined)][-1],
-        "liquidations": sum(isinstance(event, LiquidationSettled) for event in events),
-        "incidents": sum(isinstance(event, IncidentFired) for event in events),
     }
 
 
@@ -425,7 +414,7 @@ def test_progress_probe_hands_on_chunks_of_fixed_size():
     probe.finalize()  # nothing left: no empty chunk
     assert [chunk_items(chunk) for chunk in chunks] == [STREAM_CHUNK_ITEMS, 4]
     assert chunks[1].events == {"StepStarted": 3, "BlockMined": 1}
-    assert (chunks[1].steps, chunks[1].blocks, chunks[1].last_block) == (3, 1, 9_700_800)
+    assert chunks[1].last_block == 9_700_800
     # Each chunk owns its containers: later folding never reaches a sent one.
     assert chunks[0].events == {"StepStarted": STREAM_CHUNK_ITEMS}
     assert pickle.loads(pickle.dumps(chunks[1])) == chunks[1]

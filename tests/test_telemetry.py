@@ -3,7 +3,7 @@ proof obligation that instrumentation never changes a simulation.
 
 The bit-identity matrix mirrors ``test_scan_equivalence``: every registered
 scenario replays with telemetry fully enabled (tracer installed, spans
-recording, the :class:`TelemetryProbe` bridging events into metrics) and
+recording, the run fold's families collected into the registry) and
 must produce the same events, liquidation records and archive snapshots as
 a bare run at the same seed.  Telemetry reads clocks and state but never
 mutates the world or consumes randomness, so anything else is a bug.
@@ -11,6 +11,7 @@ mutates the world or consumes randomness, so anything else is a bug.
 
 from __future__ import annotations
 
+import hashlib
 import io
 import json
 import urllib.request
@@ -19,20 +20,22 @@ import pytest
 
 from repro import scenarios
 from repro.analytics.records import extract_liquidations
+from repro.observers.events import AuctionDealt, BlockMined
+from repro.observers.probes import MetricsAccumulator
 from repro.serialize import to_jsonable
 from repro.telemetry import (
+    Counter,
+    Histogram,
     MetricsRegistry,
     MetricsServer,
     Telemetry,
-    TelemetryProbe,
     Tracer,
     active,
     aggregate_spans,
     enabled,
-    install,
     render_phase_report,
+    run_families,
     span,
-    uninstall,
 )
 from repro.telemetry.runtime import _NOOP_SPAN
 
@@ -52,7 +55,8 @@ def run_world(name: str, telemetered: bool):
     if not telemetered:
         return engine.run(), None
     telemetry = Telemetry(name=name)
-    engine.attach_probe(TelemetryProbe(telemetry.registry))
+    fold = engine.attach_probe(MetricsAccumulator())
+    telemetry.registry.add_collector(lambda: run_families(fold))
     with enabled(telemetry):
         result = engine.run()
     return result, telemetry
@@ -176,16 +180,13 @@ class TestRuntime:
         with first:  # usable as a context manager, records nothing
             pass
 
-    def test_install_uninstall_and_enabled(self):
+    def test_enabled_scopes_nest(self):
         telemetry = Telemetry(name="test")
-        assert install(telemetry) is telemetry
-        try:
+        with enabled(telemetry):
             assert active() is telemetry
             with span("engine.step"):
                 pass
             assert telemetry.tracer.records[-1].name == "engine.step"
-        finally:
-            uninstall()
         assert active() is None
 
         with enabled() as fresh:
@@ -292,6 +293,45 @@ class TestMetrics:
         assert snapshot["repro_step_seconds_sum"] == 0.5
         assert snapshot["repro_step_seconds_count"] == 1.0
 
+    def test_collected_families_merge_into_name_order(self):
+        registry = MetricsRegistry()
+        registry.counter("repro_b_total", "Held").inc(1)
+        scrapes = []
+
+        def collect():
+            scrapes.append(len(scrapes))
+            collected = Counter("repro_a_total", "Collected", ())
+            collected.inc(len(scrapes))
+            return [collected]
+
+        registry.add_collector(collect)
+        assert registry.exposition() == (
+            "# HELP repro_a_total Collected\n# TYPE repro_a_total counter\nrepro_a_total 1\n"
+            "# HELP repro_b_total Held\n# TYPE repro_b_total counter\nrepro_b_total 1\n"
+        )
+        # Collected at every scrape, by the snapshot too.
+        assert registry.snapshot() == {"repro_a_total": 2.0, "repro_b_total": 1.0}
+        registry.add_collector(lambda: [Counter("repro_b_total", "Clash", ())])
+        with pytest.raises(ValueError, match="repro_b_total"):
+            registry.exposition()
+
+    def test_run_families_bucket_and_split_like_per_event_instruments(self):
+        # The pinned runs mine every stride above the top gas bound and
+        # settle every auction; this covers the bucket edges and expiries.
+        fold = MetricsAccumulator()
+        reference = Histogram("repro_block_gas_used", "Gas used per mined stride", (), buckets=fold.GAS_BUCKETS)
+        for step, gas in enumerate((0, 1_000_000, 1_000_001, 5_000_000, 70_000_000, 5_000_000_000, 6_000_000_000)):
+            fold.on_event(BlockMined(step, 9_700_000 + step, 0, gas, 1))
+            reference.observe(gas)
+        for auction_id, winner in enumerate((None, "0xkeeper", None)):
+            fold.on_event(AuctionDealt(7, 9_700_007, auction_id, "0xvault", winner, "ETH", 1.0, 1.0))
+        families = {family.name: family for family in run_families(fold)}
+        assert list(families["repro_block_gas_used"].render()) == list(reference.render())
+        assert list(families["repro_auctions_dealt_total"].render()) == [
+            'repro_auctions_dealt_total{outcome="expired"} 2',
+            'repro_auctions_dealt_total{outcome="settled"} 1',
+        ]
+
 
 class TestMetricsServer:
     def test_serves_exposition_health_and_404(self):
@@ -364,6 +404,39 @@ class TestWatch:
         assert summary.metrics_port and summary.metrics_port > 0
         assert "repro_events_total" in summary.metrics_exposition
         assert any("/metrics" in line for line in announced)
+
+
+class TestPinnedExposition:
+    """The run families' Prometheus bytes, pinned across commits.
+
+    Both hashes were recorded before the run families moved from a
+    dedicated probe onto the one run fold; they hold the names, HELP text,
+    labels, types, order and value formatting of every series.
+    """
+
+    def test_watch_exposition_bytes(self):
+        from repro.observers.watch import watch_run
+
+        builder = scenarios.get("march-2020-only").builder(3).with_window(end_block=9_760_000)
+        summary = watch_run(builder, hf_below=1.1, emit=lambda line: None, metrics_port=0)
+        text = summary.metrics_exposition
+        assert len(text.splitlines()) == 54
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "66d274eb6fab7196eac3b8cc22915ae706515b253b1571c3bc62135a72f44a20"
+        )
+
+    def test_trace_exposition_bytes(self, tmp_path):
+        from repro.cli import main
+
+        report = tmp_path / "trace-report.txt"
+        argv = ["trace", "small", "--end-block", "9765000", "--metrics", "--output", str(report)]
+        assert main(argv) == 0
+        text = report.read_text()
+        exposition = text[text.index("# HELP") :]
+        assert len(exposition.splitlines()) == 66
+        assert hashlib.sha256(exposition.encode()).hexdigest() == (
+            "ee4e5dd765dbece56f5d903bb35f5a4bb47df8dc69354e0aed4a002bee56669b"
+        )
 
 
 class TestCampaignTelemetry:
