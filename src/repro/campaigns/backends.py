@@ -9,11 +9,13 @@ runs.  Two implementations ship, selected by :class:`WorkerConfig`:
     backend is byte-compared against.
 ``persistent``
     Long-lived worker processes started once and reused across campaigns
-    and service jobs.  Jobs go to the least-loaded worker; outcomes (and
-    the progress chunks of streaming jobs) come back over one shared result
-    queue, where a collector thread routes them to the dispatching caller.
-    That makes :meth:`PersistentBackend.run` safe to call from several
-    threads at once (the service supervisor does).
+    and service jobs.  A caller that runs a single Python thread forks them
+    from its own, already-imported interpreter; otherwise they are spawned
+    (see :func:`worker_start_method`).  Jobs go to the least-loaded worker;
+    outcomes (and the progress chunks of streaming jobs) come back over
+    each worker's own result pipe, where a collector thread routes them to
+    the dispatching caller.  That makes :meth:`PersistentBackend.run` safe
+    to call from several threads at once (the service supervisor does).
 
 Both produce byte-identical :class:`~repro.campaigns.store.RunStore`
 files: every run is independently seeded and its world's chain mints
@@ -32,10 +34,13 @@ from __future__ import annotations
 import multiprocessing
 import os
 import queue
+import signal
 import threading
 from dataclasses import dataclass
+from multiprocessing.connection import Connection, wait
 from typing import Any, Iterator, Mapping, Protocol, Sequence, runtime_checkable
 
+from ..telemetry.clock import perf_seconds
 from .executor import _WORKER_STATE, ProgressChunk, ProgressSink, RunJob, RunOutcome, execute_job
 
 __all__ = [
@@ -43,6 +48,7 @@ __all__ = [
     "PersistentBackend",
     "SerialBackend",
     "WorkerConfig",
+    "worker_start_method",
 ]
 
 #: The backend names :class:`WorkerConfig` accepts.
@@ -175,15 +181,41 @@ class SerialBackend:
         pass
 
 
-def persistent_worker_main(task_queue, result_queue) -> None:
+def worker_start_method() -> str:
+    """How a persistent worker starts from the calling process right now.
+
+    ``fork`` while the process runs exactly one Python thread: the worker
+    is a copy of the parent's warm interpreter, with NumPy and the
+    simulator already imported.  ``spawn`` otherwise, because forking a
+    process whose other threads may hold a lock can deadlock the child —
+    that covers callers that already run threads and every respawn after
+    a crash (the backend's collector thread is running by then).
+
+    Native threads do not count: NumPy's OpenBLAS pool is not a Python
+    thread, and forking next to it is safe, although CPython 3.12+ may
+    still warn (``DeprecationWarning``) that the process is multi-threaded.
+    """
+    if threading.active_count() == 1 and "fork" in multiprocessing.get_all_start_methods():
+        return "fork"
+    return "spawn"
+
+
+def persistent_worker_main(task_queue, results: Connection) -> None:
     """One long-lived worker process: pull jobs, execute, report.
 
-    Runs until the ``None`` sentinel arrives.  Every message on the result
-    queue is ``(run key, payload)``: a streaming job's
+    Runs until the ``None`` sentinel arrives.  Every message sent on the
+    ``results`` pipe is ``(run key, payload)``: a streaming job's
     :class:`~repro.campaigns.executor.ProgressChunk` s first, then its
-    :class:`RunOutcome`.  One producer per worker keeps them
-    in that order.
+    :class:`RunOutcome`.  The pipe is this worker's alone, so they arrive
+    in that order, and a worker killed mid-message garbles no other
+    worker's results.
     """
+    # A forked worker inherits its parent's signal handlers and wakeup fd
+    # (a caller's drain handler, an event loop's self-pipe): restore what a
+    # fresh interpreter has, so it behaves like a spawned worker.
+    signal.signal(signal.SIGINT, signal.default_int_handler)
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    signal.set_wakeup_fd(-1)
     _WORKER_STATE.clear()
     while True:
         job = task_queue.get()
@@ -192,23 +224,40 @@ def persistent_worker_main(task_queue, result_queue) -> None:
         key = _run_key(job)
         # execute_job captures run failures as outcome.error, so one
         # pathological run cannot take the worker down with it.
-        outcome = execute_job(job, lambda chunk: result_queue.put((key, chunk)))
-        result_queue.put((key, outcome))
+        outcome = execute_job(job, lambda chunk: results.send((key, chunk)))
+        results.send((key, outcome))
+
+
+def _close_queue(task_queue, *, flush: bool) -> None:
+    """End a task queue's feeder thread, waiting for it only when ``flush``.
+
+    A worker that exited cleanly read everything up to its sentinel; what
+    a killed worker left unread is dropped.
+    """
+    task_queue.close()
+    if flush:
+        task_queue.join_thread()
+    else:
+        task_queue.cancel_join_thread()
 
 
 class PersistentBackend:
     """Long-lived worker processes shared across campaigns.
 
-    ``N`` spawn processes are started once (lazily, on the first
-    :meth:`run`) and fed :class:`RunJob` messages over per-worker task
-    queues, each job to the worker with the fewest outstanding runs; a
-    shared result queue carries outcomes back.
+    ``N`` worker processes are started once — by :meth:`start`, or else
+    by the first :meth:`run` — and fed :class:`RunJob` messages over
+    per-worker task queues, each job to the worker with the fewest
+    outstanding runs; each worker sends its results back over its own
+    pipe.  Each worker is forked from the caller when
+    :func:`worker_start_method` says that is safe and spawned otherwise;
+    :attr:`start_methods` records which, per slot, and
+    :attr:`start_seconds` how long :meth:`start` took.
 
     A daemon collector thread routes each message to the queue of the
     :meth:`run` call that dispatched it, which makes dispatch thread-safe
     (the service supervisor calls :meth:`execute_one` from several slots
-    concurrently).  The collector also watches for worker death: a worker
-    that disappears mid-task has its pending runs reported as failed
+    concurrently).  The collector also sees a worker die, as the end of its
+    result pipe: the dead worker's pending runs are reported as failed
     outcomes (never silently dropped — the campaign completes and a
     re-execute resumes exactly the lost runs) and its slot respawned.
 
@@ -220,11 +269,16 @@ class PersistentBackend:
 
     def __init__(self, workers: int = 2) -> None:
         self.workers = max(int(workers), 1)
-        self._context = multiprocessing.get_context("spawn")
         self._lock = threading.Lock()
+        #: How each slot's current worker was started (``None`` before start).
+        self.start_methods: list[str | None] = [None] * self.workers
+        #: Seconds :meth:`start` took to start every worker (``None`` before).
+        self.start_seconds: float | None = None
         self._procs: list = [None] * self.workers
         self._task_queues: list = [None] * self.workers
-        self._result_queue = None
+        #: Each slot's end of its worker's result pipe; ``None`` once the
+        #: worker has exited and the backend is closed.
+        self._results: list[Connection | None] = [None] * self.workers
         self._collector: threading.Thread | None = None
         self._started = False
         self._closed = False
@@ -236,15 +290,20 @@ class PersistentBackend:
     # Lifecycle
     # -------------------------------------------------------------- #
     def start(self) -> "PersistentBackend":
-        """Spawn the workers and the collector (idempotent)."""
+        """Start the workers, then the collector (idempotent).
+
+        Every worker starts before the collector thread does, so a caller
+        that runs one Python thread forks all of them.
+        """
         with self._lock:
             if self._started:
                 return self
             if self._closed:
                 raise RuntimeError("persistent backend already closed")
-            self._result_queue = self._context.Queue()
+            started = perf_seconds()
             for slot in range(self.workers):
                 self._spawn_locked(slot)
+            self.start_seconds = perf_seconds() - started
             self._collector = threading.Thread(
                 target=self._collect, name="persistent-collector", daemon=True
             )
@@ -252,17 +311,35 @@ class PersistentBackend:
         self._collector.start()
         return self
 
+    @property
+    def start_method(self) -> str | None:
+        """How the workers were started: ``fork``, ``spawn``, or
+        ``fork+spawn`` once a respawn differs; ``None`` before start."""
+        methods = sorted({method for method in self.start_methods if method is not None})
+        return "+".join(methods) or None
+
+    def alive_workers(self) -> int:
+        """How many worker processes are running right now."""
+        with self._lock:
+            return sum(1 for proc in self._procs if proc is not None and proc.is_alive())
+
     def _spawn_locked(self, slot: int) -> None:
-        task_queue = self._context.Queue()
-        proc = self._context.Process(
+        context = multiprocessing.get_context(worker_start_method())
+        task_queue = context.Queue()
+        reader, writer = context.Pipe(duplex=False)
+        proc = context.Process(
             target=persistent_worker_main,
-            args=(task_queue, self._result_queue),
+            args=(task_queue, writer),
             name=f"persistent-{slot}",
             daemon=True,
         )
         proc.start()
+        # The worker now holds the only write end, so its exit ends the pipe.
+        writer.close()
         self._task_queues[slot] = task_queue
+        self._results[slot] = reader
         self._procs[slot] = proc
+        self.start_methods[slot] = context.get_start_method()
 
     def __enter__(self) -> "PersistentBackend":
         return self.start()
@@ -306,11 +383,12 @@ class PersistentBackend:
             if proc is not None and proc.is_alive():  # pragma: no cover - stuck worker
                 proc.terminate()
                 proc.join(timeout=5.0)
-        # The workers have exited, so their queued messages are all in the
-        # pipe ahead of this sentinel: the collector drains them, then stops.
-        self._result_queue.put(None)
+        # The workers have exited: the collector drains what their pipes
+        # still hold, sees every pipe end, and stops.
         if self._collector is not None:
             self._collector.join(timeout=10.0)
+        for proc, task_queue in zip(self._procs, self._task_queues):
+            _close_queue(task_queue, flush=proc.exitcode == 0)
         reason = (
             "persistent backend closed before the run completed"
             if graceful
@@ -329,15 +407,16 @@ class PersistentBackend:
     # -------------------------------------------------------------- #
     # Dispatch
     # -------------------------------------------------------------- #
-    def run(self, jobs: Sequence[RunJob]) -> Iterator[RunOutcome]:
+    def run(self, jobs: Sequence[RunJob], on_progress: ProgressSink | None = None) -> Iterator[RunOutcome]:
+        """Yield the jobs' outcomes as they finish; streaming jobs' progress chunks go to ``on_progress``."""
         jobs = list(jobs)
         if not jobs:
             return
-        yield from self._receive(self._dispatch(jobs), len(jobs), None)
+        yield from self._receive(self._dispatch(jobs), len(jobs), on_progress)
 
     def execute_one(self, job: RunJob, on_progress: ProgressSink | None = None) -> RunOutcome:
         """Execute one run; a streaming job's progress chunks go to ``on_progress`` first."""
-        for outcome in self._receive(self._dispatch([job]), 1, on_progress):
+        for outcome in self.run([job], on_progress):
             return outcome
         raise RuntimeError("backend produced no outcome")  # pragma: no cover
 
@@ -354,10 +433,6 @@ class PersistentBackend:
                 raise ValueError(f"run(s) already in flight: {', '.join(duplicates)}")
             for key, job in zip(keys, jobs):
                 slot = self._outstanding.index(min(self._outstanding))
-                proc = self._procs[slot]
-                if proc is None or not proc.is_alive():
-                    # An idle worker died quietly: replace it before dispatch.
-                    self._spawn_locked(slot)
                 self._pending[key] = (slot, sink)
                 self._outstanding[slot] += 1
                 self._task_queues[slot].put(job)
@@ -378,18 +453,22 @@ class PersistentBackend:
     # Collection
     # -------------------------------------------------------------- #
     def _collect(self) -> None:
-        """Route messages to their dispatching callers; watch for deaths."""
+        """Route messages to their dispatching callers; replace dead workers.
+
+        Stops once the backend is closed and every worker's pipe has ended.
+        """
         while True:
-            try:
-                item = self._result_queue.get(timeout=0.2)
-            except queue.Empty:
-                self._reap_dead_workers()
-                continue
-            except (EOFError, OSError):  # pragma: no cover - queue torn down
+            with self._lock:
+                slots = {reader: slot for slot, reader in enumerate(self._results) if reader is not None}
+            if not slots:
                 return
-            if item is None:
-                return
-            self._deliver(*item)
+            for reader in wait(list(slots)):
+                try:
+                    key, message = reader.recv()
+                except (EOFError, OSError):
+                    self._worker_exited(slots[reader], reader)
+                    continue
+                self._deliver(key, message)
 
     def _deliver(self, key: RunKey, message: RunOutcome | ProgressChunk) -> None:
         with self._lock:
@@ -402,39 +481,32 @@ class PersistentBackend:
                 self._outstanding[slot] -= 1
         sink.put((key, message))
 
-    def _reap_dead_workers(self) -> None:
-        """Fail (and respawn) workers that died with tasks outstanding.
+    def _worker_exited(self, slot: int, reader: Connection) -> None:
+        """Fail the pending runs of the worker in ``slot``, which exited, and respawn it.
 
-        The dead worker's queued-but-unstarted jobs are *not* re-run on
-        another worker — re-dispatching could race a half-finished store
-        write from the moment of death.  Its pending runs fail loudly
-        instead; interrupted runs never wrote a manifest, so re-executing
-        the campaign resumes exactly the lost runs.
+        Its queued-but-unstarted jobs are *not* re-run on another worker —
+        re-dispatching could race a half-finished store write from the
+        moment of death.  Its pending runs fail loudly instead; interrupted
+        runs never wrote a manifest, so re-executing the campaign resumes
+        exactly the lost runs.  After :meth:`close` or :meth:`terminate`
+        the slot is only retired; the shutdown fails what is left.
         """
-        victims: list[tuple[RunKey, queue.Queue, int, int | None]] = []
+        reader.close()
+        proc = self._procs[slot]
+        proc.join(timeout=5.0)
         with self._lock:
+            self._results[slot] = None
             if self._closed:
                 return
-            for slot, proc in enumerate(self._procs):
-                if proc is None or proc.is_alive() or self._outstanding[slot] == 0:
-                    continue
-                exitcode = proc.exitcode
-                lost = [key for key, (s, _) in self._pending.items() if s == slot]
-                for key in lost:
-                    victims.append((key, self._pending.pop(key)[1], slot, exitcode))
-                self._outstanding[slot] = 0
-                self._spawn_locked(slot)
-        for key, sink, slot, exitcode in victims:
-            sink.put(
-                (
-                    key,
-                    RunOutcome(
-                        run_id=key[2],
-                        elapsed_seconds=0.0,
-                        error=(
-                            f"persistent worker {slot} exited (code {exitcode}) before "
-                            "completing the run; re-execute the campaign to resume it"
-                        ),
-                    ),
-                )
-            )
+            lost = [key for key, (s, _) in self._pending.items() if s == slot]
+            sinks = [self._pending.pop(key)[1] for key in lost]
+            self._outstanding[slot] = 0
+            dead_queue = self._task_queues[slot]
+            self._spawn_locked(slot)
+        _close_queue(dead_queue, flush=False)
+        error = (
+            f"persistent worker {slot} exited (code {proc.exitcode}) before "
+            "completing the run; re-execute the campaign to resume it"
+        )
+        for key, sink in zip(lost, sinks):
+            sink.put((key, RunOutcome(run_id=key[2], elapsed_seconds=0.0, error=error)))

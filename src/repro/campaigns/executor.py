@@ -231,8 +231,7 @@ class ProgressProbe(MetricsAccumulator):
             )
         )
         self._handed_on = dict(self.by_kind)
-        # A fresh list: the handed-on chunk may still be waiting to be
-        # pickled by the queue's feeder thread.
+        # A fresh list: the sink may keep the handed-on chunk.
         self._samples = []
         self._items = 0
 

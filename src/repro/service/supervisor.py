@@ -5,8 +5,8 @@ One process, three planes:
 * **execution** — an :mod:`asyncio` loop with ``workers`` consumer tasks,
   each popping a queued run and executing it as a streaming
   :class:`~repro.campaigns.executor.RunJob` on the shared
-  :class:`~repro.campaigns.backends.PersistentBackend` (started on the
-  first dispatched run).  Each worker folds its run's events into counts by
+  :class:`~repro.campaigns.backends.PersistentBackend`, whose workers
+  :meth:`ServiceSupervisor.serve` forks before anything else starts.  Each worker folds its run's events into counts by
   kind and sends them, with the run's health samples, as
   :class:`~repro.campaigns.executor.ProgressChunk` s ahead of its outcome;
   the parent applies each chunk live to the run's state (steps, blocks,
@@ -110,8 +110,7 @@ class ServiceSupervisor:
         self._loop: asyncio.AbstractEventLoop | None = None
         self._draining = False
         # The persistent backend plus the thread pool its blocking
-        # execute_one calls run on.  Both lazy: a service that only resumes
-        # runs from the store never starts a worker.
+        # execute_one calls run on, both created when serve() starts.
         self._backend: PersistentBackend | None = None
         self._backend_pool: ThreadPoolExecutor | None = None
         self._active = 0
@@ -230,6 +229,17 @@ class ServiceSupervisor:
     # ------------------------------------------------------------------ #
     # HTTP routes
     # ------------------------------------------------------------------ #
+    def health(self) -> dict[str, Any]:
+        """``GET /health``'s workers block: how many are alive, how they started."""
+        backend = self._backend
+        return {
+            "workers": {
+                "configured": self.config.workers,
+                "alive": backend.alive_workers() if backend is not None else 0,
+                "start_method": backend.start_method if backend is not None else None,
+            }
+        }
+
     def jobs_route(self, subpath: str) -> tuple[int, Any]:
         """``GET /jobs`` (listing) and ``GET /jobs/<id>`` (detail)."""
         with self._lock:
@@ -298,56 +308,68 @@ class ServiceSupervisor:
     ) -> ServiceSummary:
         """Run the service until drained (or idle, with ``exit_when_idle``).
 
+        The workers start first, before the journal resume, the signal
+        handlers, the dispatch pool and the HTTP server: no other thread,
+        socket or handler exists yet, so they are forked from this warm
+        process (see :func:`~repro.campaigns.backends.worker_start_method`)
+        and are alive before ``/health`` first answers.
+
         ``announce`` (a ``str -> None`` callable) receives human status
         lines — the CLI passes its stderr printer.
         """
+        emit = announce or (lambda line: None)
+        backend = self._backend = PersistentBackend(self.config.workers).start()
+        emit(
+            f"[service] {backend.workers} worker(s) started by {backend.start_method} "
+            f"in {backend.start_seconds:.3f} s"
+        )
+        pool = self._backend_pool = ThreadPoolExecutor(
+            max_workers=self.config.workers, thread_name_prefix="svc-backend"
+        )
         loop = asyncio.get_running_loop()
         self._loop = loop
         loop._thread_ident = threading.get_ident()  # type: ignore[attr-defined]
         self._queue = asyncio.Queue()
-        emit = announce or (lambda line: None)
-
-        if self.config.resume:
-            resumed = self._resume_from_journal()
-            if resumed:
-                emit(f"[service] re-enqueued {resumed} incomplete job(s) from the journal")
-        for item in self._pending:
-            self._queue.put_nowait(item)
-        self._pending.clear()
-        self._m_queue.set(self._queue.qsize())
-
-        # Before the port is announced: a client may send SIGTERM as soon as
-        # it reads the listening line, and without the handler that kills
-        # the process instead of draining it.
         installed: list = []
-        if install_signals:
-            for signum in TERMINATION_SIGNALS:
-                try:
-                    loop.add_signal_handler(signum, self.begin_drain)
-                    installed.append(signum)
-                except (NotImplementedError, RuntimeError):  # pragma: no cover
-                    pass
-
         server = None
-        if http_port is not None:
-            server = self.http_server = MetricsServer(
-                self.registry,
-                port=http_port,
-                json_routes={"/jobs": self.jobs_route, "/alerts": self.alerts_route},
-                post_routes={"/jobs": self.submit_route},
-            ).start()
-            emit(f"[service] listening on http://127.0.0.1:{server.port} (/jobs /alerts /health /metrics)")
-
-        workers = [
-            asyncio.ensure_future(self._worker_loop(index, emit))
-            for index in range(self.config.workers)
-        ]
-        idler = (
-            asyncio.ensure_future(self._idle_watch())
-            if exit_when_idle
-            else None
-        )
+        idler = None
         try:
+            if self.config.resume:
+                resumed = self._resume_from_journal()
+                if resumed:
+                    emit(f"[service] re-enqueued {resumed} incomplete job(s) from the journal")
+            for item in self._pending:
+                self._queue.put_nowait(item)
+            self._pending.clear()
+            self._m_queue.set(self._queue.qsize())
+
+            # Before the port is announced: a client may send SIGTERM as soon
+            # as it reads the listening line, and without the handler that
+            # kills the process instead of draining it.
+            if install_signals:
+                for signum in TERMINATION_SIGNALS:
+                    try:
+                        loop.add_signal_handler(signum, self.begin_drain)
+                        installed.append(signum)
+                    except (NotImplementedError, RuntimeError):  # pragma: no cover
+                        pass
+
+            if http_port is not None:
+                server = self.http_server = MetricsServer(
+                    self.registry,
+                    port=http_port,
+                    json_routes={"/jobs": self.jobs_route, "/alerts": self.alerts_route},
+                    post_routes={"/jobs": self.submit_route},
+                    health=self.health,
+                ).start()
+                emit(f"[service] listening on http://127.0.0.1:{server.port} (/jobs /alerts /health /metrics)")
+
+            workers = [
+                asyncio.ensure_future(self._worker_loop(index, emit))
+                for index in range(self.config.workers)
+            ]
+            if exit_when_idle:
+                idler = asyncio.ensure_future(self._idle_watch())
             await asyncio.gather(*workers)
         finally:
             if idler is not None:
@@ -356,12 +378,9 @@ class ServiceSupervisor:
                 loop.remove_signal_handler(signum)
             if server is not None:
                 server.stop()
-            backend, self._backend = self._backend, None
-            pool, self._backend_pool = self._backend_pool, None
-            if backend is not None:
-                backend.close()
-            if pool is not None:
-                pool.shutdown(wait=False)
+            self._backend = self._backend_pool = None
+            backend.close()
+            pool.shutdown(wait=False)
             self._save_journal()
             self._loop = None
             self._queue = None
@@ -423,16 +442,6 @@ class ServiceSupervisor:
         with self._lock:
             self._refresh_job_gauge()
 
-    def _runtime(self) -> tuple[PersistentBackend, ThreadPoolExecutor]:
-        """The persistent backend (and its dispatch pool), created lazily."""
-        if self._backend is None:
-            self._backend = PersistentBackend(self.config.workers)
-            self._backend_pool = ThreadPoolExecutor(
-                max_workers=self.config.workers, thread_name_prefix="svc-backend"
-            )
-        assert self._backend_pool is not None
-        return self._backend, self._backend_pool
-
     def _set_active(self, delta: int) -> None:
         self._active += delta
         self.peak_active_runs = max(self.peak_active_runs, self._active)
@@ -447,7 +456,8 @@ class ServiceSupervisor:
         order ahead of the outcome.
         """
         spec = run_state.spec
-        backend, pool = self._runtime()
+        backend, pool = self._backend, self._backend_pool
+        assert backend is not None and pool is not None
         job = RunJob(
             store_root=str(self.store.root),
             campaign=record.campaign,

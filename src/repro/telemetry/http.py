@@ -4,7 +4,8 @@
 over HTTP from a daemon thread:
 
 * ``GET /metrics`` — Prometheus text exposition (format 0.0.4);
-* ``GET /health``  — ``{"status": "ok"}`` liveness JSON.
+* ``GET /health``  — ``{"status": "ok"}`` liveness JSON, plus the fields
+  of an optional ``health`` callable (the service adds its workers).
 
 It backs ``repro watch --metrics-port`` — scrape the live run with any
 Prometheus-compatible collector, or just ``curl`` it — and the ``repro
@@ -50,12 +51,14 @@ class MetricsServer:
         host: str = "127.0.0.1",
         json_routes: Mapping[str, JsonRoute] | None = None,
         post_routes: Mapping[str, PostRoute] | None = None,
+        health: Callable[[], Mapping[str, Any]] | None = None,
     ) -> None:
         self.registry = registry
         self.host = host
         self.requested_port = port
         self.json_routes = dict(json_routes or {})
         self.post_routes = dict(post_routes or {})
+        self.health = health
         self._server: ThreadingHTTPServer | None = None
         self._thread: threading.Thread | None = None
 
@@ -73,6 +76,7 @@ class MetricsServer:
         registry = self.registry
         json_routes = self.json_routes
         post_routes = self.post_routes
+        health = self.health
 
         class Handler(BaseHTTPRequestHandler):
             def _send(self, status: int, body: bytes, content_type: str) -> None:
@@ -96,7 +100,7 @@ class MetricsServer:
                     self._send(200, body, EXPOSITION_CONTENT_TYPE)
                     return
                 if path == "/health":
-                    self._send_json(200, {"status": "ok"})
+                    self._send_json(200, {"status": "ok", **(health() if health is not None else {})})
                     return
                 prefix, _, subpath = path.lstrip("/").partition("/")
                 route = json_routes.get(f"/{prefix}")

@@ -11,8 +11,14 @@ engine strides per run) so the full scenario registry stays affordable.
 from __future__ import annotations
 
 import asyncio
+import json
+import multiprocessing
+import os
+import signal
+import subprocess
+import sys
 import threading
-import time
+from pathlib import Path
 
 import pytest
 
@@ -25,6 +31,7 @@ from repro.campaigns import (
     SerialBackend,
     WorkerConfig,
 )
+from repro.campaigns.backends import worker_start_method
 from repro.campaigns.executor import RunJob, execute_job
 from repro.chain.types import make_address
 from repro.cli import main
@@ -34,9 +41,9 @@ from repro.service import ServiceConfig, ServiceSupervisor
 STRIDES = 20
 
 
-def truncated_end_block(name: str) -> int:
+def truncated_end_block(name: str, strides: int = STRIDES) -> int:
     config = scenarios.get(name).builder(None).config
-    return min(config.end_block, config.start_block + STRIDES * config.blocks_per_step)
+    return min(config.end_block, config.start_block + strides * config.blocks_per_step)
 
 
 def tiny_spec(name: str = "small", **kwargs) -> CampaignSpec:
@@ -168,28 +175,36 @@ def test_warm_execution_leaves_id_counters_exactly_reset(tmp_path):
 def test_persistent_worker_death_fails_pending_runs_and_respawns(tmp_path):
     """Killing a worker mid-task surfaces its pending runs as failed
     outcomes (never hangs, never silently drops) and the slot respawns."""
-    spec = tiny_spec(seeds=2)
+    spec = tiny_spec(seeds=2, overrides={"end_block": truncated_end_block("small", strides=3 * STRIDES)})
     jobs = [
+        # Streaming with no samples (no health factor is below 0): the first
+        # progress chunk proves the worker is mid-run, whichever way it started.
         RunJob(
             store_root=str(tmp_path / "dead"),
             campaign=spec.campaign,
             run=run,
             experiments=spec.experiments,
+            sample_below=0.0,
         )
         for run in spec.runs()
     ]
     backend = PersistentBackend(workers=1)
     try:
         backend.start()
+        killed = []
+
+        def kill_on_first_chunk(chunk) -> None:
+            # Both runs are queued on the only worker; the first is running.
+            if not killed:
+                killed.append(backend._procs[0].pid)
+                backend._procs[0].terminate()
+
         outcomes: list = []
-        collector = threading.Thread(target=lambda: outcomes.extend(backend.run(jobs)))
+        collector = threading.Thread(target=lambda: outcomes.extend(backend.run(jobs, kill_on_first_chunk)))
         collector.start()
-        # Give dispatch a moment, then kill the only worker while both runs
-        # are outstanding (spawn start-up alone outlasts this sleep).
-        time.sleep(0.3)
-        backend._procs[0].terminate()
         collector.join(timeout=60)
         assert not collector.is_alive(), "backend.run() hung after worker death"
+        assert killed
         assert len(outcomes) == 2
         assert all(o.error and "persistent worker" in o.error for o in outcomes)
 
@@ -198,8 +213,88 @@ def test_persistent_worker_death_fails_pending_runs_and_respawns(tmp_path):
             tiny_spec(), RunStore(tmp_path / "retry"), backend=backend
         ).execute()
         assert not retry.failed
+        assert backend._procs[0].pid != killed[0]
+        # The collector thread runs by then, so the respawn never forks.
+        assert backend.start_methods == ["spawn"]
     finally:
         backend.close()
+
+
+#: Run in a fresh interpreter, so that no thread another test left behind
+#: decides the start method: installs the handlers a caller might have,
+#: starts two workers, has each read one job, and reports how they started
+#: and their signal dispositions (``/proc/<pid>/status`` bit masks).
+FORK_PROBE = """
+import json, multiprocessing, signal, sys
+from repro.campaigns.backends import PersistentBackend
+from repro.campaigns.executor import RunJob
+from repro.campaigns.spec import RunSpec
+
+signal.signal(signal.SIGINT, signal.SIG_IGN)
+signal.signal(signal.SIGTERM, lambda signum, frame: None)
+with PersistentBackend(workers=2) as backend:
+    # An unregistered scenario fails as soon as a worker reads the job.
+    probes = [
+        RunJob(
+            store_root=sys.argv[1],
+            campaign="probe",
+            run=RunSpec(scenario="no-such-scenario", overrides=(), seed=slot, seed_index=slot, variant="probe"),
+            experiments=(),
+        )
+        for slot in range(2)
+    ]
+    errors = [outcome.error for outcome in backend.run(probes)]
+    masks = []
+    for child in multiprocessing.active_children():
+        fields = dict(line.split(":", 1) for line in open(f"/proc/{child.pid}/status"))
+        masks.append({name: int(fields[name], 16) for name in ("SigIgn", "SigCgt")})
+    print(json.dumps({"start_methods": backend.start_methods, "errors": errors, "masks": masks}))
+"""
+
+
+@pytest.fixture(scope="module")
+def fork_probe(tmp_path_factory):
+    if "fork" not in multiprocessing.get_all_start_methods() or not os.path.exists("/proc/self/status"):
+        pytest.skip("needs the fork start method and /proc")
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    completed = subprocess.run(
+        [sys.executable, "-c", FORK_PROBE, str(tmp_path_factory.mktemp("fork-probe"))],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert completed.returncode == 0, completed.stderr
+    return json.loads(completed.stdout)
+
+
+def test_single_threaded_caller_forks_its_workers(fork_probe):
+    assert fork_probe["start_methods"] == ["fork", "fork"]
+    # Both workers are in their loop: each read a job and reported on it.
+    assert all("no-such-scenario" in error for error in fork_probe["errors"])
+
+
+def test_forked_workers_restore_default_signal_handlers(fork_probe):
+    """The caller ignores SIGINT and catches SIGTERM; its forked workers
+    do neither: SIGINT raises KeyboardInterrupt, SIGTERM ends the process."""
+    sigint, sigterm = 1 << (signal.SIGINT - 1), 1 << (signal.SIGTERM - 1)
+    assert len(fork_probe["masks"]) == 2
+    for masks in fork_probe["masks"]:
+        assert masks["SigCgt"] & sigint and not masks["SigIgn"] & sigint
+        assert not (masks["SigCgt"] | masks["SigIgn"]) & sigterm
+
+
+def test_caller_running_threads_spawns_its_workers():
+    release = threading.Event()
+    helper = threading.Thread(target=release.wait)
+    helper.start()
+    try:
+        assert worker_start_method() == "spawn"
+        with PersistentBackend(workers=1) as backend:
+            assert backend.start_method == "spawn"
+            assert backend.start_seconds is not None and backend.alive_workers() == 1
+    finally:
+        release.set()
+        helper.join()
 
 
 def test_persistent_rejects_reuse_after_close():

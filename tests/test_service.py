@@ -646,7 +646,7 @@ def test_supervisor_resumes_completed_runs_from_the_store(tmp_path):
     summary = serve_until_idle(again)
     assert summary.resumed_runs == 2
     assert summary.completed_runs == 0
-    assert again.peak_active_runs == 0  # no subprocess was ever needed
+    assert again.peak_active_runs == 0  # no run reached a worker
 
 
 def test_supervisor_resumes_incomplete_jobs_from_the_journal(tmp_path):
@@ -839,6 +839,54 @@ def test_drain_handler_is_installed_before_the_port_is_announced(tmp_path):
     summary = asyncio.run(supervisor.serve(http_port=0, announce=announce))
     assert summary.drained
     assert handlers and handlers[0] not in (signal.SIG_DFL, signal.SIG_IGN, None)
+
+
+def test_workers_are_alive_before_the_port_is_announced(tmp_path):
+    """The first /health answer already reports every worker alive."""
+    supervisor = ServiceSupervisor(ServiceConfig(store_root=str(tmp_path), workers=2))
+    answers = []
+
+    def announce(line: str) -> None:
+        if "listening" in line:
+            assert supervisor.http_server is not None
+            answers.append(http_get(f"http://127.0.0.1:{supervisor.http_server.port}/health"))
+            supervisor.begin_drain()
+
+    summary = asyncio.run(supervisor.serve(http_port=0, announce=announce, install_signals=False))
+    assert summary.drained
+    ((status, _, text),) = answers
+    health = json.loads(text)
+    assert status == 200 and health["status"] == "ok"
+    assert health["workers"]["alive"] == health["workers"]["configured"] == 2
+    assert health["workers"]["start_method"] in ("fork", "spawn")
+
+
+def test_repro_serve_forks_its_workers_before_listening(tmp_path):
+    """`repro serve` starts its workers first, by fork, and says so."""
+    process = subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve", "--store", str(tmp_path), "--workers", "2", "--port", "0"],
+        env=subprocess_env(), stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+    )
+    lines: list[str] = []
+    try:
+        assert process.stderr is not None
+        for line in process.stderr:
+            lines.append(line)
+            if "listening on" in line:
+                break
+        port = line.rsplit("127.0.0.1:", 1)[1].split()[0]
+        status, _, text = http_get(f"http://127.0.0.1:{port}/health")
+        process.send_signal(signal.SIGTERM)
+        process.communicate(timeout=60)
+    finally:
+        if process.poll() is None:
+            process.kill()
+            process.communicate()
+    assert process.returncode == 0
+    assert "listening on" in lines[-1]
+    assert any("2 worker(s) started by fork in" in line for line in lines[:-1])
+    assert status == 200
+    assert json.loads(text) == {"status": "ok", "workers": {"alive": 2, "configured": 2, "start_method": "fork"}}
 
 
 def test_repro_serve_sigterm_drains_and_restart_resumes(tmp_path):
