@@ -117,7 +117,11 @@ class HealthSampler:
     position counts.
 
     Every position below the threshold reaches ``on_sample`` on every
-    rescan, as a :class:`HealthSample`.  Turning repeated samples into
+    rescan, as a :class:`HealthSample` — except a MakerDAO vault whose
+    collateral sits in a running auction
+    (:meth:`~repro.protocols.base.LendingProtocol.owners_in_auction`): its
+    debt stays until the deal settles, so it reads HF 0.0, but it is
+    already being liquidated.  Turning repeated samples into
     alerts (tiers, cooldowns, rapid deterioration) is the consumer's job: an
     :class:`~repro.observers.alerts.AlertEngine`, in-process under
     ``repro watch`` and fed from the workers' progress chunks under
@@ -173,11 +177,16 @@ class HealthSampler:
             # confirmation, samples are not seed-pinned.
             valuation = protocol.valuation()
             health = valuation.health_factors()
-            for row in np.flatnonzero(health < self.sample_below).tolist():
+            rows = np.flatnonzero(health < self.sample_below).tolist()
+            in_auction = protocol.owners_in_auction() if rows else frozenset()
+            for row in rows:
+                owner = valuation.book.position_at(row).owner.value
+                if owner in in_auction:
+                    continue
                 self.on_sample(
                     HealthSample(
                         platform=protocol.name,
-                        owner=valuation.book.position_at(row).owner.value,
+                        owner=owner,
                         health_factor=float(health[row]),
                         debt_usd=float(valuation.debt_usd[row]),
                         block_number=event.block_number,

@@ -600,6 +600,10 @@ class LendingProtocol(abc.ABC):
     def liquidation_mechanism(self) -> str:
         """Return ``"fixed-spread"`` or ``"auction"``."""
 
+    def owners_in_auction(self) -> frozenset[str]:
+        """Owners whose collateral sits in a running auction (none here)."""
+        return frozenset()
+
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<{type(self).__name__} name={self.name!r} positions={len(self.positions)}>"
 

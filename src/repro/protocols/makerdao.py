@@ -245,6 +245,10 @@ class MakerDAOProtocol(LendingProtocol):
             del index[auction_id]
         return list(index.values())
 
+    def owners_in_auction(self) -> frozenset[str]:
+        """Vaults whose collateral :meth:`bite` escrowed in an auction not yet finalized."""
+        return frozenset(auction.borrower.value for auction in self.open_auctions())
+
     def tend(self, bidder: Address, auction_id: int, debt_bid: float) -> None:
         """Place a tend-phase bid: repay ``debt_bid`` DAI for the whole lot."""
         auction = self.auction(auction_id)

@@ -5,6 +5,8 @@ import pytest
 from repro.chain.transaction import TransactionReverted
 from repro.chain.types import make_address
 from repro.core.auction import AuctionConfig, AuctionPhase
+from repro.observers.events import BlockMined, InterestAccrued
+from repro.observers.probes import HealthSampler
 from repro.protocols.base import ProtocolError
 from repro.protocols.makerdao import make_makerdao
 
@@ -131,6 +133,30 @@ class TestAuctionLiquidation:
         assert settlement.debt_repaid == pytest.approx(6_000.0)
         # The unpaid remainder of the debt stays with the vault owner.
         assert makerdao.position_of(vault_owner).debt["DAI"] == pytest.approx(6_000.0)
+
+    def test_health_sampler_skips_vaults_in_a_running_auction(self, makerdao, vault_owner, keeper, oracle, chain):
+        samples = []
+        sampler = HealthSampler([makerdao], 1.1, samples.append)
+
+        def rescan() -> list[str]:
+            before = len(samples)
+            sampler.on_event(InterestAccrued(0, chain.current_block, protocols=(makerdao.name,)))
+            sampler.on_event(BlockMined(0, chain.current_block, 0, 0, 1))
+            return [sample.owner for sample in samples[before:]]
+
+        self._make_unsafe(oracle)
+        assert rescan() == [vault_owner.value]
+        auction = makerdao.bite(keeper, vault_owner)
+        assert makerdao.owners_in_auction() == {vault_owner.value}
+        # HF 0.0 while the collateral is escrowed, but already being liquidated.
+        assert rescan() == []
+        makerdao.tend(keeper, auction.auction_id, 6_000.0)
+        for _ in range(40):
+            chain.mine_block()
+        makerdao.deal(keeper, auction.auction_id)
+        assert makerdao.owners_in_auction() == frozenset()
+        # The unpaid remainder stays on the emptied vault: sampled again.
+        assert rescan() == [vault_owner.value]
 
     def test_open_auctions_index_matches_a_filter_over_every_auction(
         self, makerdao, vault_owner, keeper, oracle, chain, registry

@@ -583,16 +583,18 @@ SERVICE_OBSERVABLES = {
         "end_block": 9_900_000,
         "run_state": {
             "steps": 251, "blocks": 251, "last_block": 9_900_000, "liquidations": 125,
-            "incidents": 1, "events": 9290, "alerts": 331,
+            "incidents": 1, "events": 9290, "alerts": 327,
         },
         "events_total": {
             "AuctionDealt": 37, "BlockMined": 251, "IncidentFired": 1, "InterestAccrued": 13,
             "LiquidationSettled": 125, "PriceUpdated": 8600, "RunCompleted": 1, "RunStarted": 1,
             "SnapshotTaken": 10, "StepStarted": 251,
         },
-        "hf_samples_total": 3241,
-        "alerts_total": {"warning": 106, "critical": 225},
-        "alerts_sha256": "d716cfdfcdd10d77c116bda1db8ef2838cb0248019647a816d66fa0d217a3d69",
+        # Vaults whose collateral is escrowed in a running auction are not
+        # sampled (3,241 samples and 331 alerts, 225 critical, before).
+        "hf_samples_total": 3148,
+        "alerts_total": {"warning": 106, "critical": 221},
+        "alerts_sha256": "ab9a1a31fb17161978a178a94b85a01db123c4e2bb1b7314e9585fc80595ea47",
     },
 }
 
