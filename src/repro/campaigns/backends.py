@@ -250,8 +250,8 @@ class PersistentBackend:
     outstanding runs; each worker sends its results back over its own
     pipe.  Each worker is forked from the caller when
     :func:`worker_start_method` says that is safe and spawned otherwise;
-    :attr:`start_methods` records which, per slot, and
-    :attr:`start_seconds` how long :meth:`start` took.
+    :attr:`start_method` reports which, and :attr:`start_seconds` how long
+    :meth:`start` took.
 
     A daemon collector thread routes each message to the queue of the
     :meth:`run` call that dispatched it, which makes dispatch thread-safe
@@ -271,7 +271,7 @@ class PersistentBackend:
         self.workers = max(int(workers), 1)
         self._lock = threading.Lock()
         #: How each slot's current worker was started (``None`` before start).
-        self.start_methods: list[str | None] = [None] * self.workers
+        self._start_methods: list[str | None] = [None] * self.workers
         #: Seconds :meth:`start` took to start every worker (``None`` before).
         self.start_seconds: float | None = None
         self._procs: list = [None] * self.workers
@@ -315,7 +315,7 @@ class PersistentBackend:
     def start_method(self) -> str | None:
         """How the workers were started: ``fork``, ``spawn``, or
         ``fork+spawn`` once a respawn differs; ``None`` before start."""
-        methods = sorted({method for method in self.start_methods if method is not None})
+        methods = sorted({method for method in self._start_methods if method is not None})
         return "+".join(methods) or None
 
     def alive_workers(self) -> int:
@@ -339,7 +339,7 @@ class PersistentBackend:
         self._task_queues[slot] = task_queue
         self._results[slot] = reader
         self._procs[slot] = proc
-        self.start_methods[slot] = context.get_start_method()
+        self._start_methods[slot] = context.get_start_method()
 
     def __enter__(self) -> "PersistentBackend":
         return self.start()

@@ -215,9 +215,49 @@ def test_persistent_worker_death_fails_pending_runs_and_respawns(tmp_path):
         assert not retry.failed
         assert backend._procs[0].pid != killed[0]
         # The collector thread runs by then, so the respawn never forks.
-        assert backend.start_methods == ["spawn"]
+        assert backend.start_method == "spawn"
     finally:
         backend.close()
+
+
+def test_worker_killed_mid_stream_leaves_the_other_workers_results_intact(tmp_path):
+    """Each worker owns its result pipe. Worker 0 is killed while both
+    stream large chunks (every position with debt is sampled), possibly in the
+    middle of one: worker 1's runs still arrive whole, and the respawned
+    slot runs new work."""
+    spec = tiny_spec(seeds=4, overrides={"end_block": truncated_end_block("small", strides=3 * STRIDES)})
+    jobs = [
+        RunJob(
+            store_root=str(tmp_path / "mixed"),
+            campaign=spec.campaign,
+            run=run,
+            experiments=spec.experiments,
+            sample_below=float("inf"),
+        )
+        for run in spec.runs()
+    ]
+    with PersistentBackend(workers=2) as backend:
+        chunks = []
+
+        def kill_worker_0_at_the_third_chunk(chunk) -> None:
+            chunks.append(chunk)
+            if len(chunks) == 3:
+                backend._procs[0].kill()
+
+        outcomes: list = []
+        collector = threading.Thread(
+            target=lambda: outcomes.extend(backend.run(jobs, kill_worker_0_at_the_third_chunk)), daemon=True
+        )
+        collector.start()
+        collector.join(timeout=60)
+        assert not collector.is_alive(), "backend.run() hung after a worker died mid-stream"
+        # Jobs alternate between the two idle workers: 0 and 2 on worker 0.
+        failed = sorted(o.run_id for o in outcomes if o.error)
+        assert failed == sorted(run.run_id for run in spec.runs()[::2])
+        assert all("persistent worker 0" in o.error for o in outcomes if o.error)
+        assert all(o.worker == "persistent-1" for o in outcomes if not o.error)
+        retry = CampaignExecutor(tiny_spec(seeds=2), RunStore(tmp_path / "retry"), backend=backend).execute()
+        assert not retry.failed
 
 
 #: Run in a fresh interpreter, so that no thread another test left behind
@@ -248,7 +288,7 @@ with PersistentBackend(workers=2) as backend:
     for child in multiprocessing.active_children():
         fields = dict(line.split(":", 1) for line in open(f"/proc/{child.pid}/status"))
         masks.append({name: int(fields[name], 16) for name in ("SigIgn", "SigCgt")})
-    print(json.dumps({"start_methods": backend.start_methods, "errors": errors, "masks": masks}))
+    print(json.dumps({"start_method": backend.start_method, "errors": errors, "masks": masks}))
 """
 
 
@@ -268,7 +308,7 @@ def fork_probe(tmp_path_factory):
 
 
 def test_single_threaded_caller_forks_its_workers(fork_probe):
-    assert fork_probe["start_methods"] == ["fork", "fork"]
+    assert fork_probe["start_method"] == "fork"
     # Both workers are in their loop: each read a job and reported on it.
     assert all("no-such-scenario" in error for error in fork_probe["errors"])
 

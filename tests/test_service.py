@@ -870,17 +870,21 @@ def test_repro_serve_forks_its_workers_before_listening(tmp_path):
         env=subprocess_env(), stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
     )
     lines: list[str] = []
+    deadline = threading.Timer(60, process.kill)  # a service that never listens ends the read
+    deadline.start()
     try:
         assert process.stderr is not None
         for line in process.stderr:
             lines.append(line)
             if "listening on" in line:
                 break
+        deadline.cancel()
         port = line.rsplit("127.0.0.1:", 1)[1].split()[0]
         status, _, text = http_get(f"http://127.0.0.1:{port}/health")
         process.send_signal(signal.SIGTERM)
         process.communicate(timeout=60)
     finally:
+        deadline.cancel()
         if process.poll() is None:
             process.kill()
             process.communicate()
