@@ -302,7 +302,7 @@ class PersistentBackend:
                 raise RuntimeError("persistent backend already closed")
             started = perf_seconds()
             for slot in range(self.workers):
-                self._spawn_locked(slot)
+                self._start_worker_locked(slot)
             self.start_seconds = perf_seconds() - started
             self._collector = threading.Thread(
                 target=self._collect, name="persistent-collector", daemon=True
@@ -323,7 +323,7 @@ class PersistentBackend:
         with self._lock:
             return sum(1 for proc in self._procs if proc is not None and proc.is_alive())
 
-    def _spawn_locked(self, slot: int) -> None:
+    def _start_worker_locked(self, slot: int) -> None:
         context = multiprocessing.get_context(worker_start_method())
         task_queue = context.Queue()
         reader, writer = context.Pipe(duplex=False)
@@ -502,7 +502,7 @@ class PersistentBackend:
             sinks = [self._pending.pop(key)[1] for key in lost]
             self._outstanding[slot] = 0
             dead_queue = self._task_queues[slot]
-            self._spawn_locked(slot)
+            self._start_worker_locked(slot)
         _close_queue(dead_queue, flush=False)
         error = (
             f"persistent worker {slot} exited (code {proc.exitcode}) before "

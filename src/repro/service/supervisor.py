@@ -6,8 +6,9 @@ One process, three planes:
   each popping a queued run and executing it as a streaming
   :class:`~repro.campaigns.executor.RunJob` on the shared
   :class:`~repro.campaigns.backends.PersistentBackend`, whose workers
-  :meth:`ServiceSupervisor.serve` forks before anything else starts.  Each worker folds its run's events into counts by
-  kind and sends them, with the run's health samples, as
+  :meth:`ServiceSupervisor.serve` forks before anything else starts.  Each
+  worker folds its run's events into counts by kind and sends them, with
+  the run's health samples, as
   :class:`~repro.campaigns.executor.ProgressChunk` s ahead of its outcome;
   the parent applies each chunk live to the run's state (steps, blocks,
   liquidations and incidents are counts of their event kinds) and the
