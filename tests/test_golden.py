@@ -27,7 +27,10 @@ Two windows are pinned, each under its own key of the golden file: the
 60-stride window at the top level, and a 320-stride ``late`` window.  The
 short one ends before any borrower tops up its collateral; the late one
 covers the first top-ups (stride 139 in ``paper-full``, 158 in ``small``)
-and the stress incidents at strides 206, 250 and 312.
+and the stress incidents at strides 206, 250 and 312.  A third window, under
+the ``crash`` key, pins ``paper-full`` alone through the March 2020 crash
+and its two days of congestion: there oracle post batches, liquidations and
+auctions share blocks, so it pins their log order at full population.
 
 Worlds own their identity (each chain mints its addresses and tx hashes),
 so nothing is rewound between runs, and two worlds built in one process and
@@ -59,6 +62,13 @@ STRIDES = 60
 #: Strides of the late window, pinned under the golden file's ``late`` key.
 LATE_STRIDES = 320
 LATE = "late"
+
+#: Strides of the crash window, pinned under the golden file's ``crash``
+#: key for :data:`CRASH_SCENARIO` only: from block 7,500,000 to 9,880,800,
+#: just past the crash at block 9,865,000 and its 14,000 congested blocks.
+CRASH_STRIDES = 1_984
+CRASH = "crash"
+CRASH_SCENARIO = "paper-full"
 
 SEED = 5
 
@@ -152,6 +162,10 @@ def test_golden_fingerprint(name, request):
 @pytest.mark.parametrize("name", scenarios.names())
 def test_late_golden_fingerprint(name, request):
     check_window(name, request, LATE, LATE_STRIDES)
+
+
+def test_crash_golden_fingerprint(request):
+    check_window(CRASH_SCENARIO, request, CRASH, CRASH_STRIDES)
 
 
 def test_every_registered_scenario_is_pinned():
