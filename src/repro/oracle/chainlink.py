@@ -21,6 +21,7 @@ from array import array
 from dataclasses import dataclass, field
 
 from ..chain.chain import Blockchain
+from ..chain.events import ConstantColumn
 from ..chain.types import Address
 from .feed import PriceFeed
 
@@ -42,6 +43,10 @@ class PriceOracle:
     ``price_at(symbol, block)`` performs the archive-style historical lookup
     the analytics pipeline uses.  The history is the archive's record of
     the posts; the ``AnswerUpdated`` logs only mirror it for log readers.
+    A batch of posts is one row of the chain's event store: its symbols
+    are a tuple shared with the previous batch when it posted the same
+    symbols, its prices one ``array("d")`` and its oracle name one
+    :class:`~repro.chain.events.ConstantColumn`.
     """
 
     def __init__(
@@ -63,6 +68,11 @@ class PriceOracle:
         #: Per symbol, the latest posted price (the last of ``_prices``).
         self._latest: dict[str, float] = {}
         self._overrides: dict[str, float] = {}
+        #: The symbol and oracle columns of the last posted batch, reused by
+        #: the next batch that posts the same symbols: the archive keeps
+        #: one tuple per run of equal batches, not one list per batch.
+        self._batch_symbols: tuple[str, ...] = ()
+        self._batch_oracle = ConstantColumn(self.config.name, 0)
         #: The ``(symbol, posted_price)`` pairs of the most recent
         #: :meth:`update_from_feed` call.  The engine's observer bus reads
         #: this to publish ``PriceUpdated`` events without re-querying each
@@ -105,10 +115,14 @@ class PriceOracle:
             posted_prices[key].append(price)
             latest[key] = price
         self.version += len(updates)
+        symbols = tuple([key for key, _ in updates])
+        if symbols != self._batch_symbols:
+            self._batch_symbols = symbols
+            self._batch_oracle = ConstantColumn(self.config.name, len(symbols))
         columns = {
-            "symbol": [key for key, _ in updates],
+            "symbol": self._batch_symbols,
             "price": array("d", [price for _, price in updates]),
-            "oracle": [self.config.name] * len(updates),
+            "oracle": self._batch_oracle,
         }
         self.chain.emit_events("AnswerUpdated", self.address, columns)
 

@@ -1,10 +1,11 @@
 """The chain archive keeps only what its readers use.
 
-* The event log is columnar: every read builds :class:`EventLog` views,
-  which must equal what was emitted, in emission order, through every
-  access path (iteration, ``by_name``, ``count``, ``filter``, ``since``).
-  A batch of posts is stored as payload columns, and its views equal the
-  dicts one ``emit_event`` per post stores.
+* The event log keeps one row per emitting call: every read builds
+  :class:`EventLog` views, which must equal what was emitted, in emission
+  order, through every access path (iteration, ``by_name``, ``count``,
+  ``filter``, ``since``).  A batch of posts is one row of payload columns,
+  and its views equal the dicts one ``emit_event`` per post stores, however
+  batches and single logs interleave.
 * Snapshot positions are columns too: their rows equal the dicts the
   archive stored per open position.
 * What the archive retains per oracle post and per snapshot row is
@@ -25,6 +26,7 @@ import gc
 import itertools
 import json
 import math
+import random
 import tracemalloc
 from array import array
 
@@ -194,12 +196,78 @@ class TestPayloadRuns:
             assert type(view.data["price"]) is float
         assert runs.by_name("AnswerUpdated")[1].data == {"symbol": "ETH", "price": 2_000.5, "oracle": "chainlink"}
 
-    def test_a_batch_is_one_shared_run(self, pair):
-        runs, _ = pair
-        payloads = runs._columns[5]
-        assert isinstance(payloads[1], events_module.PayloadRun)
-        assert payloads[1] is payloads[2] is payloads[3]
-        assert isinstance(runs._positions["AnswerUpdated"], array)
+    def test_a_batch_is_one_stored_row(self, pair):
+        runs, reference = pair
+        # Ping, 3 posts, Ping, 1 post | Ping, 2 posts, Pong: 10 logs, 7 rows.
+        assert (len(runs), runs.rows) == (10, 7)
+        assert (len(reference), reference.rows) == (10, 10)
+        assert list(runs._starts) == [0, 1, 4, 5, 6, 7, 9]
+        assert list(runs._name_rows["AnswerUpdated"]) == [1, 3, 5]
+        assert runs._name_counts["AnswerUpdated"] == 6
+        batch = runs._payloads[1]
+        assert isinstance(batch, events_module.PayloadRun) and len(batch) == 3
+        # Batches with the same keys share one key tuple.
+        assert batch.keys == ("symbol", "price", "oracle")
+        assert batch.keys is runs._payloads[3].keys is runs._payloads[5].keys
+        assert {runs._starts.typecode, runs._name_rows["Ping"].typecode} == {"q"}
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_interleavings_read_like_one_dict_per_log(self, seed):
+        """Single logs and batches (empty, one-log and longer, with every
+        column kind) interleaved at random, over several blocks and two
+        emitters: every read of the batched store equals the same reads of
+        a store given one ``emit_event`` per log."""
+        rng = random.Random(seed)
+        runs, reference = Blockchain(ChainConfig(inception_block=50)), Blockchain(ChainConfig(inception_block=50))
+        emitters = (POSTER, ALICE)
+        for step in range(60):
+            emitter = rng.choice(emitters)
+            if rng.random() < 0.4:
+                name = rng.choice(("Ping", "Pong"))
+                payload = {"step": step}
+                runs.emit_event(name, emitter, payload)
+                reference.emit_event(name, emitter, dict(payload))
+            else:
+                size = rng.choice((0, 1, 1, 2, 5))
+                symbols = [rng.choice(("DAI", "ETH", "WBTC")) for _ in range(size)]
+                prices = [rng.uniform(0.5, 3_000.0) for _ in range(size)]
+                columns = {
+                    "symbol": tuple(symbols) if step % 2 else symbols,
+                    "price": array("d", prices),
+                    "oracle": events_module.ConstantColumn("chainlink", size),
+                }
+                runs.emit_events("AnswerUpdated", emitter, columns)
+                for symbol, price in zip(symbols, prices):
+                    reference.emit_event("AnswerUpdated", emitter, {"symbol": symbol, "price": price, "oracle": "chainlink"})
+            if rng.random() < 0.15:
+                runs.mine_block()
+                reference.mine_block()
+        runs, reference = runs.events, reference.events
+        assert runs.rows < reference.rows == len(reference)
+        assert len(runs) == len(reference)
+        assert list(runs) == list(reference)
+        assert runs.names() == reference.names()
+        for name in ("AnswerUpdated", "Ping", "Pong", "Nope"):
+            assert runs.by_name(name) == reference.by_name(name)
+            assert runs.count(name) == reference.count(name)
+        last_block = reference.since(len(reference) - 1)[0].block_number
+        for names in (None, ["AnswerUpdated"], ["Ping", "AnswerUpdated"], ["Pong", "Nope"]):
+            for emitter_set in (None, [POSTER], emitters):
+                for low, high in ((None, None), (50, 50), (51, last_block), (None, 52), (last_block + 1, None)):
+                    query = EventFilter.create(names=names, emitters=emitter_set, from_block=low, to_block=high)
+                    assert runs.filter(query) == reference.filter(query)
+        for offset in range(len(reference) + 2):
+            assert runs.since(offset) == reference.since(offset)
+            for wanted in ({"AnswerUpdated"}, {"Ping", "Pong"}):
+                assert runs.since(offset, wanted) == reference.since(offset, wanted)
+
+    def test_constant_column_is_one_value_of_a_length(self):
+        column = events_module.ConstantColumn("chainlink", 3)
+        assert len(column) == 3 and list(column) == ["chainlink"] * 3
+        assert column[-3] == column[2] == "chainlink" and column[1:] == ["chainlink"] * 2
+        for index in (3, -4):
+            with pytest.raises(IndexError):
+                column[index]
 
     def test_ragged_columns_are_rejected(self):
         chain = Blockchain()
@@ -306,9 +374,10 @@ class TestSnapshotPositions:
 #: Bytes the archive may retain per ``AnswerUpdated`` log (the event
 #: columns and the oracle's posted history) and per snapshot row
 #: (everything the protocols' snapshots keep), as tracemalloc counts them
-#: on the window below.  Measured with CPython 3.11: 134 and 255; one dict
-#: per post and three per row retained 272 and 836.
-MAX_BYTES_PER_POST = 180
+#: on the window below.  Measured with CPython 3.11: 65 and 364; one list
+#: slot per log field per post retained 134, and one dict per post and
+#: three per row 272 and 836.
+MAX_BYTES_PER_POST = 90
 MAX_BYTES_PER_SNAPSHOT_ROW = 400
 
 
@@ -349,7 +418,7 @@ def test_archive_retains_few_bytes_per_post_and_snapshot_row():
     assert {history.typecode for history in oracle._blocks.values()} == {"q"}
     assert {history.typecode for history in oracle._prices.values()} == {"d"}
     assert {block.fill_gas_prices.typecode for block in chain.blocks} == {"q"}
-    assert {positions.typecode for positions in chain.events._positions.values()} == {"q"}
+    assert {rows.typecode for rows in chain.events._name_rows.values()} == {chain.events._starts.typecode} == {"q"}
 
 
 # --------------------------------------------------------------------- #
