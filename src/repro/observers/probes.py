@@ -117,11 +117,14 @@ class HealthSampler:
     position counts.
 
     Every position below the threshold reaches ``on_sample`` on every
-    rescan, as a :class:`HealthSample` — except a MakerDAO vault whose
-    collateral sits in a running auction
-    (:meth:`~repro.protocols.base.LendingProtocol.owners_in_auction`): its
-    debt stays until the deal settles, so it reads HF 0.0, but it is
-    already being liquidated.  Turning repeated samples into
+    rescan, as a :class:`HealthSample`, with two exceptions.  A MakerDAO
+    vault whose collateral sits in a running auction
+    (:meth:`~repro.protocols.base.LendingProtocol.owners_in_auction`) keeps
+    its debt until the deal settles, so it reads HF 0.0, but it is already
+    being liquidated.  A position whose collateral is worth 0 — a vault
+    left with the debt its auction did not raise, a fixed-spread row with
+    debt and no collateral — is bad debt: nothing can liquidate it, and the
+    bad-debt report already counts it.  Turning repeated samples into
     alerts (tiers, cooldowns, rapid deterioration) is the consumer's job: an
     :class:`~repro.observers.alerts.AlertEngine`, in-process under
     ``repro watch`` and fed from the workers' progress chunks under
@@ -177,7 +180,7 @@ class HealthSampler:
             # confirmation, samples are not seed-pinned.
             valuation = protocol.valuation()
             health = valuation.health_factors()
-            rows = np.flatnonzero(health < self.sample_below).tolist()
+            rows = np.flatnonzero((health < self.sample_below) & (valuation.collateral_usd > 0)).tolist()
             in_auction = protocol.owners_in_auction() if rows else frozenset()
             for row in rows:
                 owner = valuation.book.position_at(row).owner.value

@@ -134,7 +134,9 @@ class TestAuctionLiquidation:
         # The unpaid remainder of the debt stays with the vault owner.
         assert makerdao.position_of(vault_owner).debt["DAI"] == pytest.approx(6_000.0)
 
-    def test_health_sampler_skips_vaults_in_a_running_auction(self, makerdao, vault_owner, keeper, oracle, chain):
+    def test_health_sampler_skips_vaults_in_a_running_auction(
+        self, makerdao, vault_owner, keeper, oracle, chain, registry
+    ):
         samples = []
         sampler = HealthSampler([makerdao], 1.1, samples.append)
 
@@ -155,7 +157,13 @@ class TestAuctionLiquidation:
             chain.mine_block()
         makerdao.deal(keeper, auction.auction_id)
         assert makerdao.owners_in_auction() == frozenset()
-        # The unpaid remainder stays on the emptied vault: sampled again.
+        # The unpaid remainder stays on the emptied vault, whose collateral
+        # is worth 0: bad debt, which nothing can liquidate, so not sampled.
+        assert makerdao.position_of(vault_owner).debt["DAI"] == pytest.approx(6_000.0)
+        assert rescan() == []
+        # Collateral again (1,500 USD against 6,000 DAI): sampled again.
+        registry.get("ETH").mint(vault_owner, 1.0)
+        makerdao.deposit(vault_owner, "ETH", 1.0)
         assert rescan() == [vault_owner.value]
 
     def test_open_auctions_index_matches_a_filter_over_every_auction(

@@ -583,7 +583,7 @@ SERVICE_OBSERVABLES = {
         "end_block": 9_900_000,
         "run_state": {
             "steps": 251, "blocks": 251, "last_block": 9_900_000, "liquidations": 125,
-            "incidents": 1, "events": 9290, "alerts": 327,
+            "incidents": 1, "events": 9290, "alerts": 181,
         },
         "events_total": {
             "AuctionDealt": 37, "BlockMined": 251, "IncidentFired": 1, "InterestAccrued": 13,
@@ -591,10 +591,12 @@ SERVICE_OBSERVABLES = {
             "SnapshotTaken": 10, "StepStarted": 251,
         },
         # Vaults whose collateral is escrowed in a running auction are not
-        # sampled (3,241 samples and 331 alerts, 225 critical, before).
-        "hf_samples_total": 3148,
-        "alerts_total": {"warning": 106, "critical": 221},
-        "alerts_sha256": "ab9a1a31fb17161978a178a94b85a01db123c4e2bb1b7314e9585fc80595ea47",
+        # sampled (3,241 samples and 331 alerts, 225 critical, before), nor
+        # are positions whose collateral is worth 0 (3,148 samples and 327
+        # alerts, 221 critical, before).
+        "hf_samples_total": 1814,
+        "alerts_total": {"warning": 106, "critical": 75},
+        "alerts_sha256": "0815754c46b07644d5b9db14f81dc80cbbc3f1b24733935b850568102870e065",
     },
 }
 
