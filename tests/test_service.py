@@ -420,80 +420,6 @@ def test_progress_probe_hands_on_chunks_of_fixed_size():
     assert pickle.loads(pickle.dumps(chunks[1])) == chunks[1]
 
 
-@pytest.fixture(scope="module")
-def service_backend():
-    """One warm worker for every scenario, as the service shares it."""
-    with PersistentBackend(workers=1) as backend:
-        yield backend
-
-
-@pytest.mark.parametrize("name", scenarios.names())
-def test_service_worker_store_artifacts_are_bit_identical(name, tmp_path, service_backend):
-    """The acceptance bar: for every registered scenario, a run executed the
-    way the service executes it — a streaming job on a persistent worker —
-    leaves byte-identical experiment files and an equal manifest (modulo
-    timings) to a plain in-process execution, and its progress chunks add up
-    to the same world's events and health samples folded in-process."""
-    spec = RunSpec(
-        scenario=name,
-        overrides=(("end_block", truncated_end_block(name)),),
-        seed=SEED,
-        seed_index=0,
-        variant="base",
-    )
-    experiments = ("table1",)
-    sample_below = ServiceConfig().effective_sample_below
-    execution = WorkerConfig(backend="persistent", workers=1)
-
-    direct = execute_job(
-        RunJob(
-            store_root=str(tmp_path / "direct"),
-            campaign=name,
-            run=spec,
-            experiments=experiments,
-            worker_config=execution,
-        )
-    )
-    assert direct.error is None
-
-    chunks: list[ProgressChunk] = []
-    service_job = RunJob(
-        store_root=str(tmp_path / "service"),
-        campaign=name,
-        run=spec,
-        experiments=experiments,
-        worker_config=execution,
-        sample_below=sample_below,
-    )
-    outcome = service_backend.execute_one(service_job, chunks.append)
-    assert outcome.error is None, outcome.error
-    assert outcome.worker == "persistent-0"
-
-    # The chunks that crossed the pipe add up to the same world folded
-    # in-process: its events, and an in-process HealthSampler's samples.
-    assert chunks and all(type(chunk) is ProgressChunk for chunk in chunks)
-    assert all(chunk_items(chunk) == STREAM_CHUNK_ITEMS for chunk in chunks[:-1])
-    events: list[SimEvent] = []
-    samples: list[HealthSample] = []
-    spec.builder().with_probes(
-        lambda engine: EventList(events),
-        lambda engine: HealthSampler(engine.protocols, sample_below, samples.append),
-    ).build().run()
-    assert fold_chunks(chunks) == fold_events(events)
-    assert [sample for chunk in chunks for sample in chunk.samples] == samples
-
-    direct_store, service_store = RunStore(tmp_path / "direct"), RunStore(tmp_path / "service")
-    for experiment_id in experiments:
-        direct_bytes = direct_store.experiment_path(name, spec.run_id, experiment_id).read_bytes()
-        service_bytes = service_store.experiment_path(name, spec.run_id, experiment_id).read_bytes()
-        assert direct_bytes == service_bytes
-    direct_manifest = direct_store.read_manifest(name, spec.run_id)
-    service_manifest = service_store.read_manifest(name, spec.run_id)
-    assert canonical_manifest(direct_manifest) == canonical_manifest(service_manifest)
-    # The metrics block (streamed aggregates) is part of the equivalence.
-    assert direct_manifest["metrics"] == service_manifest["metrics"]
-
-
 # --------------------------------------------------------------------- #
 # Supervisor: concurrency, metrics, resume
 # --------------------------------------------------------------------- #
@@ -934,3 +860,84 @@ def test_repro_serve_sigterm_drains_and_restart_resumes(tmp_path):
     for path, mtime in before.items():
         assert path.stat().st_mtime_ns == mtime, f"{path} was rewritten instead of resumed"
     assert ServiceJournal(store).incomplete_jobs() == []
+
+
+# --------------------------------------------------------------------- #
+# Service worker artifacts (kept last: see ``service_backend``)
+# --------------------------------------------------------------------- #
+@pytest.fixture(scope="module")
+def service_backend():
+    """One warm worker for every scenario, as the service shares it.
+
+    Its tests are the module's last: the backend's collector and feeder
+    threads live until the module ends, and while they run every other
+    backend must spawn its workers instead of forking them."""
+    with PersistentBackend(workers=1) as backend:
+        yield backend
+
+
+@pytest.mark.parametrize("name", scenarios.names())
+def test_service_worker_store_artifacts_are_bit_identical(name, tmp_path, service_backend):
+    """The acceptance bar: for every registered scenario, a run executed the
+    way the service executes it — a streaming job on a persistent worker —
+    leaves byte-identical experiment files and an equal manifest (modulo
+    timings) to a plain in-process execution, and its progress chunks add up
+    to the same world's events and health samples folded in-process."""
+    spec = RunSpec(
+        scenario=name,
+        overrides=(("end_block", truncated_end_block(name)),),
+        seed=SEED,
+        seed_index=0,
+        variant="base",
+    )
+    experiments = ("table1",)
+    sample_below = ServiceConfig().effective_sample_below
+    execution = WorkerConfig(backend="persistent", workers=1)
+
+    direct = execute_job(
+        RunJob(
+            store_root=str(tmp_path / "direct"),
+            campaign=name,
+            run=spec,
+            experiments=experiments,
+            worker_config=execution,
+        )
+    )
+    assert direct.error is None
+
+    chunks: list[ProgressChunk] = []
+    service_job = RunJob(
+        store_root=str(tmp_path / "service"),
+        campaign=name,
+        run=spec,
+        experiments=experiments,
+        worker_config=execution,
+        sample_below=sample_below,
+    )
+    outcome = service_backend.execute_one(service_job, chunks.append)
+    assert outcome.error is None, outcome.error
+    assert outcome.worker == "persistent-0"
+
+    # The chunks that crossed the pipe add up to the same world folded
+    # in-process: its events, and an in-process HealthSampler's samples.
+    assert chunks and all(type(chunk) is ProgressChunk for chunk in chunks)
+    assert all(chunk_items(chunk) == STREAM_CHUNK_ITEMS for chunk in chunks[:-1])
+    events: list[SimEvent] = []
+    samples: list[HealthSample] = []
+    spec.builder().with_probes(
+        lambda engine: EventList(events),
+        lambda engine: HealthSampler(engine.protocols, sample_below, samples.append),
+    ).build().run()
+    assert fold_chunks(chunks) == fold_events(events)
+    assert [sample for chunk in chunks for sample in chunk.samples] == samples
+
+    direct_store, service_store = RunStore(tmp_path / "direct"), RunStore(tmp_path / "service")
+    for experiment_id in experiments:
+        direct_bytes = direct_store.experiment_path(name, spec.run_id, experiment_id).read_bytes()
+        service_bytes = service_store.experiment_path(name, spec.run_id, experiment_id).read_bytes()
+        assert direct_bytes == service_bytes
+    direct_manifest = direct_store.read_manifest(name, spec.run_id)
+    service_manifest = service_store.read_manifest(name, spec.run_id)
+    assert canonical_manifest(direct_manifest) == canonical_manifest(service_manifest)
+    # The metrics block (streamed aggregates) is part of the equivalence.
+    assert direct_manifest["metrics"] == service_manifest["metrics"]
