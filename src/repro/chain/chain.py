@@ -301,11 +301,11 @@ class Blockchain:
 
         ``columns`` maps each payload key to its values, one per log (for
         example an oracle's posts: ``{"symbol": (...), "price":
-        array("d", ...), "oracle": ConstantColumn(...)}``).  The logs are
-        exactly those of one :meth:`emit_event` call per row, with the
-        row's keys in ``columns`` order — consecutive log indices included
-        — but the batch is archived as one row holding its columns, which
-        the caller hands over, not as one dict per log
+        array("d", ...), "oracle": (...)}``).  The logs are exactly those
+        of one :meth:`emit_event` call per row, with the row's keys in
+        ``columns`` order — consecutive log indices included — but the
+        batch is archived as one row holding its columns, which the caller
+        hands over, not as one dict per log
         (:class:`~repro.chain.events.PayloadRun`).
         """
         block_number = self._executing_block if self._executing_block is not None else self._current_block

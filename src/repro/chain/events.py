@@ -14,7 +14,7 @@ import bisect
 import itertools
 from array import array
 from dataclasses import dataclass, field
-from typing import Any, Container, Iterable, Iterator, Mapping, Sequence, overload
+from typing import Any, Container, Iterable, Iterator, Mapping, Sequence
 
 from .types import Address
 
@@ -101,41 +101,13 @@ class EventFilter:
         return True
 
 
-class ConstantColumn(Sequence[Any]):
-    """A payload column whose every entry is ``value``: one object for a
-    whole batch (an oracle's name on each of its posts) instead of one
-    slot per log."""
-
-    __slots__ = ("value", "length")
-
-    def __init__(self, value: Any, length: int) -> None:
-        self.value = value
-        self.length = length
-
-    def __len__(self) -> int:
-        return self.length
-
-    @overload
-    def __getitem__(self, index: int) -> Any: ...
-
-    @overload
-    def __getitem__(self, index: slice) -> Sequence[Any]: ...
-
-    def __getitem__(self, index: int | slice) -> Any:
-        if isinstance(index, slice):
-            return [self.value] * len(range(*index.indices(self.length)))
-        if not -self.length <= index < self.length:
-            raise IndexError("column index out of range")
-        return self.value
-
-
 class PayloadRun:
     """The payloads of one :meth:`EventStore.extend` batch, kept as columns.
 
     ``keys`` are the batch's payload keys in posting order, a tuple the
     store shares between every batch with the same keys; ``columns`` holds
-    one sequence per key with an entry per log of the batch (a list or
-    tuple, a typed ``array`` for numbers, a :class:`ConstantColumn`).  A
+    one sequence per key with an entry per log of the batch (a list or a
+    tuple, which batches may share, or a typed ``array`` for numbers).  A
     view builds its ``data`` dict on read: the keys in order, the values at
     the log's offset in the batch.
     """
@@ -310,11 +282,10 @@ class EventStore:
         if offset >= self._length:
             return []
         starts, row_names = self._starts, self._names
-        first_row = bisect.bisect_right(starts, offset) - 1
         events: list[EventLog] = []
-        for row in range(first_row, len(row_names)):
+        for row in range(bisect.bisect_right(starts, offset) - 1, len(row_names)):
             if names is None or row_names[row] in names:
-                events.extend(self._views(row, offset - starts[row] if row == first_row else 0))
+                events.extend(self._views(row, max(offset - starts[row], 0)))
         return events
 
     def names(self) -> set[str]:

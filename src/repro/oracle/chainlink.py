@@ -21,7 +21,6 @@ from array import array
 from dataclasses import dataclass, field
 
 from ..chain.chain import Blockchain
-from ..chain.events import ConstantColumn
 from ..chain.types import Address
 from .feed import PriceFeed
 
@@ -43,10 +42,9 @@ class PriceOracle:
     ``price_at(symbol, block)`` performs the archive-style historical lookup
     the analytics pipeline uses.  The history is the archive's record of
     the posts; the ``AnswerUpdated`` logs only mirror it for log readers.
-    A batch of posts is one row of the chain's event store: its symbols
-    are a tuple shared with the previous batch when it posted the same
-    symbols, its prices one ``array("d")`` and its oracle name one
-    :class:`~repro.chain.events.ConstantColumn`.
+    A batch of posts is one row of the chain's event store: its prices are
+    one ``array("d")``, and its symbol and oracle-name columns are tuples
+    shared with the previous batch when that posted the same symbols.
     """
 
     def __init__(
@@ -70,9 +68,9 @@ class PriceOracle:
         self._overrides: dict[str, float] = {}
         #: The symbol and oracle columns of the last posted batch, reused by
         #: the next batch that posts the same symbols: the archive keeps
-        #: one tuple per run of equal batches, not one list per batch.
+        #: one tuple each per run of equal batches, not one list per batch.
         self._batch_symbols: tuple[str, ...] = ()
-        self._batch_oracle = ConstantColumn(self.config.name, 0)
+        self._batch_oracle: tuple[str, ...] = ()
         #: The ``(symbol, posted_price)`` pairs of the most recent
         #: :meth:`update_from_feed` call.  The engine's observer bus reads
         #: this to publish ``PriceUpdated`` events without re-querying each
@@ -118,7 +116,7 @@ class PriceOracle:
         symbols = tuple([key for key, _ in updates])
         if symbols != self._batch_symbols:
             self._batch_symbols = symbols
-            self._batch_oracle = ConstantColumn(self.config.name, len(symbols))
+            self._batch_oracle = (self.config.name,) * len(symbols)
         columns = {
             "symbol": self._batch_symbols,
             "price": array("d", [price for _, price in updates]),
