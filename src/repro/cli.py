@@ -452,11 +452,13 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     builder.with_probes(lambda engine: LiquidationRecorder(), lambda engine: fold)
     started = time.perf_counter()
     with enabled(telemetry):
-        builder.run()
+        result = builder.run()
     wall = time.perf_counter() - started
     _status(f"simulated in {wall:.1f}s; {len(telemetry.tracer.records)} spans recorded")
 
+    events = result.chain.events
     text = render_phase_report(telemetry.tracer.records, wall_seconds=wall)
+    text += f"archive: {len(events)} logs in {events.rows} rows\n"
     if args.metrics:
         text += "\n" + telemetry.registry.exposition()
     _emit(text, args.output)

@@ -439,6 +439,18 @@ class TestPinnedExposition:
         )
 
 
+def test_trace_reports_archive_rows_below_logs(tmp_path):
+    """``repro trace`` states the event archive's logs and rows; each
+    oracle post batch is one row, so there are fewer rows than logs."""
+    from repro.cli import main
+
+    report = tmp_path / "trace-report.txt"
+    assert main(["trace", "small", "--end-block", "9720000", "--output", str(report)]) == 0
+    (line,) = [line for line in report.read_text().splitlines() if line.startswith("archive: ")]
+    _, logs, _, _, rows, _ = line.split()
+    assert 0 < int(rows) < int(logs)
+
+
 class TestCampaignTelemetry:
     TINY = {"end_block": 9_760_000}
 
