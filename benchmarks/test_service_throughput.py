@@ -17,7 +17,6 @@ benchmark job merges and uploads.
 
 from __future__ import annotations
 
-import asyncio
 import os
 import platform
 import tempfile
@@ -52,9 +51,7 @@ def serve_sweep(workers: int) -> tuple[float, int]:
             }
         )
         started = time.perf_counter()
-        summary = asyncio.run(
-            supervisor.serve(exit_when_idle=True, install_signals=False)
-        )
+        summary = supervisor.serve(exit_when_idle=True)
         return time.perf_counter() - started, summary.completed_runs
 
 

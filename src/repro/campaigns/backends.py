@@ -157,8 +157,8 @@ class SerialBackend:
 
     def __init__(self) -> None:
         # execute_job mutates process-global state (the telemetry install
-        # and the worker bookkeeping): one lock keeps concurrent callers —
-        # the service's worker slots — from interleaving runs.
+        # and the worker bookkeeping): one lock keeps concurrent callers
+        # from interleaving runs.
         self._lock = threading.Lock()
 
     def run(self, jobs: Sequence[RunJob]) -> Iterator[RunOutcome]:
@@ -255,8 +255,8 @@ class PersistentBackend:
 
     A daemon collector thread routes each message to the queue of the
     :meth:`run` call that dispatched it, which makes dispatch thread-safe
-    (the service supervisor calls :meth:`execute_one` from several slots
-    concurrently).  The collector also sees a worker die, as the end of its
+    (the service supervisor calls :meth:`execute_one` from several dispatch
+    threads concurrently).  The collector also sees a worker die, as the end of its
     result pipe: the dead worker's pending runs are reported as failed
     outcomes (never silently dropped — the campaign completes and a
     re-execute resumes exactly the lost runs) and its slot respawned.

@@ -23,7 +23,7 @@ fans a multi-seed campaign out over a worker pool, persisting every run to
 the on-disk store (``runs/`` by default) so re-running the same sweep
 resumes instead of re-simulating; ``compare`` renders cross-seed statistics
 (mean / stddev / 95 % CI per scalar field) from the store.  ``serve`` turns
-the same machinery into a long-running service: an asyncio supervisor
+the same machinery into a long-running service: dispatch threads
 executing submitted run/sweep jobs on persistent workers, with job
 submission and dashboards over HTTP (``POST /jobs``, ``GET /jobs``,
 ``/alerts``, ``/metrics``) and graceful drain on SIGINT/SIGTERM — see
@@ -45,7 +45,8 @@ from .experiments.runner import EXPERIMENT_IDS, EXPERIMENTS, render_all, run_all
 
 
 def _status(message: str) -> None:
-    print(message, file=sys.stderr)
+    # One write per line: `repro serve` reports runs from several threads.
+    sys.stderr.write(f"{message}\n")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -539,8 +540,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    import asyncio
-
     from .service import AlertPolicy, ServiceConfig, ServiceSupervisor
     from .service.jobs import SubmissionError
 
@@ -616,15 +615,13 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         f"cooldown {policy.cooldown_blocks} blocks"
     )
     try:
-        result = asyncio.run(
-            supervisor.serve(
-                http_port=args.port,
-                exit_when_idle=args.exit_when_idle,
-                announce=_status,
-            )
+        result = supervisor.serve(
+            http_port=args.port,
+            exit_when_idle=args.exit_when_idle,
+            announce=_status,
         )
     except KeyboardInterrupt:
-        # Signal landed outside the loop's handlers (e.g. during startup).
+        # Ctrl-C before serve() installed its drain handlers (during startup).
         _status("serve interrupted")
         return 0
     return 1 if result.failed_runs else 0

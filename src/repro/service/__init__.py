@@ -1,9 +1,10 @@
 """The simulation service: a long-running supervisor around the engine.
 
 ``repro serve`` promotes the one-shot ``repro watch`` loop into a
-production-style service: an asyncio supervisor accepts jobs — single
-scenario runs and campaign sweeps — and executes them concurrently on the
-campaigns' persistent workers.  Each worker folds its run's typed events
+production-style service: a supervisor accepts jobs — single scenario
+runs and campaign sweeps — and executes them concurrently on the
+campaigns' persistent workers, one plain dispatch thread per worker taking
+runs off one queue.  Each worker folds its run's typed events
 into progress counters and sends them back with the run's health samples
 (:class:`~repro.campaigns.executor.ProgressChunk`).  On top of that sit
 per-run progress, the tiered health-factor alert engine of ``repro watch``

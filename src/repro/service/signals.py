@@ -4,8 +4,9 @@ Containers and process supervisors stop services with SIGTERM, not Ctrl-C.
 The CLI loops (``repro watch``, the service worker) already have a clean
 KeyboardInterrupt path — flush sinks, finalize probes, exit 0 — so the
 helper here simply routes SIGTERM into that same path.  ``repro serve``
-handles both signals itself through the asyncio loop but shares
-:data:`TERMINATION_SIGNALS` so every entry point drains on the same set.
+installs its own handler for both signals — it only asks the waiting main
+thread to drain — but shares :data:`TERMINATION_SIGNALS` so every entry
+point drains on the same set.
 """
 
 from __future__ import annotations

@@ -1,20 +1,23 @@
-"""The asyncio run supervisor behind ``repro serve``.
+"""The run supervisor behind ``repro serve``.
 
 One process, three planes:
 
-* **execution** — an :mod:`asyncio` loop with ``workers`` consumer tasks,
-  each popping a queued run and executing it as a streaming
+* **execution** — ``workers`` plain dispatch threads share one queue of
+  runs.  Each pops a run and executes it as a streaming
   :class:`~repro.campaigns.executor.RunJob` on the shared
   :class:`~repro.campaigns.backends.PersistentBackend`, whose workers
   :meth:`ServiceSupervisor.serve` forks before anything else starts.  Each
   worker folds its run's events into counts by kind and sends them, with
   the run's health samples, as
   :class:`~repro.campaigns.executor.ProgressChunk` s ahead of its outcome;
-  the parent applies each chunk live to the run's state (steps, blocks,
-  liquidations and incidents are counts of their event kinds) and the
-  aggregate dashboard metrics, and feeds its samples to the tiered
+  the dispatch thread waiting on that run applies each chunk where it
+  arrives to the run's state (steps, blocks, liquidations and incidents are
+  counts of their event kinds) and the aggregate dashboard metrics, and
+  feeds its samples to the tiered
   :class:`~repro.observers.alerts.AlertEngine` in order.  Single runs and
-  sweep runs take the same path.
+  sweep runs take the same path.  The dispatch threads write run state,
+  metrics and alerts only under the supervisor's one lock: the metrics
+  registry has none of its own.
 * **control** — job submission via :meth:`ServiceSupervisor.submit`
   (thread-safe; the HTTP ``POST /jobs`` route calls it from a server
   thread) and the journal + run-store resume contract on restart.
@@ -22,19 +25,23 @@ One process, three planes:
   :class:`~repro.telemetry.http.MetricsServer` surface: ``GET /jobs[/<id>]``,
   ``GET /alerts``, ``GET /health``, ``GET /metrics``.
 
-Graceful drain: SIGINT/SIGTERM stops dispatching (queued runs stay
-``queued`` in the journal), lets in-flight runs finish for up to
-``drain_timeout`` seconds, then terminates the workers — the runs still in
-flight are recorded ``interrupted``, and the manifest-last store contract
-keeps them resumable.  The service then exits 0.
+The thread that calls :meth:`ServiceSupervisor.serve` only waits: for
+SIGINT/SIGTERM or :meth:`ServiceSupervisor.begin_drain`, or, with
+``exit_when_idle``, for every run to finish.  Graceful drain then stops
+dispatching (queued runs stay ``queued`` in the journal), lets in-flight
+runs finish for up to ``drain_timeout`` seconds, then terminates the
+workers — the runs still in flight are recorded ``interrupted``, and the
+manifest-last store contract keeps them resumable.  The service then
+exits 0.
 """
 
 from __future__ import annotations
 
-import asyncio
 import functools
+import queue
+import signal
 import threading
-from concurrent.futures import ThreadPoolExecutor
+import time
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -53,6 +60,9 @@ __all__ = ["ServiceConfig", "ServiceSupervisor", "ServiceSummary"]
 #: Job states the ``repro_service_jobs`` gauge always reports (zero-filled).
 _JOB_STATES = ("queued", "running", "completed", "failed", "interrupted")
 
+#: Seconds between the idle checks of ``serve(exit_when_idle=True)``.
+_IDLE_POLL_SECONDS = 0.2
+
 
 @dataclass(frozen=True)
 class ServiceConfig:
@@ -65,7 +75,6 @@ class ServiceConfig:
     #: Seconds in-flight runs get to finish after a drain begins before the
     #: workers are terminated (0 terminates immediately).
     drain_timeout: float = 30.0
-    telemetry: bool = True
     #: Re-enqueue incomplete journalled jobs on startup.
     resume: bool = True
 
@@ -99,23 +108,25 @@ class ServiceSupervisor:
         self.journal = ServiceJournal(self.config.store_root)
         self.alerts = AlertEngine(self.config.policy)
         self.summary = ServiceSummary()
-        # The jobs table is read by HTTP server threads and mutated by the
-        # loop (and by pre-loop submissions): one lock guards both it and
-        # the journal file.
+        # One lock guards all shared state: the jobs table and the journal
+        # file (read by HTTP server threads), and the run states, metrics,
+        # alert engine and summary the dispatch threads write.
         self._lock = threading.Lock()
         self._jobs: dict[str, JobRecord] = {}
         self._order: list[str] = []
         self._next_job = 1
-        self._pending: list[tuple[JobRecord, RunState]] = []
-        self._queue: asyncio.Queue | None = None
-        self._loop: asyncio.AbstractEventLoop | None = None
+        #: Runs waiting for a dispatch thread; a drain appends one _STOP per thread.
+        self._queue: queue.Queue = queue.Queue()
+        # Drain requests for the thread in serve().  A signal handler runs on
+        # the main thread, possibly while it holds a threading.Event's own
+        # lock inside Event.wait; SimpleQueue.put is reentrant, so a handler
+        # can post here without deadlocking.
+        self._drain_requests: queue.SimpleQueue = queue.SimpleQueue()
         self._draining = False
-        # The persistent backend plus the thread pool its blocking
-        # execute_one calls run on, both created when serve() starts.
+        # The persistent backend, created when serve() starts.
         self._backend: PersistentBackend | None = None
-        self._backend_pool: ThreadPoolExecutor | None = None
         self._active = 0
-        self._dir_locks: dict[tuple[str, str], asyncio.Lock] = {}
+        self._dir_locks: dict[tuple[str, str], threading.Lock] = {}
         #: The live HTTP surface while serving with a port (tests read the
         #: bound ephemeral port off it).
         self.http_server: MetricsServer | None = None
@@ -168,9 +179,10 @@ class ServiceSupervisor:
     def submit(self, payload: dict[str, Any], *, job_id: str | None = None) -> dict[str, Any]:
         """Validate and enqueue one job; returns its ``/jobs`` summary.
 
-        Safe to call before :meth:`serve` (runs are queued until the loop
-        starts) and from other threads while serving (the HTTP POST route).
-        Raises :class:`~repro.service.jobs.SubmissionError` on bad payloads.
+        Safe to call before :meth:`serve` (runs wait in the queue until the
+        dispatch threads start) and from other threads while serving (the
+        HTTP POST route).  Raises
+        :class:`~repro.service.jobs.SubmissionError` on bad payloads.
         """
         with self._lock:
             if job_id is None:
@@ -182,27 +194,12 @@ class ServiceSupervisor:
             self._jobs[record.job_id] = record
             self._order.append(record.job_id)
             self.summary.jobs += 1
-            items = [(record, run_state) for _, run_state in sorted(record.runs.items())]
+            for _, run_state in sorted(record.runs.items()):
+                self._queue.put((record, run_state))
+            self._m_queue.set(self._queue.qsize())
             self._refresh_job_gauge()
             self._save_journal_locked()
-        for item in items:
-            self._enqueue(item)
         return record.summary()
-
-    def _enqueue(self, item: tuple[JobRecord, RunState]) -> None:
-        loop, queue = self._loop, self._queue
-        if loop is None or queue is None:
-            self._pending.append(item)
-        elif threading.get_ident() == getattr(loop, "_thread_ident", None):
-            queue.put_nowait(item)
-            self._m_queue.set(queue.qsize())
-        else:
-            loop.call_soon_threadsafe(self._enqueue_on_loop, item)
-
-    def _enqueue_on_loop(self, item: tuple[JobRecord, RunState]) -> None:
-        assert self._queue is not None
-        self._queue.put_nowait(item)
-        self._m_queue.set(self._queue.qsize())
 
     def _save_journal_locked(self) -> None:
         self.journal.save(self._next_job, [self._jobs[job_id] for job_id in self._order])
@@ -212,7 +209,11 @@ class ServiceSupervisor:
             self._save_journal_locked()
 
     def _resume_from_journal(self) -> int:
-        """Re-submit every journalled job that had not finished; returns count."""
+        """Re-submit every journalled job that had not finished; returns count.
+
+        Their runs dispatch ahead of the runs submitted before :meth:`serve`.
+        """
+        submitted = [self._queue.get_nowait() for _ in range(self._queue.qsize())]
         resumed = 0
         for entry in self.journal.incomplete_jobs():
             with self._lock:
@@ -225,6 +226,10 @@ class ServiceSupervisor:
             except (SubmissionError, KeyError, ValueError):
                 continue  # a journal entry that no longer expands is dropped
             resumed += 1
+        with self._lock:
+            for item in submitted:
+                self._queue.put(item)
+            self._m_queue.set(self._queue.qsize())
         return resumed
 
     # ------------------------------------------------------------------ #
@@ -273,50 +278,73 @@ class ServiceSupervisor:
     # Drain
     # ------------------------------------------------------------------ #
     def begin_drain(self) -> None:
-        """Stop dispatching; finish or terminate in-flight runs; then stop.
+        """Ask :meth:`serve` to drain: stop dispatching, finish or terminate
+        in-flight runs, then return.
 
-        Idempotent, and callable from signal handlers on the loop thread.
+        Idempotent, and callable from any thread and from a signal handler:
+        it only posts a request that the thread in :meth:`serve` acts on.
         """
-        if self._draining:
-            return
-        self._draining = True
-        self.summary.drained = True
-        if self._loop is not None and self._queue is not None:
-            for _ in range(self.config.workers):
-                self._queue.put_nowait(_STOP)
-            if self.config.drain_timeout <= 0:
-                self._terminate_active()
-            else:
-                self._loop.call_later(self.config.drain_timeout, self._terminate_active)
+        self._drain_requests.put(None)
 
-    def _terminate_active(self) -> None:
-        backend = self._backend
-        if backend is not None and self._active:
+    def _wait_for_drain(self, exit_when_idle: bool) -> None:
+        """Block until a drain is requested or, with ``exit_when_idle``,
+        every submitted run has reached a terminal state."""
+        timeout = _IDLE_POLL_SECONDS if exit_when_idle else None
+        while True:
+            try:
+                return self._drain_requests.get(timeout=timeout)
+            except queue.Empty:
+                with self._lock:
+                    if self._jobs and all(
+                        record.state in ("completed", "failed", "interrupted")
+                        for record in self._jobs.values()
+                    ):
+                        return
+
+    def _drain(self, dispatchers: list[threading.Thread]) -> None:
+        """Stop the dispatch threads; in-flight runs get ``drain_timeout`` seconds."""
+        with self._lock:
+            # A dispatch thread checks this flag under the lock before it
+            # starts a run, so no run starts after this point.
+            self._draining = True
+            self.summary.drained = True
+        for _ in dispatchers:
+            self._queue.put(_STOP)
+        deadline = time.monotonic() + self.config.drain_timeout
+        for thread in dispatchers:
+            thread.join(max(deadline - time.monotonic(), 0.0))
+        with self._lock:
+            in_flight = self._active
+        if in_flight and self._backend is not None:
             # In-flight runs come back as failed outcomes and are recorded
             # interrupted (resumable).
-            backend.terminate()
+            self._backend.terminate()
+        for thread in dispatchers:
+            thread.join()
 
     # ------------------------------------------------------------------ #
     # Serving
     # ------------------------------------------------------------------ #
-    async def serve(
+    def serve(
         self,
         *,
         http_port: int | None = None,
         exit_when_idle: bool = False,
-        install_signals: bool = True,
         announce=None,
     ) -> ServiceSummary:
         """Run the service until drained (or idle, with ``exit_when_idle``).
 
         The workers start first, before the journal resume, the signal
-        handlers, the dispatch pool and the HTTP server: no other thread,
-        socket or handler exists yet, so they are forked from this warm
-        process (see :func:`~repro.campaigns.backends.worker_start_method`)
-        and are alive before ``/health`` first answers.
+        handlers, the dispatch threads and the HTTP server: no other
+        thread, socket or handler exists yet, so they are forked from this
+        warm process (see :func:`~repro.campaigns.backends.worker_start_method`)
+        and are alive before ``/health`` first answers.  SIGINT/SIGTERM
+        handlers are installed when this runs on the main thread (the only
+        thread that can install them); elsewhere, call :meth:`begin_drain`.
 
         ``announce`` (a ``str -> None`` callable) receives human status
-        lines — the CLI passes its stderr printer.
+        lines — the CLI passes its stderr printer.  Lines about runs come
+        from the dispatch threads.
         """
         emit = announce or (lambda line: None)
         backend = self._backend = PersistentBackend(self.config.workers).start()
@@ -324,36 +352,22 @@ class ServiceSupervisor:
             f"[service] {backend.workers} worker(s) started by {backend.start_method} "
             f"in {backend.start_seconds:.3f} s"
         )
-        pool = self._backend_pool = ThreadPoolExecutor(
-            max_workers=self.config.workers, thread_name_prefix="svc-backend"
-        )
-        loop = asyncio.get_running_loop()
-        self._loop = loop
-        loop._thread_ident = threading.get_ident()  # type: ignore[attr-defined]
-        self._queue = asyncio.Queue()
-        installed: list = []
+        previous_handlers: dict[int, Any] = {}
         server = None
-        idler = None
         try:
             if self.config.resume:
                 resumed = self._resume_from_journal()
                 if resumed:
                     emit(f"[service] re-enqueued {resumed} incomplete job(s) from the journal")
-            for item in self._pending:
-                self._queue.put_nowait(item)
-            self._pending.clear()
-            self._m_queue.set(self._queue.qsize())
 
             # Before the port is announced: a client may send SIGTERM as soon
             # as it reads the listening line, and without the handler that
             # kills the process instead of draining it.
-            if install_signals:
-                for signum in TERMINATION_SIGNALS:
-                    try:
-                        loop.add_signal_handler(signum, self.begin_drain)
-                        installed.append(signum)
-                    except (NotImplementedError, RuntimeError):  # pragma: no cover
-                        pass
+            if threading.current_thread() is threading.main_thread():
+                previous_handlers = {
+                    signum: signal.signal(signum, lambda *_: self.begin_drain())
+                    for signum in TERMINATION_SIGNALS
+                }
 
             if http_port is not None:
                 server = self.http_server = MetricsServer(
@@ -365,26 +379,24 @@ class ServiceSupervisor:
                 ).start()
                 emit(f"[service] listening on http://127.0.0.1:{server.port} (/jobs /alerts /health /metrics)")
 
-            workers = [
-                asyncio.ensure_future(self._worker_loop(index, emit))
+            dispatchers = [
+                threading.Thread(
+                    target=self._dispatch, args=(emit,), name=f"service-dispatch-{index}", daemon=True
+                )
                 for index in range(self.config.workers)
             ]
-            if exit_when_idle:
-                idler = asyncio.ensure_future(self._idle_watch())
-            await asyncio.gather(*workers)
+            for thread in dispatchers:
+                thread.start()
+            self._wait_for_drain(exit_when_idle)
+            self._drain(dispatchers)
         finally:
-            if idler is not None:
-                idler.cancel()
-            for signum in installed:
-                loop.remove_signal_handler(signum)
+            for signum, handler in previous_handlers.items():
+                signal.signal(signum, handler)
             if server is not None:
                 server.stop()
-            self._backend = self._backend_pool = None
+            self._backend = None
             backend.close()
-            pool.shutdown(wait=False)
             self._save_journal()
-            self._loop = None
-            self._queue = None
         emit(
             f"[service] drained: {self.summary.completed_runs} completed, "
             f"{self.summary.resumed_runs} resumed, {self.summary.failed_runs} failed, "
@@ -392,100 +404,78 @@ class ServiceSupervisor:
         )
         return self.summary
 
-    async def _idle_watch(self) -> None:
-        """End the service once every submitted run has reached a terminal state."""
-        assert self._queue is not None
+    def _dispatch(self, emit) -> None:
+        """One dispatch thread: execute queued runs until a drain stops it."""
         while True:
-            await asyncio.sleep(0.2)
-            if self._draining:
-                return
+            item = self._queue.get()
             with self._lock:
-                jobs_exist = bool(self._jobs)
-                all_done = all(
-                    record.state in ("completed", "failed", "interrupted")
-                    for record in self._jobs.values()
-                )
-            if jobs_exist and all_done and self._queue.empty() and not self._active:
-                self.begin_drain()
-                return
-
-    async def _worker_loop(self, index: int, emit) -> None:
-        assert self._queue is not None
-        while True:
-            item = await self._queue.get()
-            self._m_queue.set(self._queue.qsize())
+                self._m_queue.set(self._queue.qsize())
             if item is _STOP:
                 return
             record, run_state = item
-            if self._draining:
-                continue  # stays "queued": the journal re-enqueues it on restart
             try:
-                await self._execute(record, run_state, emit)
+                self._execute(record, run_state, emit)
             except Exception as exc:  # noqa: BLE001 - supervisor must survive
                 self._finish_run(record, run_state, "failed", f"{type(exc).__name__}: {exc}")
                 emit(f"[service] {record.job_id}/{run_state.spec.run_id} supervisor error: {exc}")
 
-    async def _execute(self, record: JobRecord, run_state: RunState, emit) -> None:
+    def _execute(self, record: JobRecord, run_state: RunState, emit) -> None:
+        """Resume one run from the store, or execute it on a persistent worker.
+
+        Runs of one ``(campaign, run_id)`` execute one at a time.
+        """
         spec = run_state.spec
-        key = (record.campaign, spec.run_id)
-        lock = self._dir_locks.setdefault(key, asyncio.Lock())
-        async with lock:
-            if self.store.is_complete(record.campaign, spec, record.experiments):
+        with self._lock:
+            dir_lock = self._dir_locks.setdefault((record.campaign, spec.run_id), threading.Lock())
+        with dir_lock:
+            complete = self.store.is_complete(record.campaign, spec, record.experiments)
+            with self._lock:
+                if self._draining:
+                    return  # stays "queued": the journal re-enqueues it on restart
+                if not complete:
+                    run_state.status = "running"
+                    self._set_active_locked(+1)
+                    self._refresh_job_gauge()
+                    self._save_journal_locked()
+            if complete:
                 self._finish_run(record, run_state, "resumed")
                 emit(f"[service] {record.job_id}: resumed {spec.run_id} from the store")
                 return
-            run_state.status = "running"
-            self._save_journal()
-            self._refresh_gauges()
-            await self._run(record, run_state, emit)
+            self._run(record, run_state, emit)
 
-    def _refresh_gauges(self) -> None:
-        with self._lock:
-            self._refresh_job_gauge()
-
-    def _set_active(self, delta: int) -> None:
+    def _set_active_locked(self, delta: int) -> None:
         self._active += delta
         self.peak_active_runs = max(self.peak_active_runs, self._active)
         self._m_active.set(self._active)
         self._m_peak.set(self.peak_active_runs)
 
-    async def _run(self, record: JobRecord, run_state: RunState, emit) -> None:
+    def _run(self, record: JobRecord, run_state: RunState, emit) -> None:
         """Execute one run on a persistent worker, applying its progress live.
 
-        ``execute_one`` blocks, so it runs on the dispatch pool; the progress
-        chunks it receives hop onto the loop, where they are applied in
-        order ahead of the outcome.
+        ``execute_one`` calls the progress sink on this thread, each chunk
+        in order ahead of the outcome.
         """
         spec = run_state.spec
-        backend, pool = self._backend, self._backend_pool
-        assert backend is not None and pool is not None
+        backend = self._backend
+        assert backend is not None
         job = RunJob(
             store_root=str(self.store.root),
             campaign=record.campaign,
             run=spec,
             experiments=record.experiments,
-            collect_telemetry=self.config.telemetry,
             worker_config=WorkerConfig(backend=backend.name, workers=backend.workers),
             sample_below=self.config.effective_sample_below,
         )
-        apply = functools.partial(self._apply_progress, record, run_state)
-        assert self._loop is not None
-        loop = self._loop
-        self._set_active(+1)
         try:
-            outcome = await loop.run_in_executor(
-                pool,
-                functools.partial(
-                    backend.execute_one, job, lambda chunk: loop.call_soon_threadsafe(apply, chunk)
-                ),
-            )
+            outcome = backend.execute_one(job, functools.partial(self._apply_progress, record, run_state))
         except RuntimeError as error:
             if not self._draining:
                 raise
             # The drain closed the backend before this run reached a worker.
             outcome = RunOutcome(run_id=spec.run_id, elapsed_seconds=0.0, error=str(error))
         finally:
-            self._set_active(-1)
+            with self._lock:
+                self._set_active_locked(-1)
 
         if outcome.error is not None:
             if self._draining:
@@ -507,46 +497,42 @@ class ServiceSupervisor:
     def _apply_progress(self, record: JobRecord, run_state: RunState, chunk: ProgressChunk) -> None:
         events = chunk.events
         liquidations = events.get(LiquidationSettled.__name__, 0)
-        run_state.events += sum(events.values())
-        run_state.steps += events.get(StepStarted.__name__, 0)
-        run_state.blocks += events.get(BlockMined.__name__, 0)
-        run_state.last_block = chunk.last_block
-        run_state.liquidations += liquidations
-        run_state.incidents += events.get(IncidentFired.__name__, 0)
-        for kind, count in events.items():
-            self._m_events.labels(kind=kind).inc(count)
-        self._m_liquidations.inc(liquidations)
-        self._m_samples.inc(len(chunk.samples))
         job_id, run_id = record.job_id, run_state.spec.run_id
         with self._lock:
-            raised = [
-                alert
-                for sample in chunk.samples
-                for alert in self.alerts.observe(sample, job_id=job_id, run_id=run_id)
-            ]
-        run_state.alerts += len(raised)
-        for alert in raised:
-            self._m_alerts.labels(tier=alert.tier).inc()
+            run_state.events += sum(events.values())
+            run_state.steps += events.get(StepStarted.__name__, 0)
+            run_state.blocks += events.get(BlockMined.__name__, 0)
+            run_state.last_block = chunk.last_block
+            run_state.liquidations += liquidations
+            run_state.incidents += events.get(IncidentFired.__name__, 0)
+            for kind, count in events.items():
+                self._m_events.labels(kind=kind).inc(count)
+            self._m_liquidations.inc(liquidations)
+            self._m_samples.inc(len(chunk.samples))
+            for sample in chunk.samples:
+                for alert in self.alerts.observe(sample, job_id=job_id, run_id=run_id):
+                    run_state.alerts += 1
+                    self._m_alerts.labels(tier=alert.tier).inc()
 
     def _finish_run(
         self, record: JobRecord, run_state: RunState, status: str, error: str | None = None
     ) -> None:
-        run_state.status = status
-        run_state.error = error
-        self._m_runs.labels(status=status).inc()
-        if status == "completed":
-            self.summary.completed_runs += 1
-        elif status == "failed":
-            self.summary.failed_runs += 1
-        elif status == "resumed":
-            self.summary.resumed_runs += 1
-        elif status == "interrupted":
-            self.summary.interrupted_runs += 1
         with self._lock:
+            run_state.status = status
+            run_state.error = error
+            self._m_runs.labels(status=status).inc()
+            if status == "completed":
+                self.summary.completed_runs += 1
+            elif status == "failed":
+                self.summary.failed_runs += 1
+            elif status == "resumed":
+                self.summary.resumed_runs += 1
+            elif status == "interrupted":
+                self.summary.interrupted_runs += 1
             self.alerts.clear_run(record.job_id, run_state.spec.run_id)
             self._refresh_job_gauge()
             self._save_journal_locked()
 
 
-#: Queue sentinel ending one worker loop.
+#: Queue sentinel ending one dispatch thread.
 _STOP = object()

@@ -19,11 +19,14 @@ label dimensions::
     registry.exposition()   # Prometheus text format 0.0.4
 
 The registry is deliberately free of locks and background machinery: the
-simulator is single-threaded per run, and the one concurrent reader (the
-``/metrics`` HTTP endpoint of ``repro watch --metrics-port``) only renders
-floats — a torn read across two metrics is harmless for monitoring and
-impossible within one (CPython dict/float operations are atomic enough
-under the GIL).
+simulator is single-threaded per run, and the concurrent readers (the
+``/metrics`` HTTP endpoints of ``repro watch --metrics-port`` and ``repro
+serve``) only render floats — a torn read across two metrics is harmless
+for monitoring and impossible within one (CPython dict/float operations
+are atomic enough under the GIL).  Writes are another matter: an ``inc``
+is a read-modify-write, so a registry written from several threads needs
+every writer to hold one lock of the caller's.  ``repro serve``'s dispatch
+threads write its registry only under the supervisor's lock.
 """
 
 from __future__ import annotations

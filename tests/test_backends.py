@@ -10,7 +10,6 @@ engine strides per run) so the full scenario registry stays affordable.
 
 from __future__ import annotations
 
-import asyncio
 import json
 import multiprocessing
 import os
@@ -373,7 +372,7 @@ def test_persistent_keys_in_flight_runs_by_campaign(tmp_path):
                 "campaign": campaign,
             }
         )
-    summary = asyncio.run(supervisor.serve(exit_when_idle=True, install_signals=False))
+    summary = supervisor.serve(exit_when_idle=True)
     assert (summary.completed_runs, summary.failed_runs) == (2, 0)
     assert supervisor.peak_active_runs == 2
     store = RunStore(tmp_path)
@@ -450,7 +449,7 @@ def test_service_sweep_jobs_run_through_the_campaign_backend(tmp_path):
             "campaign": "svc-backend",
         }
     )
-    summary = asyncio.run(supervisor.serve(exit_when_idle=True, install_signals=False))
+    summary = supervisor.serve(exit_when_idle=True)
     assert summary.completed_runs == 2 and summary.failed_runs == 0
 
     status, detail = supervisor.jobs_route("job-0001")

@@ -13,14 +13,14 @@ Four layers of coverage, cheapest first:
   artifacts to a plain in-process :func:`~repro.campaigns.executor.execute_job`,
   and its progress chunks add up to the same world's events and health
   samples folded in-process;
-* **supervision** — the asyncio supervisor end to end: concurrent jobs,
+* **supervision** — the supervisor's dispatch threads end to end:
+  concurrent jobs and their exact aggregate counts, an in-process drain,
   the HTTP surface, journal resume, and ``repro serve`` / ``repro watch``
   under SIGTERM as real subprocesses.
 """
 
 from __future__ import annotations
 
-import asyncio
 import dataclasses
 import hashlib
 import io
@@ -437,9 +437,7 @@ def small_sweep_payload(seeds: int = 8) -> dict:
 
 
 def serve_until_idle(supervisor: ServiceSupervisor, **kwargs):
-    return asyncio.run(
-        supervisor.serve(exit_when_idle=True, install_signals=False, **kwargs)
-    )
+    return supervisor.serve(exit_when_idle=True, **kwargs)
 
 
 def test_supervisor_runs_concurrent_jobs_and_aggregates_state(tmp_path):
@@ -481,8 +479,57 @@ def test_supervisor_runs_concurrent_jobs_and_aggregates_state(tmp_path):
     assert 'repro_service_events_total{kind="BlockMined"}' in exposition
     assert supervisor.alerts.samples_seen > 0
 
+    # Four dispatch threads wrote these totals: none of their increments is lost.
+    runs = [run for job_id in ("job-0001", "job-0002") for run in supervisor.jobs_route(job_id)[1]["run_states"]]
+    assert len(runs) == 7
+    series = supervisor.registry.snapshot()
+    events_total = sum(value for key, value in series.items() if key.startswith("repro_service_events_total{"))
+    assert events_total == sum(run["events"] for run in runs)
+    assert series["repro_service_liquidations_total"] == sum(run["liquidations"] for run in runs)
+    assert series["repro_service_hf_samples_total"] == supervisor.alerts.samples_seen
+
     # The journal reached its terminal form: nothing to resume.
     assert ServiceJournal(tmp_path).incomplete_jobs() == []
+
+
+def test_progress_applied_from_many_threads_loses_no_update(tmp_path):
+    """More dispatch threads than cores apply chunks at once, switching
+    every microsecond: every total the supervisor keeps still adds up.
+    Each round brings a new event kind, so the threads also race to create
+    its ``repro_service_events_total`` series."""
+    supervisor = ServiceSupervisor(ServiceConfig(store_root=str(tmp_path)))
+    supervisor.submit(small_sweep_payload(seeds=8))  # queued only: nothing runs without serve()
+    record = supervisor._jobs["job-0001"]
+    sample = HealthSample("Compound", "0xabc", 1.08, 100.0, 1, 0)
+    rounds = 500
+    chunks = [
+        ProgressChunk(events={f"Kind{index}": 1, LiquidationSettled.__name__: 2}, last_block=index, samples=(sample,))
+        for index in range(rounds)
+    ]
+
+    def apply(run_state):
+        for chunk in chunks:
+            supervisor._apply_progress(record, run_state, chunk)
+
+    threads = [threading.Thread(target=apply, args=(run_state,)) for run_state in record.runs.values()]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+
+    total = rounds * len(threads)
+    series = supervisor.registry.snapshot()
+    events_total = sum(value for key, value in series.items() if key.startswith("repro_service_events_total{"))
+    assert events_total == 3 * total
+    assert series["repro_service_liquidations_total"] == 2 * total
+    assert series["repro_service_hf_samples_total"] == supervisor.alerts.samples_seen == total
+    assert [run.events for run in record.runs.values()] == [3 * rounds] * len(threads)
 
 
 #: What one streaming service job exposes, per scenario: its ``/jobs/<id>``
@@ -564,6 +611,40 @@ def test_service_job_observables_are_pinned(name, tmp_path):
     } == expected["alerts_total"]
     digest = hashlib.sha256(json.dumps(alerts, sort_keys=True).encode()).hexdigest()
     assert digest == expected["alerts_sha256"]
+
+
+def test_drain_lets_the_in_flight_run_finish_within_the_timeout(tmp_path):
+    """A drain with time to spare: the running run completes, the queued
+    ones stay queued and the journal still lists their job."""
+    supervisor = ServiceSupervisor(ServiceConfig(store_root=str(tmp_path), workers=1, drain_timeout=120.0))
+    supervisor.submit(small_sweep_payload(seeds=3))
+
+    def drain_once_running():
+        try:
+            wait_for(
+                lambda: any(run["status"] == "running" for run in supervisor.jobs_route("job-0001")[1]["run_states"]),
+                60.0,
+                "no run started",
+            )
+        finally:
+            supervisor.begin_drain()  # never leave serve() waiting
+
+    helper = threading.Thread(target=drain_once_running)
+    helper.start()
+    summary = supervisor.serve()
+    helper.join(60)
+    assert not helper.is_alive()
+
+    assert summary.drained
+    assert (summary.completed_runs, summary.interrupted_runs, summary.failed_runs) == (1, 0, 0)
+    _, detail = supervisor.jobs_route("job-0001")
+    assert [run["status"] for run in detail["run_states"]] == ["completed", "queued", "queued"]
+    assert [entry["job_id"] for entry in ServiceJournal(tmp_path).incomplete_jobs()] == ["job-0001"]
+
+
+def test_importing_the_service_does_not_load_asyncio():
+    code = "import sys, repro.cli, repro.service; assert 'asyncio' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], env=subprocess_env(), check=True)
 
 
 def test_supervisor_resumes_completed_runs_from_the_store(tmp_path):
@@ -766,7 +847,7 @@ def test_drain_handler_is_installed_before_the_port_is_announced(tmp_path):
             handlers.append(signal.getsignal(signal.SIGTERM))
             supervisor.begin_drain()
 
-    summary = asyncio.run(supervisor.serve(http_port=0, announce=announce))
+    summary = supervisor.serve(http_port=0, announce=announce)
     assert summary.drained
     assert handlers and handlers[0] not in (signal.SIG_DFL, signal.SIG_IGN, None)
 
@@ -782,7 +863,7 @@ def test_workers_are_alive_before_the_port_is_announced(tmp_path):
             answers.append(http_get(f"http://127.0.0.1:{supervisor.http_server.port}/health"))
             supervisor.begin_drain()
 
-    summary = asyncio.run(supervisor.serve(http_port=0, announce=announce, install_signals=False))
+    summary = supervisor.serve(http_port=0, announce=announce)
     assert summary.drained
     ((status, _, text),) = answers
     health = json.loads(text)
