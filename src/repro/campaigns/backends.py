@@ -31,6 +31,7 @@ which backend produced each run.
 
 from __future__ import annotations
 
+import gc
 import multiprocessing
 import os
 import queue
@@ -134,7 +135,10 @@ class ExecutionBackend(Protocol):
     backends); ``execute_one`` is the thread-safe single-run entry.
     ``close`` releases resources gracefully, ``terminate`` forcefully
     (in-flight runs surface as failed outcomes — resumable, since
-    interrupted runs never write a manifest).
+    interrupted runs never write a manifest).  A process that executes
+    jobs frees each finished world, one large reference cycle, before it
+    takes its next job, so its resident set stays flat across jobs (the
+    manifests' ``peak_rss_mb`` shows it).
     """
 
     name: str
@@ -150,7 +154,12 @@ class ExecutionBackend(Protocol):
 
 
 class SerialBackend:
-    """In-process execution, one run after another (the ground truth)."""
+    """In-process execution, one run after another (the ground truth).
+
+    After each job it runs one full collection, which frees the finished
+    world, before the outcome is returned.  The run's ``elapsed_seconds``
+    excludes it; the next job's ``idle_seconds`` includes it.
+    """
 
     name = "serial"
     workers = 1
@@ -168,11 +177,17 @@ class SerialBackend:
             # earlier campaigns run in this process.
             _WORKER_STATE.clear()
             for job in jobs:
-                yield execute_job(job)
+                yield self._execute(job)
 
     def execute_one(self, job: RunJob) -> RunOutcome:
         with self._lock:
-            return execute_job(job)
+            return self._execute(job)
+
+    @staticmethod
+    def _execute(job: RunJob) -> RunOutcome:
+        outcome = execute_job(job)
+        gc.collect()
+        return outcome
 
     def close(self) -> None:
         pass
@@ -209,6 +224,11 @@ def persistent_worker_main(task_queue, results: Connection) -> None:
     :class:`RunOutcome`.  The pipe is this worker's alone, so they arrive
     in that order, and a worker killed mid-message garbles no other
     worker's results.
+
+    Once the outcome is sent, the worker runs one full collection, which
+    frees the finished world before the next job builds its own.  The
+    job's reported latency does not include it; the next job's
+    ``idle_seconds`` does.
     """
     # A forked worker inherits its parent's signal handlers and wakeup fd
     # (a caller's drain handler, an event loop's self-pipe): restore what a
@@ -226,6 +246,7 @@ def persistent_worker_main(task_queue, results: Connection) -> None:
         # pathological run cannot take the worker down with it.
         outcome = execute_job(job, lambda chunk: results.send((key, chunk)))
         results.send((key, outcome))
+        gc.collect()
 
 
 def _close_queue(task_queue, *, flush: bool) -> None:

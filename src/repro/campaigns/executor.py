@@ -21,7 +21,10 @@ without touching the store contract — the probe is passive.
 
 from __future__ import annotations
 
+import gc
 import multiprocessing
+import resource
+import sys
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Iterable
@@ -139,6 +142,40 @@ def _worker_begin() -> tuple[str, int, float]:
 
 def _worker_end() -> None:
     _WORKER_STATE["last_end"] = perf_seconds()
+
+
+class _GcPauses:
+    """Counts and times the collections this process makes while installed.
+
+    A ``gc.callbacks`` hook, installed by ``with`` for one job only.
+    """
+
+    def __init__(self) -> None:
+        self.collections = 0
+        self.seconds = 0.0
+        self._started = 0.0
+
+    def __call__(self, phase: str, info: dict) -> None:
+        now = perf_seconds()
+        if phase == "start":
+            self._started = now
+        else:
+            self.collections += 1
+            self.seconds += now - self._started
+
+    def __enter__(self) -> "_GcPauses":
+        gc.callbacks.append(self)
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        gc.callbacks.remove(self)
+
+
+def _peak_rss_mb() -> float:
+    """This process's resident-set high-water mark so far, in MB."""
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    # Linux reports kilobytes, macOS bytes.
+    return round(peak / (1024.0 * 1024.0 if sys.platform == "darwin" else 1024.0), 2)
 
 
 def _valuation_cache_stats(snapshot: dict[str, float]) -> dict:
@@ -262,10 +299,17 @@ def execute_job(job: RunJob, on_progress: ProgressSink | None = None) -> RunOutc
     When ``job.collect_telemetry`` is set, the worker installs a
     :class:`~repro.telemetry.runtime.Telemetry` for the duration of the run
     and persists a digest into the manifest: per-phase span timings
-    (build / run / reports / persist), valuation-cache hit rate, and how
-    long this worker sat idle before picking the task up.  Telemetry never
-    touches the simulated world, so the experiment files remain
-    byte-identical with telemetry on or off.
+    (build / run / reports / persist), valuation-cache hit rate, how long
+    this worker sat idle before picking the task up, the process's peak
+    RSS when the job ends, and the collections made during the job and
+    their pauses.  Telemetry never touches the simulated world, so the
+    experiment files remain byte-identical with telemetry on or off.
+
+    The finished world is one large reference cycle, which this function
+    does not free: the backend that called it runs one full collection
+    after the job (a persistent worker once its outcome has been sent).
+    That collection falls between two jobs, so its time counts in the next
+    job's ``idle_seconds``, not in this job's ``elapsed_seconds``.
     """
     worker_name, task_index, idle_seconds = _worker_begin()
     started = perf_seconds()
@@ -273,7 +317,7 @@ def execute_job(job: RunJob, on_progress: ProgressSink | None = None) -> RunOutc
     scope = telemetry_runtime.enabled(telemetry) if telemetry else nullcontext()
     streaming = on_progress is not None and job.sample_below is not None
     try:
-        with scope:
+        with scope, _GcPauses() as gc_pauses:
             builder = job.run.builder()
             # Stream the liquidation records and the run fold while the world
             # advances instead of re-crawling the finished chain: run_json
@@ -302,6 +346,7 @@ def execute_job(job: RunJob, on_progress: ProgressSink | None = None) -> RunOutc
             task_index=task_index,
             idle_seconds=idle_seconds,
             elapsed_seconds=elapsed,
+            gc_pauses=gc_pauses,
         )
         store.write_manifest(
             job.campaign,
@@ -331,8 +376,13 @@ def _telemetry_digest(
     task_index: int,
     idle_seconds: float,
     elapsed_seconds: float,
+    gc_pauses: _GcPauses,
 ) -> dict | None:
-    """Flatten a run's telemetry into the JSON block the manifest stores."""
+    """Flatten a run's telemetry into the JSON block the manifest stores.
+
+    ``peak_rss_mb`` is the process's high-water mark when the job ends: read
+    in ``task_index`` order, a worker's manifests show whether it creeps.
+    """
     if telemetry is None:
         return None
     summary = telemetry.summary()
@@ -350,6 +400,9 @@ def _telemetry_digest(
         "run_seconds": seconds("job.run"),
         "reports_seconds": seconds("job.reports"),
         "persist_seconds": seconds("job.persist"),
+        "peak_rss_mb": _peak_rss_mb(),
+        "gc_collections": gc_pauses.collections,
+        "gc_pause_seconds": round(gc_pauses.seconds, 4),
         "valuation_cache": _valuation_cache_stats(summary["metrics"]),
         "spans": {
             name: {

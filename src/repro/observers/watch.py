@@ -155,7 +155,8 @@ def watch_run(
     server = None
     registry = None
     if metrics_port is not None:
-        from ..telemetry import MetricsRegistry, MetricsServer, run_families
+        from ..telemetry import MetricsRegistry, run_families
+        from ..telemetry.http import MetricsServer
 
         fold = engine.attach_probe(MetricsAccumulator())
         registry = MetricsRegistry()

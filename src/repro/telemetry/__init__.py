@@ -17,8 +17,10 @@ bit-identical to bare ones:
 * :mod:`repro.telemetry.families` — :func:`run_families`, a run's
   Prometheus series read off its
   :class:`~repro.observers.probes.MetricsAccumulator` at scrape time;
-* :mod:`repro.telemetry.http` — :class:`MetricsServer`, the ``/metrics``
-  exposition endpoint behind ``repro watch --metrics-port``.
+* :mod:`repro.telemetry.http` — :class:`~repro.telemetry.http.MetricsServer`,
+  the ``/metrics`` exposition endpoint behind ``repro watch --metrics-port``.
+  Import it from there: the package does not, so a world process never
+  loads ``http.server``.
 
 Quickstart::
 
@@ -42,7 +44,6 @@ or, from the shell::
 """
 
 from .families import run_families
-from .http import MetricsServer
 from .metrics import Counter, Gauge, Histogram, MetricsRegistry
 from .runtime import Telemetry, active, enabled, span
 from .spans import SpanRecord, Tracer, aggregate_spans, render_phase_report
@@ -52,7 +53,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "MetricsServer",
     "SpanRecord",
     "Telemetry",
     "Tracer",

@@ -259,6 +259,14 @@ def test_worker_killed_mid_stream_leaves_the_other_workers_results_intact(tmp_pa
         assert not retry.failed
 
 
+def checkout_env() -> dict[str, str]:
+    """The environment for a fresh interpreter that imports this checkout's ``src``."""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    return env
+
+
 #: Run in a fresh interpreter, so that no thread another test left behind
 #: decides the start method: installs the handlers a caller might have,
 #: starts two workers, has each read one job, and reports how they started
@@ -295,12 +303,9 @@ with PersistentBackend(workers=2) as backend:
 def fork_probe(tmp_path_factory):
     if "fork" not in multiprocessing.get_all_start_methods() or not os.path.exists("/proc/self/status"):
         pytest.skip("needs the fork start method and /proc")
-    env = dict(os.environ)
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
     completed = subprocess.run(
         [sys.executable, "-c", FORK_PROBE, str(tmp_path_factory.mktemp("fork-probe"))],
-        env=env, capture_output=True, text=True, timeout=120,
+        env=checkout_env(), capture_output=True, text=True, timeout=120,
     )
     assert completed.returncode == 0, completed.stderr
     return json.loads(completed.stdout)
@@ -334,6 +339,43 @@ def test_caller_running_threads_spawns_its_workers():
     finally:
         release.set()
         helper.join()
+
+
+#: Run in a fresh interpreter, whose high-water mark is its own and not the
+#: test session's: six ``small`` jobs through the crash on one persistent
+#: worker, then on the serial backend, reporting each job's digest.
+MEMORY_PROBE = """
+import json, sys
+from repro.campaigns import CampaignSpec, PersistentBackend, SerialBackend
+from repro.campaigns.executor import RunJob
+
+spec = CampaignSpec(scenario="small", seeds=6, overrides={"end_block": 9_900_000}, experiments=("table1",))
+peaks = {}
+for backend in (PersistentBackend(1), SerialBackend()):
+    jobs = [
+        RunJob(store_root=f"{sys.argv[1]}/{backend.name}", campaign=spec.campaign, run=run, experiments=spec.experiments)
+        for run in spec.runs()
+    ]
+    try:
+        digests = [outcome.telemetry for outcome in backend.run(jobs)]
+    finally:
+        backend.close()
+    peaks[backend.name] = {digest["task_index"]: digest["peak_rss_mb"] for digest in digests}
+print(json.dumps(peaks))
+"""
+
+
+def test_workers_free_each_world_before_the_next_job(tmp_path):
+    """A finished world is a reference cycle: without a collection after
+    each job, a worker's peak RSS climbs by several MB over six jobs."""
+    completed = subprocess.run(
+        [sys.executable, "-c", MEMORY_PROBE, str(tmp_path)],
+        env=checkout_env(), capture_output=True, text=True, timeout=300,
+    )
+    assert completed.returncode == 0, completed.stderr
+    for backend, peaks in json.loads(completed.stdout).items():
+        assert sorted(peaks) == [str(index) for index in range(1, 7)], backend
+        assert 0 < peaks["1"] <= peaks["6"] < peaks["1"] + 2.0, (backend, peaks)
 
 
 def test_persistent_rejects_reuse_after_close():

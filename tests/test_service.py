@@ -647,6 +647,14 @@ def test_importing_the_service_does_not_load_asyncio():
     subprocess.run([sys.executable, "-c", code], env=subprocess_env(), check=True)
 
 
+def test_world_processes_do_not_load_the_http_server():
+    code = (
+        "import sys, repro.scenarios, repro.campaigns, repro.experiments.runner; "
+        "assert 'http.server' not in sys.modules"
+    )
+    subprocess.run([sys.executable, "-c", code], env=subprocess_env(), check=True)
+
+
 def test_supervisor_resumes_completed_runs_from_the_store(tmp_path):
     first = ServiceSupervisor(ServiceConfig(store_root=str(tmp_path), workers=2))
     first.submit(small_sweep_payload(seeds=2))

@@ -27,7 +27,6 @@ from repro.telemetry import (
     Counter,
     Histogram,
     MetricsRegistry,
-    MetricsServer,
     Telemetry,
     Tracer,
     active,
@@ -37,6 +36,7 @@ from repro.telemetry import (
     run_families,
     span,
 )
+from repro.telemetry.http import MetricsServer
 from repro.telemetry.runtime import _NOOP_SPAN
 
 #: Number of block strides each truncated bit-identity run covers.
@@ -480,6 +480,9 @@ class TestCampaignTelemetry:
             "run_seconds",
             "reports_seconds",
             "persist_seconds",
+            "peak_rss_mb",
+            "gc_collections",
+            "gc_pause_seconds",
             "valuation_cache",
             "spans",
         ):
